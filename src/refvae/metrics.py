@@ -22,7 +22,7 @@ from .checkpoint import encoder_fingerprint
 from .refcond import RefCondConfig, decode_conditioned_t
 from .synthdata import ClipRef, DatasetSpec, realize
 from .tensor import Tensor
-from .training import RefPolicy, perceptual_proxy, select_reference_frame
+from .training import RefPolicy, feature_pyramid, pyramid_distance, select_reference_frame
 from .vae import VaeConfig, decode_baseline_t, encode_t
 
 PSNR_CAP = 99.0
@@ -91,15 +91,24 @@ def flicker_error(x_hat: np.ndarray, x: np.ndarray) -> float:
 
 
 def temporal_consistency_proxy(x_hat: np.ndarray, x: np.ndarray) -> float:
-    """Gap between consecutive-frame perceptual distances of the two clips."""
+    """Gap between consecutive-frame perceptual distances of the two clips.
+
+    Each clip's pyramid is built once over all its frames: the blur never
+    mixes frames, so frame t's slice of it is frame t's own pyramid.
+    """
     _check_pair(x, x_hat)
-    if x.shape[0] < 2:
+    t, c, h, w = x.shape
+    if t < 2:
         raise ValueError("temporal consistency needs at least two frames")
-    gaps = []
-    for t in range(x.shape[0] - 1):
-        p_hat = perceptual_proxy(Tensor(x_hat[t:t + 1]), Tensor(x_hat[t + 1:t + 2])).item()
-        p_ref = perceptual_proxy(Tensor(x[t:t + 1]), Tensor(x[t + 1:t + 2])).item()
-        gaps.append(abs(p_hat - p_ref))
+    pyr_hat = feature_pyramid(Tensor(x_hat).reshape(1, t * c, h, w))
+    pyr_ref = feature_pyramid(Tensor(x).reshape(1, t * c, h, w))
+
+    def frame_distance(pyramid: list[Tensor], i: int) -> float:
+        a = [lvl[:, i * c:(i + 1) * c] for lvl in pyramid]
+        b = [lvl[:, (i + 1) * c:(i + 2) * c] for lvl in pyramid]
+        return pyramid_distance(a, b).item()
+
+    gaps = [abs(frame_distance(pyr_hat, i) - frame_distance(pyr_ref, i)) for i in range(t - 1)]
     return float(np.mean(gaps))
 
 

@@ -18,7 +18,8 @@ def conv3d_causal(x: Tensor, kernel: Tensor, stride: tuple[int, int, int] = (1, 
 
     Temporal padding of kt-1 zeros is applied entirely at the front, so
     output index t depends only on input indices <= t*st.  Spatial padding
-    is symmetric (kh-1)/2, which requires odd spatial kernels.
+    is symmetric (kh-1)/2, which requires odd spatial kernels.  The result
+    has the promoted dtype of x and kernel.
     """
     if x.data.ndim != 4 or kernel.data.ndim != 5:
         raise ValueError("conv3d_causal expects x[C,T,H,W] and kernel[Cout,Cin,kt,kh,kw]")
@@ -37,14 +38,17 @@ def conv3d_causal(x: Tensor, kernel: Tensor, stride: tuple[int, int, int] = (1, 
     h_out = (h_in - 1) // sh + 1
     w_out = (w_in - 1) // sw + 1
     n = t_out * h_out * w_out
+    dtype = np.result_type(x.data, kernel.data)
+    unit = (st, sh, sw) == (1, 1, 1)
 
-    # channels-last internally: per-offset patch copies become contiguous
-    # channel blocks, which is an order of magnitude faster than slicing
-    # a channels-first volume
+    # channels-last internally: per-offset patches become contiguous channel
+    # blocks.  At stride 1 a spare trailing zero frame lets every offset read
+    # its operand as one contiguous row range of the flattened padded input.
     xcl = np.ascontiguousarray(x.data.transpose(1, 2, 3, 0))
-    xp = np.pad(xcl, ((kt - 1, 0), (ph, ph), (pw, pw), (0, 0)))
+    xpad = np.pad(xcl, ((kt - 1, int(unit)), (ph, ph), (pw, pw), (0, 0)))
+    xp = xpad[:kt - 1 + t_in]
+    hp, wp = xpad.shape[1], xpad.shape[2]
     wcl = np.ascontiguousarray(kernel.data.transpose(2, 3, 4, 1, 0))  # [kt,kh,kw,Cin,Cout]
-    acc = np.zeros((n, cout), dtype=x.dtype)
     slices = []
     for dt in range(kt):
         ts = slice(dt, dt + (t_out - 1) * st + 1, st)
@@ -53,23 +57,51 @@ def conv3d_causal(x: Tensor, kernel: Tensor, stride: tuple[int, int, int] = (1, 
             for dx in range(kw):
                 xs = slice(dx, dx + (w_out - 1) * sw + 1, sw)
                 slices.append((dt, dy, dx, ts, ys, xs))
-                patch = xp[ts, ys, xs, :].reshape(n, cin)
-                acc += patch @ wcl[dt, dy, dx]
-    out = np.ascontiguousarray(acc.reshape(t_out, h_out, w_out, cout).transpose(3, 0, 1, 2))
+
+    if unit:
+        # output row r = (t*hp + y)*wp + x reads input row r + (dt*hp + dy)*wp + dx;
+        # rows with y >= h_out or x >= w_out are junk and cropped once at the end
+        rows = t_out * hp * wp
+        starts = [(dt * hp + dy) * wp + dx for dt, dy, dx, *_ in slices]
+        xf = xpad.reshape(-1, cin)
+        acc = np.zeros((rows, cout), dtype=dtype)
+        tmp = np.empty_like(acc)
+        for o, (dt, dy, dx, *_) in zip(starts, slices):
+            acc += np.matmul(xf[o:o + rows], wcl[dt, dy, dx], out=tmp)
+        acc = acc.reshape(t_out, hp, wp, cout)[:, :h_out, :w_out]
+    else:
+        acc = np.zeros((n, cout), dtype=dtype)
+        for dt, dy, dx, ts, ys, xs in slices:
+            acc += xp[ts, ys, xs, :].reshape(n, cin) @ wcl[dt, dy, dx]
+        acc = acc.reshape(t_out, h_out, w_out, cout)
+    out = np.ascontiguousarray(acc.transpose(3, 0, 1, 2))
 
     def bw(g):
         gcl = np.ascontiguousarray(g.transpose(1, 2, 3, 0)).reshape(n, cout)
-        gxp = np.zeros_like(xp) if x.requires_grad else None
-        gk = _grad_buffer(kernel) if kernel.requires_grad else None
-        for dt, dy, dx, ts, ys, xs in slices:
-            if kernel.requires_grad:
-                patch = xp[ts, ys, xs, :].reshape(n, cin)
-                gk[:, :, dt, dy, dx] += gcl.T @ patch
-            if x.requires_grad:
+        if kernel.requires_grad:
+            # reduce over the n output positions only, never over junk rows:
+            # one summation order at every stride
+            gk = _grad_buffer(kernel)
+            patch = np.empty((t_out, h_out, w_out, cin), dtype=x.dtype)
+            for dt, dy, dx, ts, ys, xs in slices:
+                np.copyto(patch, xp[ts, ys, xs, :])
+                gk[:, :, dt, dy, dx] += gcl.T @ patch.reshape(n, cin)
+        if not x.requires_grad:
+            return
+        gxp = np.zeros(xpad.shape[:3] + (cin,), dtype=dtype)
+        if unit:
+            gpad = np.zeros((t_out, hp, wp, cout), dtype=g.dtype)
+            gpad[:, :h_out, :w_out] = gcl.reshape(t_out, h_out, w_out, cout)
+            gpf = gpad.reshape(rows, cout)
+            gxf = gxp.reshape(-1, cin)
+            tmp = np.empty((rows, cin), dtype=dtype)
+            for o, (dt, dy, dx, *_) in zip(starts, slices):
+                gxf[o:o + rows] += np.matmul(gpf, wcl[dt, dy, dx].T, out=tmp)
+        else:
+            for dt, dy, dx, ts, ys, xs in slices:
                 gxp[ts, ys, xs, :] += (gcl @ wcl[dt, dy, dx].T).reshape(t_out, h_out, w_out, cin)
-        if x.requires_grad:
-            gx = gxp[kt - 1:, ph:ph + h_in, pw:pw + w_in, :]
-            _acc(x, gx.transpose(3, 0, 1, 2))
+        gx = gxp[kt - 1:kt - 1 + t_in, ph:ph + h_in, pw:pw + w_in, :]
+        _acc(x, gx.transpose(3, 0, 1, 2).astype(x.dtype, copy=False))
 
     return _from_op(out, (x, kernel), bw)
 

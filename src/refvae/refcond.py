@@ -155,11 +155,9 @@ def _resolve_reference(ref_image, params, vae_cfg, hz, wz) -> Tensor:
 
 def _rope_heads(x: Tensor, positions: np.ndarray, heads: int) -> Tensor:
     """Rotate each head's channel slice with the same 3-axis frequency set."""
-    d = x.shape[1]
-    dh = d // heads
-    if heads == 1:
-        return rope_apply(x, positions)
-    return concat([rope_apply(x[:, i * dh:(i + 1) * dh], positions) for i in range(heads)], axis=1)
+    seq, d = x.shape
+    rows = x.reshape(seq * heads, d // heads)  # row l*heads + i is head i of token l
+    return rope_apply(rows, np.repeat(positions, heads, axis=0)).reshape(seq, d)
 
 
 def _block(seq: Tensor, positions: np.ndarray, params: dict[str, Tensor],

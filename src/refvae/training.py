@@ -148,34 +148,47 @@ def _blur_down(x: Tensor) -> Tensor:
 _LEVEL_WEIGHTS = (1.0, 2.0, 4.0)  # coarse scales, where noise washes out, count more
 
 
-def perceptual_proxy(x: Tensor, x_hat: Tensor, levels: int = 3) -> Tensor:
-    """L1 gap between fixed features over a Gaussian pyramid.
+def feature_pyramid(x: Tensor, levels: int = 3) -> list[Tensor]:
+    """[1, N, H, W] frame-channels followed by `levels - 1` blurred 2x decimations."""
+    pyramid = [x]
+    for _ in range(levels - 1):
+        pyramid.append(_blur_down(pyramid[-1]))
+    return pyramid
 
-    Features are the pyramid levels themselves (beyond the base, which the
-    main L1 term already covers) plus horizontal/vertical gradient maps at
-    every level.  Deterministic, non-learned, symmetric, and it penalises
-    losing high-frequency structure far more than matched-energy noise:
-    downsampling suppresses independent noise but not the damage blur does.
-    Inputs are [T, 3, H, W].
+
+def pyramid_distance(pa: list[Tensor], pb: list[Tensor]) -> Tensor:
+    """Weighted L1 gap between the features of two same-shape pyramids.
+
+    Features are the levels themselves (beyond the base, which the main L1
+    term already covers) plus horizontal/vertical gradient maps at every
+    level.
     """
-    if x.shape != x_hat.shape:
-        raise ValueError(f"shape mismatch {x.shape} vs {x_hat.shape}")
-    t, c, h, w = x.shape
-    a = x.reshape(1, t * c, h, w)
-    b = x_hat.reshape(1, t * c, h, w)
     total = None
     norm = 0.0
-    for lvl in range(levels):
-        weight = _LEVEL_WEIGHTS[lvl] if lvl < len(_LEVEL_WEIGHTS) else _LEVEL_WEIGHTS[-1]
+    for lvl, (a, b) in enumerate(zip(pa, pb)):
+        weight = _LEVEL_WEIGHTS[min(lvl, len(_LEVEL_WEIGHTS) - 1)]
         terms = [] if lvl == 0 else [(a - b).abs().mean()]
         for ga, gb in zip(_grad_maps(a), _grad_maps(b)):
             terms.append((ga - gb).abs().mean())
         for term in terms:
             total = term * weight if total is None else total + term * weight
             norm += weight
-        if lvl + 1 < levels:
-            a, b = _blur_down(a), _blur_down(b)
     return total * (1.0 / norm)
+
+
+def perceptual_proxy(x: Tensor, x_hat: Tensor, levels: int = 3) -> Tensor:
+    """L1 gap between fixed features over a Gaussian pyramid.
+
+    Deterministic, non-learned, symmetric, and it penalises losing
+    high-frequency structure far more than matched-energy noise:
+    downsampling suppresses independent noise but not the damage blur does.
+    Inputs are [T, 3, H, W].
+    """
+    if x.shape != x_hat.shape:
+        raise ValueError(f"shape mismatch {x.shape} vs {x_hat.shape}")
+    t, c, h, w = x.shape
+    return pyramid_distance(feature_pyramid(x.reshape(1, t * c, h, w), levels),
+                            feature_pyramid(x_hat.reshape(1, t * c, h, w), levels))
 
 
 def loss_recon(x: Tensor, x_hat: Tensor, lambda_perc: float = 1.0) -> tuple[Tensor, float, float]:

@@ -17,6 +17,8 @@ from refvae.metrics import (
     temporal_consistency_proxy,
 )
 from refvae.synthdata import gen_clip
+from refvae.tensor import Tensor
+from refvae.training import perceptual_proxy
 
 
 def ssim_naive(x, x_hat, win=7, c1=1e-4, c2=9e-4):
@@ -126,6 +128,17 @@ def test_flicker_needs_two_frames():
 def test_temporal_proxy_zero_on_identical():
     clip = gen_clip(6, "content_rich", 3, 16, 32).frames
     assert temporal_consistency_proxy(clip.copy(), clip) == 0.0
+
+
+def test_temporal_proxy_equals_per_pair_definition():
+    a = gen_clip(11, "content_rich", 5, 16, 32).frames
+    b = np.clip(a + 0.03 * np.random.default_rng(12).standard_normal(a.shape), 0, 1).astype(np.float32)
+
+    def pair(clip, t):
+        return perceptual_proxy(Tensor(clip[t:t + 1]), Tensor(clip[t + 1:t + 2])).item()
+
+    oracle = float(np.mean([abs(pair(b, t) - pair(a, t)) for t in range(len(a) - 1)]))
+    assert temporal_consistency_proxy(b, a) == oracle
 
 
 def test_temporal_proxy_time_reversal_invariant():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from refvae.ops import (
@@ -65,12 +65,15 @@ def test_conv_causal_future_invisible():
     assert not np.array_equal(out_a[:, -1], out_b[:, -1])
 
 
-@settings(max_examples=10, deadline=None)
-@given(st.integers(0, 2 ** 31 - 1), st.sampled_from([(1, 1, 1), (2, 2, 2), (1, 2, 1)]))
-def test_conv_matches_naive_oracle(seed, stride):
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.sampled_from([(1, 1, 1), (2, 2, 2), (1, 2, 1)]),
+       st.sampled_from([(2, 3, 3), (3, 3, 3), (1, 5, 5)]))
+@example(0, (1, 1, 1), (3, 3, 3))  # row-shifted GEMM path
+@example(0, (2, 2, 2), (1, 5, 5))  # strided patch-copy path
+def test_conv_matches_naive_oracle(seed, stride, ksize):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((2, 5, 4, 6))
-    w = rng.standard_normal((3, 2, 2, 3, 3))
+    w = rng.standard_normal((3, 2) + ksize)
     with float64_mode():
         fast = conv3d_causal(Tensor(x), Tensor(w), stride).data
     naive = conv3d_naive(x, w, stride)
@@ -84,6 +87,29 @@ def test_conv_grad_matches_finite_differences():
         w = parameter(rng.standard_normal((2, 2, 2, 3, 3)) * 0.3)
         assert grad_check(lambda t: conv3d_causal(t, w, (2, 2, 2)).sum(), x) < 1e-4
         assert grad_check(lambda t: conv3d_causal(x, t, (1, 1, 1)).abs().mean(), w) < 1e-3
+
+
+@pytest.mark.parametrize("ksize", [(3, 3, 3), (1, 5, 5)])
+def test_conv_unit_stride_input_grad_matches_finite_differences(ksize):
+    with float64_mode():
+        rng = np.random.default_rng(3)
+        x = parameter(rng.standard_normal((2, 4, 5, 6)))
+        w = parameter(rng.standard_normal((3, 2) + ksize) * 0.3)
+        probe = Tensor(rng.standard_normal((3, 4, 5, 6)))
+        assert grad_check(lambda t: (conv3d_causal(t, w) * probe).sum(), x) < 1e-4
+        assert grad_check(lambda t: (conv3d_causal(x, t) * probe).sum(), w) < 1e-4
+
+
+@pytest.mark.parametrize("stride", [(1, 1, 1), (1, 2, 2)])
+def test_conv_promotes_mixed_dtypes(stride):
+    rng = np.random.default_rng(5)
+    x = Tensor(rng.random((2, 3, 4, 4)).astype(np.float32), requires_grad=True)
+    w = Tensor(rng.standard_normal((2, 2, 2, 3, 3)), requires_grad=True)
+    out = conv3d_causal(x, w, stride)
+    assert out.dtype == np.float64
+    np.testing.assert_allclose(out.data, conv3d_naive(x.data.astype(np.float64), w.data, stride), atol=1e-12)
+    out.sum().backward()
+    assert x.grad.dtype == np.float32 and w.grad.dtype == np.float64
 
 
 def test_conv_rejects_bad_shapes():

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from refvae.ops import rope_apply
 from refvae.refcond import (
     RefCondConfig,
+    _rope_heads,
     _token_positions,
     decode_controlnet_t,
     decode_with_reference_t,
@@ -11,7 +13,7 @@ from refvae.refcond import (
     new_module_names,
     stage_forward,
 )
-from refvae.tensor import Tensor, float64_mode, grad_check, parameter
+from refvae.tensor import Tensor, concat, float64_mode, grad_check, parameter
 from refvae.vae import decode_baseline_t, dec_input, dec_stage_blocks, dec_stage_upsample, init_vae_params
 
 
@@ -29,6 +31,22 @@ def desk_full(desk_ref_cfg):
     params = init_vae_params(cfg, rng)
     params.update(init_ref_params(cfg, desk_ref_cfg, rng))
     return cfg, params
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+def test_rope_heads_equals_per_head_concat(heads):
+    rng = np.random.default_rng(heads)
+    dh = 12
+    positions = _token_positions(2, 2, 3)
+    data = rng.standard_normal((len(positions), heads * dh)).astype(np.float32)
+    probe = Tensor(rng.standard_normal(data.shape).astype(np.float32))
+    xa, xb = parameter(data), parameter(data)
+    fused = _rope_heads(xa, positions, heads)
+    per_head = concat([rope_apply(xb[:, i * dh:(i + 1) * dh], positions) for i in range(heads)], axis=1)
+    assert np.array_equal(fused.data, per_head.data)
+    (fused * probe).sum().backward()
+    (per_head * probe).sum().backward()
+    assert np.array_equal(xa.grad, xb.grad)
 
 
 def test_config_rejects_bad_widths():
