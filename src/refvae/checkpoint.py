@@ -4,12 +4,16 @@ Layout: magic "RDCK", u32 format version, u64 manifest length, JSON
 manifest (tensor name -> shape/dtype/offset, plus free-form metadata),
 then raw little-endian float32 payloads.  Offsets are relative to the end
 of the manifest.  Loading a saved file reproduces the arrays bit for bit;
-the encoder fingerprint pins the frozen encoder across fine-tuning.
+the encoder fingerprint pins the frozen encoder across fine-tuning.  A save
+replaces the target only once the whole file is written, and every
+malformed file raises CheckpointError.
 """
 from __future__ import annotations
 
 import hashlib
 import json
+import math
+import os
 import struct
 from pathlib import Path
 
@@ -19,6 +23,7 @@ from .tensor import Tensor
 
 MAGIC = b"RDCK"
 VERSION = 1
+HEADER = struct.Struct("<IQ")  # format version, manifest length
 
 
 class CheckpointError(RuntimeError):
@@ -50,30 +55,51 @@ def save_checkpoint(path: Path, params: dict, meta: dict | None = None) -> None:
         payloads.append(arr.tobytes())
         offset += len(payloads[-1])
     blob = json.dumps(manifest, sort_keys=True).encode()
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<IQ", VERSION, len(blob)))
-        fh.write(blob)
-        for raw in payloads:
-            fh.write(raw)
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(HEADER.pack(VERSION, len(blob)))
+            fh.write(blob)
+            for raw in payloads:
+                fh.write(raw)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path: Path) -> tuple[dict[str, np.ndarray], dict]:
     raw = Path(path).read_bytes()
     if raw[:4] != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint (bad magic)")
-    version, manifest_len = struct.unpack("<IQ", raw[4:16])
+    body = 4 + HEADER.size
+    if len(raw) < body:
+        raise CheckpointError(f"{path}: truncated header")
+    version, manifest_len = HEADER.unpack_from(raw, 4)
     if version != VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint format version {version}")
-    manifest = json.loads(raw[16:16 + manifest_len])
-    payload = raw[16 + manifest_len:]
+    if body + manifest_len > len(raw):
+        raise CheckpointError(f"{path}: manifest runs past the end of the file")
+    try:
+        manifest = json.loads(raw[body:body + manifest_len])
+        tensors, meta = manifest["tensors"], manifest["meta"]
+    except (ValueError, KeyError, TypeError) as exc:  # bad UTF-8/JSON, missing key, not an object
+        raise CheckpointError(f"{path}: unreadable manifest ({exc!r})") from None
+    if not isinstance(tensors, dict) or not isinstance(meta, dict):
+        raise CheckpointError(f"{path}: manifest tensors and meta must be objects")
+    payload = raw[body + manifest_len:]
     arrays: dict[str, np.ndarray] = {}
     spans = []
-    for name, entry in manifest["tensors"].items():
+    for name, entry in tensors.items():
+        if not (isinstance(entry, dict) and entry.get("dtype") == "f4"
+                and isinstance(entry.get("shape"), list) and type(entry.get("offset")) is int
+                and all(type(n) is int and n >= 0 for n in entry["shape"])):
+            raise CheckpointError(f"{path}: malformed manifest entry for tensor {name}")
         shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
         start = entry["offset"]
-        end = start + count * 4
+        end = start + math.prod(shape) * 4
         if start < 0 or end > len(payload):
             raise CheckpointError(f"{path}: tensor {name} payload out of bounds")
         spans.append((start, end, name))
@@ -82,7 +108,7 @@ def load_checkpoint(path: Path) -> tuple[dict[str, np.ndarray], dict]:
     for (s0, e0, n0), (s1, e1, n1) in zip(spans, spans[1:]):
         if s1 < e0:
             raise CheckpointError(f"{path}: overlapping payloads for {n0} and {n1}")
-    return arrays, manifest["meta"]
+    return arrays, meta
 
 
 def params_from_arrays(arrays: dict[str, np.ndarray],

@@ -90,25 +90,32 @@ def flicker_error(x_hat: np.ndarray, x: np.ndarray) -> float:
     return float(np.abs(d_hat - d_ref).mean())
 
 
-def temporal_consistency_proxy(x_hat: np.ndarray, x: np.ndarray) -> float:
+def frame_distances(clip: np.ndarray) -> list[float]:
+    """Perceptual distance of each consecutive frame pair of a [T, 3, H, W] clip.
+
+    The pyramid is built once over all frames: the blur never mixes frames,
+    so frame t's slice of it is frame t's own pyramid.
+    """
+    t, c, h, w = clip.shape
+    pyramid = feature_pyramid(Tensor(clip).reshape(1, t * c, h, w))
+    return [pyramid_distance([lvl[:, i * c:(i + 1) * c] for lvl in pyramid],
+                             [lvl[:, (i + 1) * c:(i + 2) * c] for lvl in pyramid]).item()
+            for i in range(t - 1)]
+
+
+def temporal_consistency_proxy(x_hat: np.ndarray, x: np.ndarray,
+                               ref_distances: list[float] | None = None) -> float:
     """Gap between consecutive-frame perceptual distances of the two clips.
 
-    Each clip's pyramid is built once over all its frames: the blur never
-    mixes frames, so frame t's slice of it is frame t's own pyramid.
+    `ref_distances` are `frame_distances(x)`, for a caller that scores
+    several reconstructions of one clip and computes them once.
     """
     _check_pair(x, x_hat)
-    t, c, h, w = x.shape
-    if t < 2:
+    if x.shape[0] < 2:
         raise ValueError("temporal consistency needs at least two frames")
-    pyr_hat = feature_pyramid(Tensor(x_hat).reshape(1, t * c, h, w))
-    pyr_ref = feature_pyramid(Tensor(x).reshape(1, t * c, h, w))
-
-    def frame_distance(pyramid: list[Tensor], i: int) -> float:
-        a = [lvl[:, i * c:(i + 1) * c] for lvl in pyramid]
-        b = [lvl[:, (i + 1) * c:(i + 2) * c] for lvl in pyramid]
-        return pyramid_distance(a, b).item()
-
-    gaps = [abs(frame_distance(pyr_hat, i) - frame_distance(pyr_ref, i)) for i in range(t - 1)]
+    if ref_distances is None:
+        ref_distances = frame_distances(x)
+    gaps = [abs(d_hat - d_ref) for d_hat, d_ref in zip(frame_distances(x_hat), ref_distances)]
     return float(np.mean(gaps))
 
 
@@ -194,7 +201,7 @@ class MetricsReport:
 
 
 def clip_metrics(frames: np.ndarray, decoded: np.ndarray, ref_index: int,
-                 clip_id: str, category: str) -> dict:
+                 clip_id: str, category: str, ref_distances: list[float] | None = None) -> dict:
     psnr_frames, _ = psnr(frames, decoded)
     ssim_frames, _ = ssim(frames, decoded)
     return {
@@ -205,7 +212,7 @@ def clip_metrics(frames: np.ndarray, decoded: np.ndarray, ref_index: int,
         "ssim": split_report(ssim_frames, ref_index),
         "l1": float(np.abs(frames.astype(np.float64) - decoded.astype(np.float64)).mean()),
         "flicker": flicker_error(decoded, frames),
-        "temporal_consistency": temporal_consistency_proxy(decoded, frames),
+        "temporal_consistency": temporal_consistency_proxy(decoded, frames, ref_distances),
     }
 
 
@@ -257,6 +264,29 @@ class SwapResult:
         return float(np.mean([d["delta_psnr"] > 0 for d in self.deltas]))
 
 
+def _swap_clip(rep_base: MetricsReport, rep_cond: MetricsReport, deltas: list[dict],
+               ref: ClipRef, frames: np.ndarray, z: np.ndarray, seed: int, policy: RefPolicy,
+               vae_cfg: VaeConfig, ref_cfg: RefCondConfig, params_baseline: dict,
+               params_conditioned: dict, injection: str) -> None:
+    """Decode one latent with both decoders and record both clip metrics and their deltas."""
+    clip_rng = np.random.default_rng(np.random.PCG64(seed))
+    ref_frame, ref_index = select_reference_frame(frames, policy, clip_rng)
+    decoded_base = decode_baseline_t(Tensor(z), vae_cfg, params_baseline).data
+    decoded_cond = decode_conditioned_t(Tensor(z), ref_frame, vae_cfg, ref_cfg,
+                                        params_conditioned, injection).data
+    ref_distances = frame_distances(frames)  # ground truth's share of the temporal proxy
+    m_base = clip_metrics(frames, decoded_base, ref_index, ref.clip_id, ref.category, ref_distances)
+    m_cond = clip_metrics(frames, decoded_cond, ref_index, ref.clip_id, ref.category, ref_distances)
+    rep_base.per_clip.append(m_base)
+    rep_cond.per_clip.append(m_cond)
+    deltas.append({
+        "clip_id": ref.clip_id, "category": ref.category,
+        "delta_psnr": m_cond["psnr"]["overall"] - m_base["psnr"]["overall"],
+        "delta_psnr_reference": m_cond["psnr"]["reference_frame"] - m_base["psnr"]["reference_frame"],
+        "delta_ssim": m_cond["ssim"]["overall"] - m_base["ssim"]["overall"],
+    })
+
+
 def fixed_seed_swap_compare(val_refs: list[ClipRef], data_spec: DatasetSpec,
                             vae_cfg: VaeConfig, ref_cfg: RefCondConfig,
                             params_baseline: dict, params_conditioned: dict,
@@ -281,27 +311,13 @@ def fixed_seed_swap_compare(val_refs: list[ClipRef], data_spec: DatasetSpec,
     deltas = []
     for ref, seed in zip(val_refs, seeds):
         clip = realize(ref, data_spec)
-        z = encode_t(Tensor(clip.frames), vae_cfg, params_baseline)
+        z = encode_t(Tensor(clip.frames), vae_cfg, params_baseline).data
         latent_path = ""
         if latent_dir is not None:
             latent_path = str(latent_dir / f"{ref.clip_id}.npy")
-            np.save(latent_path, z.data)
-        clip_rng = np.random.default_rng(np.random.PCG64(seed))
-        ref_frame, ref_index = select_reference_frame(clip.frames, eval_policy, clip_rng)
-
-        decoded_base = decode_baseline_t(z, vae_cfg, params_baseline).data
-        decoded_cond = decode_conditioned_t(Tensor(z.data), ref_frame, vae_cfg, ref_cfg,
-                                            params_conditioned, injection).data
-        m_base = clip_metrics(clip.frames, decoded_base, ref_index, ref.clip_id, ref.category)
-        m_cond = clip_metrics(clip.frames, decoded_cond, ref_index, ref.clip_id, ref.category)
-        rep_base.per_clip.append(m_base)
-        rep_cond.per_clip.append(m_cond)
-        deltas.append({
-            "clip_id": ref.clip_id, "category": ref.category,
-            "delta_psnr": m_cond["psnr"]["overall"] - m_base["psnr"]["overall"],
-            "delta_psnr_reference": m_cond["psnr"]["reference_frame"] - m_base["psnr"]["reference_frame"],
-            "delta_ssim": m_cond["ssim"]["overall"] - m_base["ssim"]["overall"],
-        })
+            np.save(latent_path, z)
+        _swap_clip(rep_base, rep_cond, deltas, ref, clip.frames, z, seed, eval_policy,
+                   vae_cfg, ref_cfg, params_baseline, params_conditioned, injection)
         entries.append({"clip_id": ref.clip_id, "seed": seed, "latent_path": latent_path})
 
     seed_log = {
@@ -332,19 +348,6 @@ def rerun_swap_from_seedlog(seed_log: dict, val_refs: list[ClipRef], data_spec: 
         clip = realize(ref, data_spec)
         z = np.load(entry["latent_path"]) if entry["latent_path"] else \
             encode_t(Tensor(clip.frames), vae_cfg, params_baseline).data
-        clip_rng = np.random.default_rng(np.random.PCG64(entry["seed"]))
-        ref_frame, ref_index = select_reference_frame(clip.frames, policy, clip_rng)
-        decoded_base = decode_baseline_t(Tensor(z), vae_cfg, params_baseline).data
-        decoded_cond = decode_conditioned_t(Tensor(z), ref_frame, vae_cfg, ref_cfg,
-                                            params_conditioned, injection).data
-        m_base = clip_metrics(clip.frames, decoded_base, ref_index, ref.clip_id, ref.category)
-        m_cond = clip_metrics(clip.frames, decoded_cond, ref_index, ref.clip_id, ref.category)
-        rep_base.per_clip.append(m_base)
-        rep_cond.per_clip.append(m_cond)
-        deltas.append({
-            "clip_id": ref.clip_id, "category": ref.category,
-            "delta_psnr": m_cond["psnr"]["overall"] - m_base["psnr"]["overall"],
-            "delta_psnr_reference": m_cond["psnr"]["reference_frame"] - m_base["psnr"]["reference_frame"],
-            "delta_ssim": m_cond["ssim"]["overall"] - m_base["ssim"]["overall"],
-        })
+        _swap_clip(rep_base, rep_cond, deltas, ref, clip.frames, z, entry["seed"], policy,
+                   vae_cfg, ref_cfg, params_baseline, params_conditioned, injection)
     return SwapResult(rep_base.finalize(), rep_cond.finalize(), deltas, seed_log)

@@ -11,6 +11,36 @@ import numpy as np
 from .tensor import Tensor, _acc, _from_op, _grad_buffer, concat
 
 EPS = 1e-6
+# accumulator floats per row tile of _shifted_gemm: with its operand rows and
+# the kernel slice, one tile stays in L2 across all kernel offsets
+_TILE_FLOATS = 16384
+# narrower GEMM outputs are not tiled: OpenBLAS picks their kernel by row
+# count, so tiles would change their bits (and with them training trajectories)
+_MIN_TILED_WIDTH = 8
+
+
+def _shifted_gemm(src: np.ndarray, starts: list[int], mats: list[np.ndarray],
+                  rows: int, dtype) -> np.ndarray:
+    """out[r] = sum over o of src[r + starts[o]] @ mats[o], for r < rows.
+
+    Runs tile by tile over output rows, so each tile's accumulator and operand
+    rows stay cache-resident across all offsets instead of streaming the
+    whole array once per offset.  Every row still sums its offsets in list
+    order.  Tiles are of equal height, as no tile may be a sliver: a GEMM of
+    a few dozen rows takes another BLAS kernel, with other result bits.
+    """
+    k = mats[0].shape[1]
+    n_tiles = -(-rows // max(1, _TILE_FLOATS // k)) if k >= _MIN_TILED_WIDTH else 1
+    tile = -(-rows // n_tiles)
+    out = np.empty((rows, k), dtype=dtype)
+    tmp = np.empty((tile, k), dtype=dtype)
+    for r0 in range(0, rows, tile):
+        r1 = min(r0 + tile, rows)
+        acc, part = out[r0:r1], tmp[:r1 - r0]
+        np.matmul(src[r0 + starts[0]:r1 + starts[0]], mats[0], out=acc)
+        for s, m in zip(starts[1:], mats[1:]):
+            acc += np.matmul(src[r0 + s:r1 + s], m, out=part)
+    return out
 
 
 def conv3d_causal(x: Tensor, kernel: Tensor, stride: tuple[int, int, int] = (1, 1, 1)) -> Tensor:
@@ -44,10 +74,10 @@ def conv3d_causal(x: Tensor, kernel: Tensor, stride: tuple[int, int, int] = (1, 
     # channels-last internally: per-offset patches become contiguous channel
     # blocks.  At stride 1 a spare trailing zero frame lets every offset read
     # its operand as one contiguous row range of the flattened padded input.
-    xcl = np.ascontiguousarray(x.data.transpose(1, 2, 3, 0))
-    xpad = np.pad(xcl, ((kt - 1, int(unit)), (ph, ph), (pw, pw), (0, 0)))
+    hp, wp = h_in + 2 * ph, w_in + 2 * pw
+    xpad = np.zeros((kt - 1 + t_in + int(unit), hp, wp, cin), dtype=x.dtype)
+    xpad[kt - 1:kt - 1 + t_in, ph:ph + h_in, pw:pw + w_in] = x.data.transpose(1, 2, 3, 0)
     xp = xpad[:kt - 1 + t_in]
-    hp, wp = xpad.shape[1], xpad.shape[2]
     wcl = np.ascontiguousarray(kernel.data.transpose(2, 3, 4, 1, 0))  # [kt,kh,kw,Cin,Cout]
     slices = []
     for dt in range(kt):
@@ -63,11 +93,8 @@ def conv3d_causal(x: Tensor, kernel: Tensor, stride: tuple[int, int, int] = (1, 
         # rows with y >= h_out or x >= w_out are junk and cropped once at the end
         rows = t_out * hp * wp
         starts = [(dt * hp + dy) * wp + dx for dt, dy, dx, *_ in slices]
-        xf = xpad.reshape(-1, cin)
-        acc = np.zeros((rows, cout), dtype=dtype)
-        tmp = np.empty_like(acc)
-        for o, (dt, dy, dx, *_) in zip(starts, slices):
-            acc += np.matmul(xf[o:o + rows], wcl[dt, dy, dx], out=tmp)
+        mats = [wcl[dt, dy, dx] for dt, dy, dx, *_ in slices]
+        acc = _shifted_gemm(xpad.reshape(-1, cin), starts, mats, rows, dtype)
         acc = acc.reshape(t_out, hp, wp, cout)[:, :h_out, :w_out]
     else:
         acc = np.zeros((n, cout), dtype=dtype)
@@ -88,19 +115,22 @@ def conv3d_causal(x: Tensor, kernel: Tensor, stride: tuple[int, int, int] = (1, 
                 gk[:, :, dt, dy, dx] += gcl.T @ patch.reshape(n, cin)
         if not x.requires_grad:
             return
-        gxp = np.zeros(xpad.shape[:3] + (cin,), dtype=dtype)
         if unit:
-            gpad = np.zeros((t_out, hp, wp, cout), dtype=g.dtype)
-            gpad[:, :h_out, :w_out] = gcl.reshape(t_out, h_out, w_out, cout)
-            gpf = gpad.reshape(rows, cout)
-            gxf = gxp.reshape(-1, cin)
-            tmp = np.empty((rows, cin), dtype=dtype)
-            for o, (dt, dy, dx, *_) in zip(starts, slices):
-                gxf[o:o + rows] += np.matmul(gpf, wcl[dt, dy, dx].T, out=tmp)
+            # padded-input row j = r + (kt-1)*hp*wp of the kept frames gathers
+            # g row j - start_o from every offset o: a forward pass of g,
+            # front-padded so that every such row is in range
+            lead = starts[-1] - (kt - 1) * hp * wp
+            gsrc = np.zeros((rows + starts[-1], cout), dtype=g.dtype)
+            gsrc[lead:lead + rows].reshape(t_out, hp, wp, cout)[:, :h_out, :w_out] = \
+                gcl.reshape(t_out, h_out, w_out, cout)
+            gxp = _shifted_gemm(gsrc, [starts[-1] - o for o in starts], [m.T for m in mats],
+                                rows, dtype).reshape(t_in, hp, wp, cin)
+            gx = gxp[:, ph:ph + h_in, pw:pw + w_in, :]
         else:
+            gxp = np.zeros(xpad.shape[:3] + (cin,), dtype=dtype)
             for dt, dy, dx, ts, ys, xs in slices:
                 gxp[ts, ys, xs, :] += (gcl @ wcl[dt, dy, dx].T).reshape(t_out, h_out, w_out, cin)
-        gx = gxp[kt - 1:kt - 1 + t_in, ph:ph + h_in, pw:pw + w_in, :]
+            gx = gxp[kt - 1:kt - 1 + t_in, ph:ph + h_in, pw:pw + w_in, :]
         _acc(x, gx.transpose(3, 0, 1, 2).astype(x.dtype, copy=False))
 
     return _from_op(out, (x, kernel), bw)

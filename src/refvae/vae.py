@@ -11,8 +11,7 @@ variant can interleave its token blocks without duplicating the backbone.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,13 +62,6 @@ class VaeConfig:
         if height % p or width % p:
             raise ValueError(f"{height}x{width} not divisible by spatial compression {p}")
         return (self.latent_channels, 1 + (frames - 1) // q, height // p, width // p)
-
-
-@dataclass
-class LatentGrid:
-    data: np.ndarray  # [C_z, T_z, H_z, W_z]
-    source: str = "encoded"  # encoded | synthetic-seeded
-    clip_id: str | None = None
 
 
 # -- parameters ---------------------------------------------------------------
@@ -129,10 +121,6 @@ def encoder_names(params: dict[str, Tensor]) -> list[str]:
     return sorted(n for n in params if n.startswith("enc."))
 
 
-def decoder_names(params: dict[str, Tensor]) -> list[str]:
-    return sorted(n for n in params if n.startswith("dec."))
-
-
 # -- forward ------------------------------------------------------------------
 
 
@@ -190,22 +178,3 @@ def decode_baseline_t(z: Tensor, cfg: VaeConfig, params: dict[str, Tensor]) -> T
         x = dec_stage_blocks(x, s, cfg, params)
         x = dec_stage_upsample(x, s, cfg, params)
     return dec_head(x, cfg, params)
-
-
-# -- array-level wrappers -------------------------------------------------------
-
-
-def encode(frames: np.ndarray, cfg: VaeConfig, params: dict[str, Tensor],
-           clip_id: str | None = None) -> LatentGrid:
-    z = encode_t(Tensor(np.asarray(frames, dtype=np.float32)), cfg, params)
-    return LatentGrid(data=z.data, source="encoded", clip_id=clip_id)
-
-
-def decode_baseline(z: LatentGrid, cfg: VaeConfig, params: dict[str, Tensor]) -> np.ndarray:
-    return decode_baseline_t(Tensor(z.data), cfg, params).data
-
-
-def iter_params(params: dict[str, Tensor], prefix: str) -> Iterator[tuple[str, Tensor]]:
-    for name in sorted(params):
-        if name.startswith(prefix):
-            yield name, params[name]

@@ -1,7 +1,15 @@
+import json
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from refvae import checkpoint
 from refvae.checkpoint import (
+    MAGIC,
+    VERSION,
     CheckpointError,
     encoder_fingerprint,
     load_checkpoint,
@@ -78,3 +86,92 @@ def test_params_from_arrays_trainability(params, tmp_path):
     assert "opt.m.dec.in.w" not in restored
     assert not restored["enc.in.w"].requires_grad
     assert restored["dec.in.w"].requires_grad
+
+
+def _manifest_file(manifest, payload: bytes = b"", manifest_len: int | None = None) -> bytes:
+    blob = manifest if isinstance(manifest, bytes) else json.dumps(manifest).encode()
+    size = len(blob) if manifest_len is None else manifest_len
+    return MAGIC + struct.pack("<IQ", VERSION, size) + blob + payload
+
+
+def _entry(**overrides) -> dict:
+    return {"tensors": {"a": {"shape": [2], "dtype": "f4", "offset": 0, **overrides}}, "meta": {}}
+
+
+@pytest.mark.parametrize("raw", [
+    pytest.param(MAGIC + b"\x01\x00\x00", id="short-header"),
+    pytest.param(_manifest_file({"tensors": {}, "meta": {}}, manifest_len=1 << 40), id="manifest-past-eof"),
+    pytest.param(_manifest_file(b"{not json"), id="bad-json"),
+    pytest.param(_manifest_file(b"\xff\xfe"), id="bad-utf8"),
+    pytest.param(_manifest_file([1, 2]), id="manifest-not-object"),
+    pytest.param(_manifest_file({"meta": {}}), id="no-tensors"),
+    pytest.param(_manifest_file({"tensors": {}}), id="no-meta"),
+    pytest.param(_manifest_file({"tensors": [], "meta": {}}), id="tensors-not-object"),
+    pytest.param(_manifest_file(_entry(shape=2), bytes(8)), id="shape-not-list"),
+    pytest.param(_manifest_file(_entry(shape=[2.0]), bytes(8)), id="shape-not-int"),
+    pytest.param(_manifest_file(_entry(shape=[-2]), bytes(8)), id="shape-negative"),
+    pytest.param(_manifest_file(_entry(offset="0"), bytes(8)), id="offset-not-int"),
+    pytest.param(_manifest_file(_entry(offset=4), bytes(8)), id="offset-out-of-bounds"),
+    pytest.param(_manifest_file(_entry(dtype="f8"), bytes(8)), id="unknown-dtype"),
+])
+def test_malformed_file_raises_checkpoint_error(raw, tmp_path):
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(raw)
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+_SMALL = {"enc.a": np.arange(6, dtype=np.float32).reshape(2, 3), "dec.b": np.ones(4, np.float32)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_corrupted_file_loads_cleanly_or_raises_checkpoint_error(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz.ckpt"
+    save_checkpoint(path, _SMALL, {"kind": "baseline"})
+    raw = bytearray(path.read_bytes())
+    if data.draw(st.booleans(), label="truncate"):
+        raw = raw[:data.draw(st.integers(0, len(raw) - 1), label="length")]
+    else:
+        raw[data.draw(st.integers(0, len(raw) - 1), label="at")] ^= data.draw(st.integers(1, 255), label="mask")
+    path.write_bytes(bytes(raw))
+    try:
+        arrays, meta = load_checkpoint(path)
+    except CheckpointError:
+        return
+    assert isinstance(meta, dict)
+    assert all(a.dtype == np.float32 for a in arrays.values())
+
+
+class _FailingFile:
+    """File stand-in whose writes fail once the header is out."""
+
+    def __init__(self, fh):
+        self.fh, self.writes = fh, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes > 3:
+            raise OSError("disk full")
+        return self.fh.write(data)
+
+
+def test_failed_save_keeps_previous_checkpoint(params, tmp_path, monkeypatch):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, params, {"kind": "baseline"})
+    before = path.read_bytes()
+    bumped = {n: p.data + 1.0 for n, p in params.items()}
+    monkeypatch.setattr(checkpoint, "open", lambda p, mode: _FailingFile(open(p, mode)), raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, bumped, {"kind": "baseline"})
+    assert path.read_bytes() == before
+    arrays, meta = load_checkpoint(path)
+    assert meta["kind"] == "baseline"
+    assert np.array_equal(arrays["dec.in.w"], params["dec.in.w"].data)
+    assert list(tmp_path.iterdir()) == [path]

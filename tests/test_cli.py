@@ -140,6 +140,13 @@ def test_exit_codes(pipeline, tmp_path):
     assert main(["train", "--config", str(cfg_path)]) == 3  # no baseline anywhere
 
 
+def test_eval_on_truncated_checkpoint_exits_3(pipeline, tmp_path):
+    baseline = pipeline[3]
+    truncated = tmp_path / "truncated.ckpt"
+    truncated.write_bytes(baseline.read_bytes()[:10])  # magic plus half a header
+    assert main(["eval", "--config", str(write_config(tmp_path)), "--ckpt", str(truncated)]) == 3
+
+
 def test_rerun_is_byte_identical_modulo_walltime(tmp_path):
     cfg_path = write_config(tmp_path)
     assert main(["pretrain", "--config", str(cfg_path)]) == 0

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from refvae import ops
 from refvae.ops import (
     attention,
     conv3d_causal,
@@ -98,6 +99,69 @@ def test_conv_unit_stride_input_grad_matches_finite_differences(ksize):
         probe = Tensor(rng.standard_normal((3, 4, 5, 6)))
         assert grad_check(lambda t: (conv3d_causal(t, w) * probe).sum(), x) < 1e-4
         assert grad_check(lambda t: (conv3d_causal(x, t) * probe).sum(), w) < 1e-4
+
+
+def conv3d_unit_stride_untiled(x, w, g):
+    """Stride-1 output, input gradient and kernel gradient, computed untiled.
+
+    Output and input gradient take one whole-array GEMM per kernel offset on
+    the flattened padded input, the kernel gradient one copied patch per
+    offset: the same per-element summation order as the tiled kernels.
+    """
+    cin, t, h, wd = x.shape
+    cout, _, kt, kh, kw = w.shape
+    ph, pw = (kh - 1) // 2, (kw - 1) // 2
+    xpad = np.pad(x.transpose(1, 2, 3, 0), ((kt - 1, 1), (ph, ph), (pw, pw), (0, 0)))
+    hp, wp = xpad.shape[1:3]
+    rows, n = t * hp * wp, t * h * wd
+    wcl = np.ascontiguousarray(w.transpose(2, 3, 4, 1, 0))
+    offsets = list(np.ndindex(kt, kh, kw))
+    starts = [(dt * hp + dy) * wp + dx for dt, dy, dx in offsets]
+    xf = xpad.reshape(-1, cin)
+    out = np.zeros((rows, cout), x.dtype)
+    for s, o in zip(starts, offsets):
+        out += xf[s:s + rows] @ wcl[o]
+    out = out.reshape(t, hp, wp, cout)[:, :h, :wd].transpose(3, 0, 1, 2)
+    gcl = np.ascontiguousarray(g.transpose(1, 2, 3, 0)).reshape(n, cout)
+    gpad = np.zeros((t, hp, wp, cout), g.dtype)
+    gpad[:, :h, :wd] = gcl.reshape(t, h, wd, cout)
+    gxf = np.zeros_like(xf)
+    for s, o in zip(starts, offsets):
+        gxf[s:s + rows] += gpad.reshape(rows, cout) @ wcl[o].T
+    gx = gxf.reshape(xpad.shape)[kt - 1:kt - 1 + t, ph:ph + h, pw:pw + wd].transpose(3, 0, 1, 2)
+    gk = np.zeros_like(w)
+    for dt, dy, dx in offsets:
+        patch = xpad[dt:dt + t, dy:dy + h, dx:dx + wd].reshape(n, cin)
+        gk[:, :, dt, dy, dx] += gcl.T @ patch
+    return out, gx, gk
+
+
+@pytest.mark.parametrize("cin, thw, cout, ksize, tiled", [
+    pytest.param(4, (3, 5, 6), 8, (3, 3, 3), False, id="under-one-tile"),
+    # 2805 output rows: forward tiles of 468 rows (the last 465), input-gradient
+    # tiles of 935; a frame is 561 padded rows, so tile boundaries fall mid-frame
+    pytest.param(16, (5, 15, 31), 32, (3, 3, 3), True, id="partial-tile-mid-frame"),
+    # 540 rows over at most 512 per tile: two of 270, as a 28-row last tile of
+    # the input gradient (a transposed operand) would take another BLAS kernel
+    pytest.param(32, (3, 8, 16), 32, (3, 3, 3), True, id="no-sliver-tile"),
+    pytest.param(8, (9, 32, 64), 3, (3, 3, 3), True, id="cout3"),
+    pytest.param(1, (9, 32, 64), 8, (1, 5, 5), True, id="cin1"),
+])
+def test_conv_unit_stride_tiles_match_untiled_reference(cin, thw, cout, ksize, tiled):
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal((cin,) + thw).astype(np.float32)
+    w = (rng.standard_normal((cout, cin) + ksize) * 0.3).astype(np.float32)
+    g = rng.standard_normal((cout,) + thw).astype(np.float32)
+    t, h, wd = thw
+    rows = t * (h + ksize[1] - 1) * (wd + ksize[2] - 1)
+    assert (rows > ops._TILE_FLOATS // max(cout, cin)) == tiled
+    xt, wt = parameter(x), parameter(w)
+    out = conv3d_causal(xt, wt)
+    (out * Tensor(g)).sum().backward()
+    ref_out, ref_gx, ref_gk = conv3d_unit_stride_untiled(x, w, g)
+    assert np.array_equal(out.data, ref_out)
+    assert np.array_equal(xt.grad, ref_gx)
+    assert np.array_equal(wt.grad, ref_gk)
 
 
 @pytest.mark.parametrize("stride", [(1, 1, 1), (1, 2, 2)])
