@@ -21,18 +21,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .checkpoint import (
-    CheckpointError,
-    encoder_fingerprint,
-    load_checkpoint,
-    params_from_arrays,
-    save_checkpoint,
-)
-from .config import ConfigError, ExperimentConfig
+from .checkpoint import CheckpointError, load_checkpoint, params_from_arrays, save_checkpoint
+from .config import INJECTIONS, ConfigError, ExperimentConfig
 from .metrics import evaluate_params, fixed_seed_swap_compare, psnr
 from .refcond import RefCondConfig, decode_conditioned_t
 from .synthdata import build_dataset, gen_clip, realize, save_manifest, write_rdvc
-from .tensor import NumericsError, Tensor, set_default_dtype
+from .tensor import NumericsError, Tensor
 from .training import (
     CurriculumSpec,
     RefPolicy,
@@ -49,6 +43,7 @@ EXIT_NUMERIC = 4
 
 DROPOUT_GRID = (0.0, 0.3, 0.7)
 BLOCKS_GRID = (3, 5, 7, 10)
+CKPT_KINDS = ("baseline", "refdec", "controlnet")
 
 
 def _parallelism_degree() -> int:
@@ -114,21 +109,49 @@ def _ckpt_meta(cfg: ExperimentConfig, kind: str, opt_step: int) -> dict:
     }
 
 
-def _model_cfgs_from_meta(meta: dict) -> tuple[VaeConfig, RefCondConfig]:
-    vae_d = dict(meta["vae"])
-    for k in ("stage_channels", "stage_kernels"):
-        vae_d[k] = tuple(vae_d[k])
-    ref_d = dict(meta["refdec"])
-    ref_d["token_strides"] = tuple(ref_d["token_strides"])
-    return VaeConfig(**vae_d), RefCondConfig(**ref_d)
+def _load_model(path: str | Path) -> tuple[dict[str, Tensor], dict, VaeConfig, RefCondConfig]:
+    """Checkpoint -> parameters, metadata, and the model configs its metadata records.
 
-
-def _load_ckpt_params(path: str | Path, trainable: bool = False):
+    Missing or malformed `kind`, `vae` or `refdec` metadata, or an unknown
+    `injection`, is a CheckpointError.
+    """
     p = Path(path)
     if not p.exists():
         raise CheckpointError(f"checkpoint not found: {p}")
     arrays, meta = load_checkpoint(p)
-    return params_from_arrays(arrays, trainable=trainable), meta
+    try:
+        if meta["kind"] not in CKPT_KINDS:
+            raise ValueError(f"unknown kind {meta['kind']!r}")
+        if meta.get("injection", "attention") not in INJECTIONS:
+            raise ValueError(f"unknown injection {meta['injection']!r}")
+        model = ExperimentConfig.from_dict({"vae": meta["vae"], "refdec": meta["refdec"]})
+        model.vae.validate()
+        model.refdec.validate()
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{p}: malformed checkpoint metadata ({exc!r})") from None
+    return params_from_arrays(arrays), meta, model.vae, model.refdec
+
+
+def _save_trained(outdir: Path, cfg: ExperimentConfig, kind: str, params: dict[str, Tensor],
+                  rows: list[dict], opt, **meta_extra) -> None:
+    """Checkpoint (parameters, optimiser moments, metadata) plus loss.csv of one training run."""
+    arrays = {n: p.data for n, p in params.items()}
+    arrays.update(opt.state_arrays())
+    meta = _ckpt_meta(cfg, kind, opt.step_count)
+    meta.update(meta_extra)
+    save_checkpoint(outdir / ("baseline.ckpt" if kind == "baseline" else "refdec.ckpt"), arrays, meta)
+    write_loss_csv(outdir / "loss.csv", rows)
+
+
+def _finetune_and_save(cfg: ExperimentConfig, baseline: dict[str, Tensor], train_refs,
+                      outdir: Path, **meta_extra) -> tuple[dict[str, Tensor], list[dict]]:
+    """Fine-tune on `baseline` as `cfg` says and save the result into `outdir`."""
+    params, rows, opt = train_refdecoder(
+        baseline, train_refs, cfg.dataset, cfg.vae, cfg.refdec, cfg.curriculum, cfg.optimizer,
+        cfg.dropout, cfg.ref_policy, cfg.seeds.train_seed, cfg.injection, cfg.lambda_perc)
+    kind = "refdec" if cfg.injection == "attention" else "controlnet"
+    _save_trained(outdir, cfg, kind, params, rows, opt, **meta_extra)
+    return params, rows
 
 
 # -- commands ----------------------------------------------------------------
@@ -153,11 +176,7 @@ def cmd_pretrain(cfg: ExperimentConfig, args) -> Path:
     train, _ = build_dataset(cfg.dataset)
     params, rows, opt = pretrain_baseline(train, cfg.dataset, cfg.vae, cfg.curriculum,
                                           cfg.optimizer, cfg.seeds.train_seed, cfg.lambda_perc)
-    arrays = {n: p.data for n, p in params.items()}
-    arrays.update(opt.state_arrays())
-    meta = _ckpt_meta(cfg, "baseline", opt.step_count)
-    save_checkpoint(run.outdir / "baseline.ckpt", arrays, meta)
-    write_loss_csv(run.outdir / "loss.csv", rows)
+    _save_trained(run.outdir, cfg, "baseline", params, rows, opt)
     run.extra["final_loss"] = rows[-1]["loss_total"]
     return run.finish()
 
@@ -166,46 +185,30 @@ def cmd_train(cfg: ExperimentConfig, args) -> Path:
     baseline_path = args.baseline or cfg.baseline_checkpoint
     if not baseline_path:
         raise CheckpointError("no baseline checkpoint given (flag --baseline or config)")
-    baseline, base_meta = _load_ckpt_params(baseline_path)
+    baseline, base_meta, _, _ = _load_model(baseline_path)
     run = Runner("train", cfg, args)
     train, _ = build_dataset(cfg.dataset)
-    params, rows, opt = train_refdecoder(
-        baseline, train, cfg.dataset, cfg.vae, cfg.refdec, cfg.curriculum, cfg.optimizer,
-        cfg.dropout, cfg.ref_policy, cfg.seeds.train_seed, cfg.injection, cfg.lambda_perc)
-    arrays = {n: p.data for n, p in params.items()}
-    arrays.update(opt.state_arrays())
-    kind = "refdec" if cfg.injection == "attention" else "controlnet"
-    meta = _ckpt_meta(cfg, kind, opt.step_count)
-    meta["baseline_config_hash"] = base_meta.get("config_hash", "")
-    save_checkpoint(run.outdir / "refdec.ckpt", arrays, meta)
-    write_loss_csv(run.outdir / "loss.csv", rows)
+    _, rows = _finetune_and_save(cfg, baseline, train, run.outdir,
+                                baseline_config_hash=base_meta.get("config_hash", ""))
     run.extra["final_loss"] = rows[-1]["loss_total"]
     run.extra["baseline_checkpoint"] = str(baseline_path)
     return run.finish()
 
 
-def _evaluate_checkpoint(cfg: ExperimentConfig, ckpt_path: str, val_refs) -> dict:
-    params, meta = _load_ckpt_params(ckpt_path)
-    vae_cfg, ref_cfg = _model_cfgs_from_meta(meta)
-    conditioned = meta["kind"] != "baseline"
-    report = evaluate_params(
-        val_refs, cfg.dataset, vae_cfg, ref_cfg, params, cfg.seeds.eval_seed,
-        cfg.eval_ref_policy, meta.get("injection", "attention"), conditioned,
-        metadata={"checkpoint": str(ckpt_path), "checkpoint_kind": meta["kind"],
-                  "config_hash": cfg.config_hash(), "code_version": __version__,
-                  "parallelism_degree": _parallelism_degree()})
-    return {"report": report, "meta": meta}
-
-
 def cmd_eval(cfg: ExperimentConfig, args) -> Path:
     if not args.ckpt:
         raise CheckpointError("eval needs at least one --ckpt")
+    models = [_load_model(ckpt) for ckpt in args.ckpt]  # every checkpoint loads before any output
     run = Runner("eval", cfg, args)
     _, val = build_dataset(cfg.dataset)
-    for i, ckpt in enumerate(args.ckpt):
-        result = _evaluate_checkpoint(cfg, ckpt, val)
-        report = result["report"]
-        stem = f"metrics-{i}-{result['meta']['kind']}"
+    for i, (ckpt, (params, meta, vae_cfg, ref_cfg)) in enumerate(zip(args.ckpt, models)):
+        report = evaluate_params(
+            val, cfg.dataset, vae_cfg, ref_cfg, params, cfg.seeds.eval_seed,
+            cfg.eval_ref_policy, meta.get("injection", "attention"), meta["kind"] != "baseline",
+            metadata={"checkpoint": str(ckpt), "checkpoint_kind": meta["kind"],
+                      "config_hash": cfg.config_hash(), "code_version": __version__,
+                      "parallelism_degree": _parallelism_degree()})
+        stem = f"metrics-{i}-{meta['kind']}"
         (run.outdir / f"{stem}.json").write_text(report.to_json())
         _write_csv(run.outdir / f"{stem}.csv", report.csv_rows(),
                    ["clip_id", "metric", "split", "value"])
@@ -214,13 +217,12 @@ def cmd_eval(cfg: ExperimentConfig, args) -> Path:
 
 
 def cmd_swap_compare(cfg: ExperimentConfig, args) -> Path:
-    params_base, meta_base = _load_ckpt_params(args.baseline)
-    params_cond, meta_cond = _load_ckpt_params(args.refdec)
+    params_base, meta_base, _, _ = _load_model(args.baseline)
+    params_cond, meta_cond, vae_cfg, ref_cfg = _load_model(args.refdec)
     if meta_base["kind"] != "baseline":
         raise CheckpointError(f"{args.baseline} is not a baseline checkpoint")
     run = Runner("swap-compare", cfg, args)
     _, val = build_dataset(cfg.dataset)
-    vae_cfg, ref_cfg = _model_cfgs_from_meta(meta_cond)
     result = fixed_seed_swap_compare(
         val, cfg.dataset, vae_cfg, ref_cfg, params_base, params_cond,
         cfg.seeds.eval_seed, run.outdir, cfg.eval_ref_policy,
@@ -273,16 +275,9 @@ def _run_grid_point(payload: tuple) -> list[dict]:
     cfg.validate()
     point_dir = Path(point_dir)
     point_dir.mkdir(parents=True, exist_ok=True)
-    baseline, _ = _load_ckpt_params(baseline_path)
+    baseline = _load_model(baseline_path)[0]
     train, val = build_dataset(cfg.dataset)
-    params, rows, opt = train_refdecoder(
-        baseline, train, cfg.dataset, cfg.vae, cfg.refdec, cfg.curriculum, cfg.optimizer,
-        cfg.dropout, cfg.ref_policy, cfg.seeds.train_seed, cfg.injection, cfg.lambda_perc)
-    arrays = {n: p.data for n, p in params.items()}
-    arrays.update(opt.state_arrays())
-    kind = "refdec" if cfg.injection == "attention" else "controlnet"
-    save_checkpoint(point_dir / "refdec.ckpt", arrays, _ckpt_meta(cfg, kind, opt.step_count))
-    write_loss_csv(point_dir / "loss.csv", rows)
+    params, _ = _finetune_and_save(cfg, baseline, train, point_dir)
 
     eval_policies = ([RefPolicy.first_frame, RefPolicy.random_frame]
                      if axis == "ref_policy" else [cfg.eval_ref_policy])
@@ -307,8 +302,7 @@ def cmd_ablate(cfg: ExperimentConfig, args) -> Path:
     baseline_path = args.baseline or cfg.baseline_checkpoint
     if not baseline_path:
         raise CheckpointError("no baseline checkpoint given (flag --baseline or config)")
-    if not Path(baseline_path).exists():
-        raise CheckpointError(f"checkpoint not found: {baseline_path}")
+    _load_model(baseline_path)  # a missing or malformed baseline fails before any output
     run = Runner(f"ablate-{args.axis}", cfg, args)
     points = _grid_points(cfg, args.axis)
     payloads = [(label, point_cfg.to_dict(), str(baseline_path),
@@ -329,8 +323,7 @@ def cmd_ablate(cfg: ExperimentConfig, args) -> Path:
 
 
 def cmd_decode(cfg: ExperimentConfig, args) -> Path:
-    params, meta = _load_ckpt_params(args.ckpt)
-    vae_cfg, ref_cfg = _model_cfgs_from_meta(meta)
+    params, meta, vae_cfg, ref_cfg = _load_model(args.ckpt)
     run = Runner("decode", cfg, args)
 
     ground_truth = None
@@ -386,7 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output root (overrides config)")
         p.add_argument("--seed", type=int, default=None, help="override master seed")
         p.add_argument("--workers", type=int, default=1, help="process parallelism (recorded)")
-        p.add_argument("--f64", action="store_true", help="64-bit verification mode")
 
     p = sub.add_parser("gen-data", help="materialise the dataset manifest")
     common(p)
@@ -443,8 +435,6 @@ def main(argv: list[str] | None = None) -> int:
             cfg.seeds.master = args.seed
             cfg.seeds.train = None
             cfg.seeds.eval = None
-        if args.f64:
-            set_default_dtype(np.float64)
         outdir = COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"error code={EXIT_CONFIG} command={args.command}: {exc}", file=sys.stderr)

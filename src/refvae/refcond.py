@@ -13,9 +13,10 @@ per-stage strides, so the token grid stays at the latent resolution at
 every stage.  The out-projections are zero-initialised: at initialisation
 the conditioned decoder reproduces the baseline decoder exactly.
 
-`decode_controlnet_t` is the residual-injection alternative: a parallel
-conv branch per stage adds reference features to the video path, broadcast
-identically over every frame, with no attention.
+`decode_conditioned_t(..., "controlnet")` is the residual-injection
+alternative: the same stage loop, where a parallel conv branch per stage
+adds reference features to the video path, broadcast identically over every
+frame, with no attention.
 """
 from __future__ import annotations
 
@@ -218,40 +219,26 @@ def stage_forward(video: Tensor, ref: Tensor, s: int, vae_cfg: VaeConfig,
 # -- full decodes -----------------------------------------------------------------
 
 
-def decode_with_reference_t(z: Tensor, ref_image, vae_cfg: VaeConfig, cfg: RefCondConfig,
-                            params: dict[str, Tensor]) -> Tensor:
-    """Three-stage conditioned decode; `ref_image` None uses the learned null map."""
-    _, _, hz, wz = z.shape
-    ref = _resolve_reference(ref_image, params, vae_cfg, hz, wz)
-    x = dec_input(z, vae_cfg, params)
-    for s in range(3):
-        x = dec_stage_blocks(x, s, vae_cfg, params)
-        x, ref = stage_forward(x, ref, s, vae_cfg, cfg, params)
-        x = dec_stage_upsample(x, s, vae_cfg, params, temporal=True)
-        ref = dec_stage_upsample(ref, s, vae_cfg, params, temporal=False)
-    return dec_head(x, vae_cfg, params)
-
-
-def decode_controlnet_t(z: Tensor, ref_image, vae_cfg: VaeConfig, cfg: RefCondConfig,
-                        params: dict[str, Tensor]) -> Tensor:
-    """Residual reference injection: per-stage conv branch, added uniformly over time."""
-    _, _, hz, wz = z.shape
-    ref = _resolve_reference(ref_image, params, vae_cfg, hz, wz)
-    x = dec_input(z, vae_cfg, params)
-    for s in range(3):
-        x = dec_stage_blocks(x, s, vae_cfg, params)
-        feat = silu(conv3d_causal(ref, params[f"ctrl.s{s}.branch.w"]) + params[f"ctrl.s{s}.branch.b"])
-        inject = conv3d_causal(feat, params[f"ctrl.s{s}.inject.w"]) + params[f"ctrl.s{s}.inject.b"]
-        x = x + inject  # [C,1,H,W] broadcasts over every frame
-        x = dec_stage_upsample(x, s, vae_cfg, params, temporal=True)
-        ref = dec_stage_upsample(ref, s, vae_cfg, params, temporal=False)
-    return dec_head(x, vae_cfg, params)
+def _controlnet_inject(ref: Tensor, s: int, params: dict[str, Tensor]) -> Tensor:
+    """Residual injection: a per-stage conv branch of the reference map, [C, 1, H, W]."""
+    feat = silu(conv3d_causal(ref, params[f"ctrl.s{s}.branch.w"]) + params[f"ctrl.s{s}.branch.b"])
+    return conv3d_causal(feat, params[f"ctrl.s{s}.inject.w"]) + params[f"ctrl.s{s}.inject.b"]
 
 
 def decode_conditioned_t(z: Tensor, ref_image, vae_cfg: VaeConfig, cfg: RefCondConfig,
                          params: dict[str, Tensor], injection: str = "attention") -> Tensor:
-    if injection == "attention":
-        return decode_with_reference_t(z, ref_image, vae_cfg, cfg, params)
-    if injection == "controlnet":
-        return decode_controlnet_t(z, ref_image, vae_cfg, cfg, params)
-    raise ValueError(f"unknown injection kind {injection!r}")
+    """Three-stage conditioned decode; `ref_image` None uses the learned null map."""
+    if injection not in ("attention", "controlnet"):
+        raise ValueError(f"unknown injection kind {injection!r}")
+    _, _, hz, wz = z.shape
+    ref = _resolve_reference(ref_image, params, vae_cfg, hz, wz)
+    x = dec_input(z, vae_cfg, params)
+    for s in range(3):
+        x = dec_stage_blocks(x, s, vae_cfg, params)
+        if injection == "attention":
+            x, ref = stage_forward(x, ref, s, vae_cfg, cfg, params)
+        else:
+            x = x + _controlnet_inject(ref, s, params)  # broadcasts over every frame
+        x = dec_stage_upsample(x, s, vae_cfg, params, temporal=True)
+        ref = dec_stage_upsample(ref, s, vae_cfg, params, temporal=False)
+    return dec_head(x, vae_cfg, params)

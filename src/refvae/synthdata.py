@@ -35,10 +35,6 @@ class VideoClip:
     category: str
     split: str = "train"
 
-    @property
-    def num_frames(self) -> int:
-        return self.frames.shape[0]
-
 
 @dataclass(frozen=True)
 class ClipRef:

@@ -24,17 +24,6 @@ class NumericsError(RuntimeError):
 _default_dtype: type = np.float32
 
 
-def default_dtype() -> type:
-    return _default_dtype
-
-
-def set_default_dtype(dtype) -> None:
-    global _default_dtype
-    if dtype not in (np.float32, np.float64):
-        raise ValueError("supported dtypes are float32 and float64")
-    _default_dtype = dtype
-
-
 @contextlib.contextmanager
 def float64_mode():
     """Create tensors in float64 while the context is active."""

@@ -11,7 +11,7 @@ generator in a fixed order, so a run is reproducible bit for bit.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -315,19 +315,20 @@ def _zero_grads(params: dict[str, Tensor]) -> None:
         p.grad = None
 
 
-def pretrain_baseline(train_refs: list[ClipRef], data_spec: DatasetSpec, cfg: VaeConfig,
-                      curriculum: CurriculumSpec, opt_spec: OptimizerSpec, seed: int,
-                      lambda_perc: float = 1.0,
-                      init_params: dict[str, Tensor] | None = None,
-                      ) -> tuple[dict[str, Tensor], list[dict], AdamW]:
-    """Joint encoder+decoder training on reconstruction; emits the frozen backbone."""
-    cfg.validate()
-    curriculum.validate(cfg.temporal_compression)
+def _run_curriculum(forward, params: dict[str, Tensor], groups: list, train_refs: list[ClipRef],
+                    data_spec: DatasetSpec, temporal_compression: int, curriculum: CurriculumSpec,
+                    opt_spec: OptimizerSpec, rng: np.random.Generator, lambda_perc: float,
+                    ) -> tuple[list[dict], AdamW]:
+    """The curriculum loop shared by pretraining and fine-tuning.
+
+    Each step draws a clip and a temporal window, runs
+    `forward(idx, t0, window) -> (x_hat, r, ref_index)`, and takes one
+    optimiser step on the reconstruction loss of that window.
+    """
+    curriculum.validate(temporal_compression)
     if opt_spec.total_steps != curriculum.total_steps:
         raise ValueError("optimizer total_steps must equal the curriculum step total")
-    rng = np.random.default_rng(np.random.PCG64(seed))
-    params = init_params if init_params is not None else init_vae_params(cfg, rng)
-    opt = AdamW([(params, 1.0)], opt_spec)
+    opt = AdamW(groups, opt_spec)
     clips = _materialize(train_refs, data_spec)
     rows: list[dict] = []
     step = 0
@@ -337,22 +338,39 @@ def pretrain_baseline(train_refs: list[ClipRef], data_spec: DatasetSpec, cfg: Va
         for _ in range(stage.steps):
             idx = int(rng.integers(len(clips)))
             t0 = int(rng.integers(0, data_spec.frames - stage.frames + 1))
-            frames = Tensor(clips[idx][t0:t0 + stage.frames])
+            window = clips[idx][t0:t0 + stage.frames]
             _zero_grads(params)
-            z = encode_t(frames, cfg, params)
-            x_hat = decode_baseline_t(z, cfg, params)
-            loss, l1, perc = loss_recon(frames, x_hat, lambda_perc)
+            x_hat, r, ref_index = forward(idx, t0, window)
+            loss, l1, perc = loss_recon(Tensor(window), x_hat, lambda_perc)
             if not np.isfinite(loss.item()):
-                raise NumericsError(f"pretraining diverged at step {step}: loss={loss.item()}")
+                raise NumericsError(f"training diverged at step {step}: loss={loss.item()}")
             backward(loss)
             lr = lr_at(step, opt_spec)
             opt.step(lr)
-            rows.append({"step": step, "stage": stage_idx, "lr_new": lr, "lr_dec": lr,
-                         "r": 0.0, "ref_index": -1, "loss_l1": l1, "loss_perc": perc,
-                         "loss_total": loss.item()})
+            rows.append({"step": step, "stage": stage_idx, "lr_new": lr * groups[0][1],
+                         "lr_dec": lr * groups[-1][1], "r": r, "ref_index": ref_index,
+                         "loss_l1": l1, "loss_perc": perc, "loss_total": loss.item()})
             step += 1
     for name in sorted(params):
         assert_finite(params[name].data, f"parameter {name}")
+    return rows, opt
+
+
+def pretrain_baseline(train_refs: list[ClipRef], data_spec: DatasetSpec, cfg: VaeConfig,
+                      curriculum: CurriculumSpec, opt_spec: OptimizerSpec, seed: int,
+                      lambda_perc: float = 1.0,
+                      ) -> tuple[dict[str, Tensor], list[dict], AdamW]:
+    """Joint encoder+decoder training on reconstruction; emits the frozen backbone."""
+    cfg.validate()
+    rng = np.random.default_rng(np.random.PCG64(seed))
+    params = init_vae_params(cfg, rng)
+
+    def forward(idx, t0, window):
+        x_hat = decode_baseline_t(encode_t(Tensor(window), cfg, params), cfg, params)
+        return x_hat, 0.0, -1
+
+    rows, opt = _run_curriculum(forward, params, [(params, 1.0)], train_refs, data_spec,
+                                cfg.temporal_compression, curriculum, opt_spec, rng, lambda_perc)
     return params, rows, opt
 
 
@@ -372,15 +390,11 @@ def train_refdecoder(baseline: dict[str, Tensor], train_refs: list[ClipRef],
                      curriculum: CurriculumSpec, opt_spec: OptimizerSpec,
                      dropout: DropoutSpec, policy: RefPolicy, seed: int,
                      injection: str = "attention", lambda_perc: float = 1.0,
-                     reset_optimizer_between_stages: bool = False,
                      ) -> tuple[dict[str, Tensor], list[dict], AdamW]:
     """Fine-tune the decoder with reference conditioning on a frozen encoder."""
     vae_cfg.validate()
     ref_cfg.validate()
     dropout.validate()
-    curriculum.validate(vae_cfg.temporal_compression)
-    if opt_spec.total_steps != curriculum.total_steps:
-        raise ValueError("optimizer total_steps must equal the curriculum step total")
     if not any(n.startswith("dec.") for n in baseline):
         raise ValueError("baseline checkpoint is missing decoder parameters")
 
@@ -393,40 +407,17 @@ def train_refdecoder(baseline: dict[str, Tensor], train_refs: list[ClipRef],
     dec_names = sorted(n for n in params if n.startswith("dec."))
     groups = [({n: params[n] for n in new_names}, 1.0),
               ({n: params[n] for n in dec_names}, opt_spec.decoder_lr_scale)]
-    opt = AdamW(groups, opt_spec)
-
-    clips = _materialize(train_refs, data_spec)
     latent_cache: dict[tuple[int, int, int], np.ndarray] = {}
-    rows: list[dict] = []
-    step = 0
-    for stage_idx, stage in enumerate(curriculum.stages):
-        if (stage.height, stage.width) != (data_spec.height, data_spec.width):
-            raise ValueError("stage resolution must match the dataset resolution")
-        if reset_optimizer_between_stages and stage_idx:
-            opt = AdamW(groups, opt_spec)
-        for _ in range(stage.steps):
-            idx = int(rng.integers(len(clips)))
-            t0 = int(rng.integers(0, data_spec.frames - stage.frames + 1))
-            window = clips[idx][t0:t0 + stage.frames]
-            ref_frame, ref_index = select_reference_frame(window, policy, rng)
-            r = sample_dropout_rate(rng, dropout)
 
-            key = (idx, t0, stage.frames)
-            if key not in latent_cache:  # encoder frozen: latents are reusable
-                latent_cache[key] = encode_t(Tensor(window), vae_cfg, params).data
-            z = apply_latent_dropout(Tensor(latent_cache[key]), r, rng, dropout.channel_joint)
+    def forward(idx, t0, window):
+        ref_frame, ref_index = select_reference_frame(window, policy, rng)
+        r = sample_dropout_rate(rng, dropout)
+        key = (idx, t0, len(window))
+        if key not in latent_cache:  # encoder frozen: latents are reusable
+            latent_cache[key] = encode_t(Tensor(window), vae_cfg, params).data
+        z = apply_latent_dropout(Tensor(latent_cache[key]), r, rng, dropout.channel_joint)
+        return decode_conditioned_t(z, ref_frame, vae_cfg, ref_cfg, params, injection), r, ref_index
 
-            _zero_grads(params)
-            x_hat = decode_conditioned_t(z, ref_frame, vae_cfg, ref_cfg, params, injection)
-            loss, l1, perc = loss_recon(Tensor(window), x_hat, lambda_perc)
-            if not np.isfinite(loss.item()):
-                raise NumericsError(f"fine-tuning diverged at step {step}: loss={loss.item()}")
-            backward(loss)
-            lr_new = lr_at(step, opt_spec, "new_modules")
-            lr_dec = lr_at(step, opt_spec, "pretrained_decoder")
-            opt.step(lr_at(step, opt_spec))
-            rows.append({"step": step, "stage": stage_idx, "lr_new": lr_new, "lr_dec": lr_dec,
-                         "r": r, "ref_index": ref_index, "loss_l1": l1, "loss_perc": perc,
-                         "loss_total": loss.item()})
-            step += 1
+    rows, opt = _run_curriculum(forward, params, groups, train_refs, data_spec,
+                                vae_cfg.temporal_compression, curriculum, opt_spec, rng, lambda_perc)
     return params, rows, opt

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from refvae.checkpoint import load_checkpoint, save_checkpoint
 from refvae.cli import main
 from refvae.config import ExperimentConfig, Seeds
 from refvae.synthdata import read_rdvc
@@ -145,6 +146,27 @@ def test_eval_on_truncated_checkpoint_exits_3(pipeline, tmp_path):
     truncated = tmp_path / "truncated.ckpt"
     truncated.write_bytes(baseline.read_bytes()[:10])  # magic plus half a header
     assert main(["eval", "--config", str(write_config(tmp_path)), "--ckpt", str(truncated)]) == 3
+    assert not any((tmp_path / "runs").glob("eval-*"))  # no run directory for a failed load
+
+
+BROKEN_META = {
+    "no-vae": lambda meta: meta.pop("vae"),
+    "no-kind": lambda meta: meta.pop("kind"),
+    "bad-vae-field": lambda meta: meta["vae"].update(bogus=1),
+    "bad-injection": lambda meta: meta.update(injection="residual"),
+}
+
+
+@pytest.mark.parametrize("command", ["eval", "decode"])
+@pytest.mark.parametrize("broken", sorted(BROKEN_META))
+def test_malformed_checkpoint_meta_exits_3(pipeline, tmp_path, broken, command):
+    arrays, meta = load_checkpoint(pipeline[3])
+    BROKEN_META[broken](meta)
+    ckpt = tmp_path / "broken.ckpt"
+    save_checkpoint(ckpt, arrays, meta)
+    extra = ["--clip-seed", "3"] if command == "decode" else []
+    assert main([command, "--config", str(write_config(tmp_path)), "--ckpt", str(ckpt), *extra]) == 3
+    assert not any((tmp_path / "runs").glob(f"{command}-*"))
 
 
 def test_rerun_is_byte_identical_modulo_walltime(tmp_path):

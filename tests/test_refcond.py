@@ -6,8 +6,7 @@ from refvae.refcond import (
     RefCondConfig,
     _rope_heads,
     _token_positions,
-    decode_controlnet_t,
-    decode_with_reference_t,
+    decode_conditioned_t,
     encode_reference,
     init_ref_params,
     new_module_names,
@@ -125,8 +124,8 @@ def test_compatibility_at_init_bitwise(desk_full, desk_ref_cfg):
         z = Tensor(rng.standard_normal((8, 2, 4, 8)).astype(np.float32))
         ref = rng.random((3, 32, 64)).astype(np.float32)
         base = decode_baseline_t(z, cfg, params).data
-        with_ref = decode_with_reference_t(z, ref, cfg, desk_ref_cfg, params).data
-        without = decode_with_reference_t(z, None, cfg, desk_ref_cfg, params).data
+        with_ref = decode_conditioned_t(z, ref, cfg, desk_ref_cfg, params).data
+        without = decode_conditioned_t(z, None, cfg, desk_ref_cfg, params).data
         assert np.array_equal(base, with_ref)
         assert np.array_equal(base, without)
 
@@ -134,7 +133,7 @@ def test_compatibility_at_init_bitwise(desk_full, desk_ref_cfg):
 def test_decode_shapes_and_dtype(desk_full, desk_ref_cfg):
     cfg, params = desk_full
     z = Tensor(np.random.default_rng(4).standard_normal((8, 2, 4, 8)).astype(np.float32))
-    out = decode_with_reference_t(z, None, cfg, desk_ref_cfg, params)
+    out = decode_conditioned_t(z, None, cfg, desk_ref_cfg, params)
     assert out.shape == (5, 3, 32, 64)
     assert out.dtype == np.float32  # no silent f64 promotion anywhere in the path
 
@@ -189,8 +188,8 @@ def test_null_and_real_reference_differ_once_trained(desk_full, desk_ref_cfg):
             params[f"ref.embed{s}.out.w"].shape) * 0.05
     z = Tensor(rng.standard_normal((8, 2, 4, 8)).astype(np.float32))
     style = rng.random((3, 32, 64)).astype(np.float32)
-    with_null = decode_with_reference_t(z, None, cfg, desk_ref_cfg, params).data
-    with_style = decode_with_reference_t(z, style, cfg, desk_ref_cfg, params).data
+    with_null = decode_conditioned_t(z, None, cfg, desk_ref_cfg, params).data
+    with_style = decode_conditioned_t(z, style, cfg, desk_ref_cfg, params).data
     assert np.abs(with_null - with_style).sum() > 0
     assert with_style.min() >= 0.0 and with_style.max() <= 1.0
     for s in range(3):
@@ -201,7 +200,9 @@ def test_decode_rejects_incompatible_reference(desk_full, desk_ref_cfg):
     cfg, params = desk_full
     z = Tensor(np.zeros((8, 2, 4, 8), np.float32))
     with pytest.raises(ValueError):
-        decode_with_reference_t(z, np.zeros((3, 16, 32), np.float32), cfg, desk_ref_cfg, params)
+        decode_conditioned_t(z, np.zeros((3, 16, 32), np.float32), cfg, desk_ref_cfg, params)
+    with pytest.raises(ValueError):
+        decode_conditioned_t(z, None, cfg, desk_ref_cfg, params, "residual")
 
 
 # -- controlnet-style variant --------------------------------------------------
@@ -224,7 +225,7 @@ def test_controlnet_zero_init_is_baseline(ctrl_full, desk_ref_cfg):
     z = Tensor(rng.standard_normal((8, 2, 4, 8)).astype(np.float32))
     ref = rng.random((3, 32, 64)).astype(np.float32)
     base = decode_baseline_t(z, cfg, params).data
-    out = decode_controlnet_t(z, ref, cfg, desk_ref_cfg, params).data
+    out = decode_conditioned_t(z, ref, cfg, desk_ref_cfg, params, "controlnet").data
     np.testing.assert_allclose(out, base, atol=1e-6)
 
 

@@ -306,6 +306,9 @@ def test_pretrain_reduces_loss(small_baseline):
     first = np.mean(stage0[:10])
     last = np.mean(stage0[-10:])
     assert last < 0.7 * first  # at least a 30% reduction at matched clip length
+    # no reference path: nothing dropped, no reference frame, one learning rate
+    assert all(r["r"] == 0.0 and r["ref_index"] == -1 for r in rows)
+    assert all(r["lr_new"] == r["lr_dec"] for r in rows)
 
 
 def test_pretrain_deterministic():
