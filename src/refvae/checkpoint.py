@@ -111,16 +111,6 @@ def load_checkpoint(path: Path) -> tuple[dict[str, np.ndarray], dict]:
     return arrays, meta
 
 
-def params_from_arrays(arrays: dict[str, np.ndarray],
-                       trainable: bool = False) -> dict[str, Tensor]:
-    from .tensor import parameter
-
-    out: dict[str, Tensor] = {}
-    for name, arr in arrays.items():
-        if name.startswith("opt."):
-            continue
-        if trainable and not name.startswith("enc."):
-            out[name] = parameter(arr)
-        else:
-            out[name] = Tensor(arr.astype(np.float32))
-    return out
+def params_from_arrays(arrays: dict[str, np.ndarray]) -> dict[str, Tensor]:
+    """Frozen (no-grad) float32 tensors, each a copy of its array."""
+    return {name: Tensor(arr.astype(np.float32)) for name, arr in arrays.items()}

@@ -3,8 +3,8 @@
 Every command reads one JSON config, writes into
 `<output_dir>/<command>-<config-hash>/`, and drops a run manifest (config
 copy, seeds, wall time, parallelism degree, output list) next to its
-artifacts.  Exit codes: 0 success, 2 invalid config, 3 missing
-checkpoint, 4 numeric failure.
+artifacts.  Exit codes: 0 success, 2 invalid config or input, 3 missing,
+malformed or wrong-kind checkpoint, 4 numeric failure.
 """
 from __future__ import annotations
 
@@ -24,18 +24,18 @@ from . import __version__
 from .checkpoint import CheckpointError, load_checkpoint, params_from_arrays, save_checkpoint
 from .config import INJECTIONS, ConfigError, ExperimentConfig
 from .metrics import evaluate_params, fixed_seed_swap_compare, psnr
-from .refcond import RefCondConfig, decode_conditioned_t
+from .refcond import RefCondConfig, decode_conditioned_t, init_ref_params
 from .synthdata import build_dataset, gen_clip, realize, save_manifest, write_rdvc
 from .tensor import NumericsError, Tensor
 from .training import (
+    LOG_COLUMNS,
     CurriculumSpec,
     RefPolicy,
     StageSpec,
     pretrain_baseline,
     train_refdecoder,
-    write_loss_csv,
 )
-from .vae import VaeConfig, decode_baseline_t, encode_t
+from .vae import VaeConfig, decode_baseline_t, encode_t, init_vae_params
 
 EXIT_CONFIG = 2
 EXIT_CHECKPOINT = 3
@@ -112,8 +112,10 @@ def _ckpt_meta(cfg: ExperimentConfig, kind: str, opt_step: int) -> dict:
 def _load_model(path: str | Path) -> tuple[dict[str, Tensor], dict, VaeConfig, RefCondConfig]:
     """Checkpoint -> parameters, metadata, and the model configs its metadata records.
 
-    Missing or malformed `kind`, `vae` or `refdec` metadata, or an unknown
-    `injection`, is a CheckpointError.
+    The parameters are exactly the tensors of the model the metadata records;
+    other tensors (the optimiser moments older checkpoints carry) are dropped.
+    Missing or malformed `kind`, `vae` or `refdec` metadata, an unknown
+    `injection`, or a missing or misshapen model tensor is a CheckpointError.
     """
     p = Path(path)
     if not p.exists():
@@ -129,28 +131,47 @@ def _load_model(path: str | Path) -> tuple[dict[str, Tensor], dict, VaeConfig, R
         model.refdec.validate()
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{p}: malformed checkpoint metadata ({exc!r})") from None
-    return params_from_arrays(arrays), meta, model.vae, model.refdec
+    rng = np.random.default_rng(0)  # only the names and shapes of these tensors are used
+    model_params = init_vae_params(model.vae, rng)
+    if meta["kind"] != "baseline":
+        model_params.update(init_ref_params(model.vae, model.refdec, rng,
+                                            meta.get("injection", "attention")))
+    for name, tensor in model_params.items():
+        want, got = tensor.shape, arrays.get(name)
+        dims = 2 if name == "ref.null" else len(want)  # the null map's grid is not recorded
+        if got is None or got.ndim != len(want) or got.shape[:dims] != want[:dims]:
+            raise CheckpointError(f"{p}: tensor {name} is missing or not of shape {want}")
+    params = params_from_arrays({n: a for n, a in arrays.items() if n in model_params})
+    return params, meta, model.vae, model.refdec
+
+
+def _load_baseline(path: str | Path | None) -> tuple[dict[str, Tensor], dict]:
+    """`_load_model` for a checkpoint that must be a baseline."""
+    if not path:
+        raise CheckpointError("no baseline checkpoint given (flag --baseline or config)")
+    params, meta, _, _ = _load_model(path)
+    if meta["kind"] != "baseline":
+        raise CheckpointError(f"{path} is not a baseline checkpoint")
+    return params, meta
 
 
 def _save_trained(outdir: Path, cfg: ExperimentConfig, kind: str, params: dict[str, Tensor],
-                  rows: list[dict], opt, **meta_extra) -> None:
-    """Checkpoint (parameters, optimiser moments, metadata) plus loss.csv of one training run."""
-    arrays = {n: p.data for n, p in params.items()}
-    arrays.update(opt.state_arrays())
-    meta = _ckpt_meta(cfg, kind, opt.step_count)
+                  rows: list[dict], **meta_extra) -> None:
+    """Checkpoint (parameters and metadata) plus loss.csv of one training run."""
+    meta = _ckpt_meta(cfg, kind, len(rows))
     meta.update(meta_extra)
-    save_checkpoint(outdir / ("baseline.ckpt" if kind == "baseline" else "refdec.ckpt"), arrays, meta)
-    write_loss_csv(outdir / "loss.csv", rows)
+    save_checkpoint(outdir / ("baseline.ckpt" if kind == "baseline" else "refdec.ckpt"), params, meta)
+    _write_csv(outdir / "loss.csv", rows, LOG_COLUMNS)
 
 
 def _finetune_and_save(cfg: ExperimentConfig, baseline: dict[str, Tensor], train_refs,
                       outdir: Path, **meta_extra) -> tuple[dict[str, Tensor], list[dict]]:
     """Fine-tune on `baseline` as `cfg` says and save the result into `outdir`."""
-    params, rows, opt = train_refdecoder(
+    params, rows, _ = train_refdecoder(
         baseline, train_refs, cfg.dataset, cfg.vae, cfg.refdec, cfg.curriculum, cfg.optimizer,
         cfg.dropout, cfg.ref_policy, cfg.seeds.train_seed, cfg.injection, cfg.lambda_perc)
     kind = "refdec" if cfg.injection == "attention" else "controlnet"
-    _save_trained(outdir, cfg, kind, params, rows, opt, **meta_extra)
+    _save_trained(outdir, cfg, kind, params, rows, **meta_extra)
     return params, rows
 
 
@@ -174,18 +195,16 @@ def cmd_gen_data(cfg: ExperimentConfig, args) -> Path:
 def cmd_pretrain(cfg: ExperimentConfig, args) -> Path:
     run = Runner("pretrain", cfg, args)
     train, _ = build_dataset(cfg.dataset)
-    params, rows, opt = pretrain_baseline(train, cfg.dataset, cfg.vae, cfg.curriculum,
-                                          cfg.optimizer, cfg.seeds.train_seed, cfg.lambda_perc)
-    _save_trained(run.outdir, cfg, "baseline", params, rows, opt)
+    params, rows, _ = pretrain_baseline(train, cfg.dataset, cfg.vae, cfg.curriculum,
+                                        cfg.optimizer, cfg.seeds.train_seed, cfg.lambda_perc)
+    _save_trained(run.outdir, cfg, "baseline", params, rows)
     run.extra["final_loss"] = rows[-1]["loss_total"]
     return run.finish()
 
 
 def cmd_train(cfg: ExperimentConfig, args) -> Path:
     baseline_path = args.baseline or cfg.baseline_checkpoint
-    if not baseline_path:
-        raise CheckpointError("no baseline checkpoint given (flag --baseline or config)")
-    baseline, base_meta, _, _ = _load_model(baseline_path)
+    baseline, base_meta = _load_baseline(baseline_path)
     run = Runner("train", cfg, args)
     train, _ = build_dataset(cfg.dataset)
     _, rows = _finetune_and_save(cfg, baseline, train, run.outdir,
@@ -217,10 +236,10 @@ def cmd_eval(cfg: ExperimentConfig, args) -> Path:
 
 
 def cmd_swap_compare(cfg: ExperimentConfig, args) -> Path:
-    params_base, meta_base, _, _ = _load_model(args.baseline)
+    params_base, _ = _load_baseline(args.baseline)
     params_cond, meta_cond, vae_cfg, ref_cfg = _load_model(args.refdec)
-    if meta_base["kind"] != "baseline":
-        raise CheckpointError(f"{args.baseline} is not a baseline checkpoint")
+    if meta_cond["kind"] == "baseline":
+        raise CheckpointError(f"{args.refdec} is a baseline checkpoint, not a conditioned one")
     run = Runner("swap-compare", cfg, args)
     _, val = build_dataset(cfg.dataset)
     result = fixed_seed_swap_compare(
@@ -275,7 +294,7 @@ def _run_grid_point(payload: tuple) -> list[dict]:
     cfg.validate()
     point_dir = Path(point_dir)
     point_dir.mkdir(parents=True, exist_ok=True)
-    baseline = _load_model(baseline_path)[0]
+    baseline = _load_baseline(baseline_path)[0]
     train, val = build_dataset(cfg.dataset)
     params, _ = _finetune_and_save(cfg, baseline, train, point_dir)
 
@@ -300,9 +319,7 @@ def _run_grid_point(payload: tuple) -> list[dict]:
 
 def cmd_ablate(cfg: ExperimentConfig, args) -> Path:
     baseline_path = args.baseline or cfg.baseline_checkpoint
-    if not baseline_path:
-        raise CheckpointError("no baseline checkpoint given (flag --baseline or config)")
-    _load_model(baseline_path)  # a missing or malformed baseline fails before any output
+    _load_baseline(baseline_path)  # fails before any output unless it is a sound baseline
     run = Runner(f"ablate-{args.axis}", cfg, args)
     points = _grid_points(cfg, args.axis)
     payloads = [(label, point_cfg.to_dict(), str(baseline_path),
@@ -324,7 +341,6 @@ def cmd_ablate(cfg: ExperimentConfig, args) -> Path:
 
 def cmd_decode(cfg: ExperimentConfig, args) -> Path:
     params, meta, vae_cfg, ref_cfg = _load_model(args.ckpt)
-    run = Runner("decode", cfg, args)
 
     ground_truth = None
     ref_index = None
@@ -337,20 +353,29 @@ def cmd_decode(cfg: ExperimentConfig, args) -> Path:
         z = encode_t(Tensor(clip.frames), vae_cfg, params).data
     else:
         raise ConfigError("decode needs --latent FILE or --clip-seed N")
+    if z.ndim != 4 or z.shape[0] != vae_cfg.latent_channels:
+        raise ConfigError(f"latent must be [{vae_cfg.latent_channels}, T, H, W], got {list(z.shape)}")
 
     ref_image = None
     if args.ref and args.ref != "none":
         if args.ref.startswith("frame:"):
             if ground_truth is None:
                 raise ConfigError("frame references need --clip-seed")
-            ref_index = int(args.ref.split(":", 1)[1])
+            k = args.ref.split(":", 1)[1]
+            if not (k.isdecimal() and int(k) < len(ground_truth)):
+                raise ConfigError(f"--ref frame:K needs an integer K in [0, {len(ground_truth)})")
+            ref_index = int(k)
             ref_image = ground_truth[ref_index]
         else:
             ref_image = np.load(args.ref).astype(np.float32)
+            hw = [n * vae_cfg.spatial_compression for n in z.shape[2:]]
+            if list(ref_image.shape) != [3, *hw]:
+                raise ConfigError(f"reference image must be {[3, *hw]}, got {list(ref_image.shape)}")
+    if meta["kind"] == "baseline" and ref_image is not None:
+        raise ConfigError("baseline checkpoints cannot take a reference image")
 
+    run = Runner("decode", cfg, args)
     if meta["kind"] == "baseline":
-        if ref_image is not None:
-            raise ConfigError("baseline checkpoints cannot take a reference image")
         decoded = decode_baseline_t(Tensor(z), vae_cfg, params).data
     else:
         decoded = decode_conditioned_t(Tensor(z), ref_image, vae_cfg, ref_cfg, params,

@@ -82,21 +82,9 @@ class ExperimentConfig:
     # -- serialisation ---------------------------------------------------------
 
     def to_dict(self) -> dict:
-        d = {
-            "vae": asdict(self.vae),
-            "refdec": asdict(self.refdec),
-            "dropout": asdict(self.dropout),
-            "curriculum": {"stages": [asdict(s) for s in self.curriculum.stages]},
-            "optimizer": asdict(self.optimizer),
-            "ref_policy": self.ref_policy.value,
-            "eval_ref_policy": self.eval_ref_policy.value,
-            "dataset": asdict(self.dataset),
-            "seeds": asdict(self.seeds),
-            "injection": self.injection,
-            "lambda_perc": self.lambda_perc,
-            "output_dir": self.output_dir,
-            "baseline_checkpoint": self.baseline_checkpoint,
-        }
+        d = asdict(self)
+        d["ref_policy"] = self.ref_policy.value
+        d["eval_ref_policy"] = self.eval_ref_policy.value
         return d
 
     @classmethod

@@ -2,8 +2,7 @@
 
 All metrics are deterministic functions of their inputs.  PSNR is capped
 at 99 dB so aggregates stay finite; SSIM uses a uniform 7x7 window over
-positions where the window fits entirely inside the frame (and, for the
-masked variant, entirely inside the mask).
+positions where the window fits entirely inside the frame.
 
 The swap comparison decodes the *same* latent with two decoders, so every
 per-clip delta is attributable to the decoder alone.  Per-clip 32-bit
@@ -117,37 +116,6 @@ def temporal_consistency_proxy(x_hat: np.ndarray, x: np.ndarray,
         ref_distances = frame_distances(x)
     gaps = [abs(d_hat - d_ref) for d_hat, d_ref in zip(frame_distances(x_hat), ref_distances)]
     return float(np.mean(gaps))
-
-
-def masked_metrics(x: np.ndarray, x_hat: np.ndarray, mask: np.ndarray,
-                   window: int = SSIM_WINDOW) -> dict:
-    """PSNR over mask=1 pixels and SSIM over windows fully inside the mask."""
-    _check_pair(x, x_hat)
-    if mask.shape != (x.shape[0], x.shape[2], x.shape[3]):
-        raise ValueError(f"mask shape {mask.shape} does not match frames")
-    mask = mask.astype(bool)
-    psnr_frames = []
-    ssim_frames = []
-    for t in range(x.shape[0]):
-        m = mask[t]
-        if not m.any():
-            raise ValueError(f"empty mask at frame {t}")
-        diff = (x[t, :, m].astype(np.float64) - x_hat[t, :, m].astype(np.float64))
-        mse = float(np.mean(diff ** 2))
-        psnr_frames.append(PSNR_CAP if mse == 0.0 else min(PSNR_CAP, 10.0 * np.log10(1.0 / mse)))
-        inside = _box_sum(m.astype(np.float64), window) == window * window
-        if inside.any():
-            vals = []
-            for c in range(3):
-                smap = _ssim_map(x[t, c].astype(np.float64), x_hat[t, c].astype(np.float64), window)
-                vals.append(smap[inside].mean())
-            ssim_frames.append(float(np.mean(vals)))
-    if not ssim_frames:
-        raise ValueError("mask admits no full SSIM window in any frame")
-    return {
-        "psnr_frames": psnr_frames, "psnr": float(np.mean(psnr_frames)),
-        "ssim_frames": ssim_frames, "ssim": float(np.mean(ssim_frames)),
-    }
 
 
 def split_report(per_frame: list[float], ref_index: int) -> dict[str, float | None]:

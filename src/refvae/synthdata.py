@@ -270,15 +270,6 @@ def manifest_dict(spec: DatasetSpec, train: list[ClipRef], val: list[ClipRef]) -
     }
 
 
-def load_manifest(d: dict) -> tuple[DatasetSpec, list[ClipRef], list[ClipRef]]:
-    spec = DatasetSpec(**d["spec"])
-    train = [ClipRef(c["seed"], c["category"], c["split"], i)
-             for i, c in enumerate(r for r in d["clips"] if r["split"] == "train")]
-    val = [ClipRef(c["seed"], c["category"], c["split"], i)
-           for i, c in enumerate(r for r in d["clips"] if r["split"] == "val")]
-    return spec, train, val
-
-
 def save_manifest(path: Path, spec: DatasetSpec, train: list[ClipRef], val: list[ClipRef]) -> None:
     path.write_text(json.dumps(manifest_dict(spec, train, val), indent=1, sort_keys=True))
 

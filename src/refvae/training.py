@@ -10,10 +10,8 @@ generator in a fixed order, so a run is reproducible bit for bit.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
@@ -205,30 +203,24 @@ def loss_recon(x: Tensor, x_hat: Tensor, lambda_perc: float = 1.0) -> tuple[Tens
 # -- schedule and optimiser -------------------------------------------------------
 
 
-def lr_at(step: int, spec: OptimizerSpec, group: str = "new_modules") -> float:
+def lr_at(step: int, spec: OptimizerSpec) -> float:
     """Linear warmup from warmup_start_fraction to 1, then cosine to 0."""
     if not 0 <= step <= spec.total_steps:
         raise ValueError(f"step {step} outside [0, {spec.total_steps}]")
-    if group not in ("new_modules", "pretrained_decoder"):
-        raise ValueError(f"unknown parameter group {group!r}")
     w = spec.warmup_steps
     if step < w:
         frac = spec.warmup_start_fraction + (1.0 - spec.warmup_start_fraction) * step / w
     else:
         progress = (step - w) / max(1, spec.total_steps - w)
         frac = 0.5 * (1.0 + np.cos(np.pi * progress))
-    lr = spec.base_lr * float(frac)
-    if group == "pretrained_decoder":
-        lr *= spec.decoder_lr_scale
-    return lr
+    return spec.base_lr * float(frac)
 
 
 class AdamW:
     """Decoupled-weight-decay Adam over named parameter groups.
 
     Each group carries a learning-rate scale; moments are kept per parameter
-    name so they can be persisted in checkpoints and carried across
-    curriculum stages.
+    name and carried across curriculum stages.
     """
 
     def __init__(self, groups: list[tuple[dict[str, Tensor], float]], spec: OptimizerSpec):
@@ -280,30 +272,11 @@ class AdamW:
                 v += (1.0 - b2) * g * g
                 p.data -= lr * (m / c1) / (np.sqrt(v / c2) + self.spec.eps)
 
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        out = {f"opt.m.{n}": a for n, a in self.m.items()}
-        out.update({f"opt.v.{n}": a for n, a in self.v.items()})
-        return out
-
-    def load_state_arrays(self, arrays: dict[str, np.ndarray], step_count: int) -> None:
-        self.step_count = step_count
-        for n in self.m:
-            self.m[n] = arrays[f"opt.m.{n}"].astype(self.m[n].dtype)
-            self.v[n] = arrays[f"opt.v.{n}"].astype(self.v[n].dtype)
-
 
 # -- training loops -----------------------------------------------------------------
 
 LOG_COLUMNS = ("step", "stage", "lr_new", "lr_dec", "r", "ref_index",
                "loss_l1", "loss_perc", "loss_total")
-
-
-def write_loss_csv(path: Path, rows: list[dict]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=LOG_COLUMNS)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: row[k] for k in LOG_COLUMNS})
 
 
 def _materialize(refs: list[ClipRef], spec: DatasetSpec) -> list[np.ndarray]:

@@ -117,10 +117,6 @@ def init_vae_params(cfg: VaeConfig, rng: np.random.Generator) -> dict[str, Tenso
     return p
 
 
-def encoder_names(params: dict[str, Tensor]) -> list[str]:
-    return sorted(n for n in params if n.startswith("enc."))
-
-
 # -- forward ------------------------------------------------------------------
 
 

@@ -149,24 +149,92 @@ def test_eval_on_truncated_checkpoint_exits_3(pipeline, tmp_path):
     assert not any((tmp_path / "runs").glob("eval-*"))  # no run directory for a failed load
 
 
-BROKEN_META = {
-    "no-vae": lambda meta: meta.pop("vae"),
-    "no-kind": lambda meta: meta.pop("kind"),
-    "bad-vae-field": lambda meta: meta["vae"].update(bogus=1),
-    "bad-injection": lambda meta: meta.update(injection="residual"),
+def _drop_block0(arrays, meta):
+    for name in [n for n in arrays if n.startswith("ref.blk0.")]:
+        del arrays[name]
+
+
+BROKEN_CKPT = {  # case -> (pipeline index of the checkpoint it breaks, edit of its arrays and meta)
+    "no-vae": (3, lambda arrays, meta: meta.pop("vae")),
+    "no-kind": (3, lambda arrays, meta: meta.pop("kind")),
+    "bad-vae-field": (3, lambda arrays, meta: meta["vae"].update(bogus=1)),
+    "bad-injection": (3, lambda arrays, meta: meta.update(injection="residual")),
+    "no-ref-blk0": (4, _drop_block0),
+    "bad-dec-in-shape": (4, lambda arrays, meta: arrays.update({"dec.in.w": arrays["dec.in.w"][:, :-1]})),
 }
 
 
 @pytest.mark.parametrize("command", ["eval", "decode"])
-@pytest.mark.parametrize("broken", sorted(BROKEN_META))
+@pytest.mark.parametrize("broken", sorted(BROKEN_CKPT))
 def test_malformed_checkpoint_meta_exits_3(pipeline, tmp_path, broken, command):
-    arrays, meta = load_checkpoint(pipeline[3])
-    BROKEN_META[broken](meta)
+    source, edit = BROKEN_CKPT[broken]
+    arrays, meta = load_checkpoint(pipeline[source])
+    edit(arrays, meta)
     ckpt = tmp_path / "broken.ckpt"
     save_checkpoint(ckpt, arrays, meta)
     extra = ["--clip-seed", "3"] if command == "decode" else []
     assert main([command, "--config", str(write_config(tmp_path)), "--ckpt", str(ckpt), *extra]) == 3
     assert not any((tmp_path / "runs").glob(f"{command}-*"))
+
+
+def test_checkpoint_with_optimizer_moments_decodes_the_same(pipeline, tmp_path):
+    _, cfg_path, _, _, refdec = pipeline
+    arrays, meta = load_checkpoint(refdec)
+    moments = {f"opt.{k}.{n}": np.ones_like(a) for k in "mv" for n, a in arrays.items()}
+    with_moments = tmp_path / "with-moments.ckpt"  # as checkpoints were written before
+    save_checkpoint(with_moments, {**arrays, **moments}, meta)
+    frames = []
+    for ckpt in (refdec, with_moments):
+        out = tmp_path / ckpt.stem
+        assert main(["decode", "--config", str(cfg_path), "--ckpt", str(ckpt),
+                     "--clip-seed", "3", "--ref", "frame:2", "--out", str(out)]) == 0
+        frames.append((only_run_dir(out, "decode-") / "frames.rdvc").read_bytes())
+    assert frames[0] == frames[1]
+
+
+WRONG_KIND = {  # command -> arguments naming a checkpoint of the wrong kind (pipeline index)
+    "train": ["--baseline", 4],
+    "ablate": ["--axis", "dropout", "--baseline", 4],
+    "swap-compare": ["--baseline", 3, "--refdec", 3],
+}
+
+
+@pytest.mark.parametrize("command", sorted(WRONG_KIND))
+def test_wrong_checkpoint_kind_exits_3(pipeline, tmp_path, command):
+    args = [str(pipeline[a]) if isinstance(a, int) else a for a in WRONG_KIND[command]]
+    assert main([command, "--config", str(write_config(tmp_path)), *args]) == 3
+    assert not (tmp_path / "runs").exists()
+
+
+BAD_DECODE = {  # case -> decode arguments; files name arrays written by the test
+    "frame-past-end": ["--clip-seed", "3", "--ref", "frame:99"],
+    "frame-not-int": ["--clip-seed", "3", "--ref", "frame:x"],
+    "frame-negative": ["--clip-seed", "3", "--ref", "frame:-1"],
+    "latent-3-channels": ["--latent", "z3ch.npy"],
+    "latent-3d": ["--latent", "z3d.npy"],
+    "ref-image-wrong-size": ["--clip-seed", "3", "--ref", "ref8x8.npy"],
+    "ref-image-2d": ["--clip-seed", "3", "--ref", "ref2d.npy"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_DECODE))
+def test_decode_rejects_malformed_input_with_exit_2(pipeline, tmp_path, case):
+    refdec = pipeline[4]
+    np.save(tmp_path / "z3ch.npy", np.zeros((3, 3, 2, 4), np.float32))
+    np.save(tmp_path / "z3d.npy", np.zeros((8, 2, 4), np.float32))
+    np.save(tmp_path / "ref8x8.npy", np.zeros((3, 8, 8), np.float32))
+    np.save(tmp_path / "ref2d.npy", np.zeros((16, 32), np.float32))
+    args = [str(tmp_path / a) if a.endswith(".npy") else a for a in BAD_DECODE[case]]
+    assert main(["decode", "--config", str(write_config(tmp_path)), "--ckpt", str(refdec), *args]) == 2
+    assert not (tmp_path / "runs").exists()
+
+
+def test_decode_takes_a_reference_image(pipeline, tmp_path):
+    _, cfg_path, _, _, refdec = pipeline
+    np.save(tmp_path / "ref.npy", np.full((3, 16, 32), 0.5, np.float32))
+    assert main(["decode", "--config", str(cfg_path), "--ckpt", str(refdec), "--clip-seed", "3",
+                 "--ref", str(tmp_path / "ref.npy"), "--out", str(tmp_path)]) == 0
+    assert read_rdvc(only_run_dir(tmp_path, "decode-") / "frames.rdvc").shape == (9, 3, 16, 32)
 
 
 def test_rerun_is_byte_identical_modulo_walltime(tmp_path):

@@ -9,7 +9,6 @@ from refvae.metrics import (
     evaluate_params,
     fixed_seed_swap_compare,
     flicker_error,
-    masked_metrics,
     psnr,
     rerun_swap_from_seedlog,
     split_report,
@@ -158,48 +157,6 @@ def test_temporal_proxy_monotone_in_noise():
         noisy = clip + level * noise  # fresh independent corruption per frame
         values.append(temporal_consistency_proxy(noisy, clip))
     assert all(b > a for a, b in zip(values, values[1:]))
-
-
-# -- masked metrics -----------------------------------------------------------------
-
-
-def test_masked_full_mask_equals_unmasked():
-    clip = gen_clip(11, "content_rich", 2, 16, 32).frames
-    rng = np.random.default_rng(12)
-    noisy = np.clip(clip + rng.normal(0, 0.05, clip.shape), 0, 1).astype(np.float32)
-    full = np.ones((2, 16, 32), np.int64)
-    out = masked_metrics(clip, noisy, full)
-    _, psnr_all = psnr(clip, noisy)
-    _, ssim_all = ssim(clip, noisy)
-    assert out["psnr"] == pytest.approx(psnr_all, abs=1e-9)
-    assert out["ssim"] == pytest.approx(ssim_all, abs=1e-9)
-
-
-def test_masked_excluding_corruption_hits_cap():
-    clip = gen_clip(13, "content_rich", 2, 16, 32).frames
-    corrupted = clip.copy()
-    corrupted[:, :, :, 16:] = 0.0
-    mask = np.ones((2, 16, 32), np.int64)
-    mask[:, :, 16:] = 0
-    out = masked_metrics(clip, corrupted, mask)
-    assert out["psnr"] == PSNR_CAP
-
-
-def test_masked_half_matches_hand_mse():
-    clip = gen_clip(14, "content_rich", 1, 16, 32).frames
-    corrupted = clip.copy()
-    corrupted[:, :, :, :16] = np.clip(corrupted[:, :, :, :16] + 0.2, 0, 1)
-    mask = np.zeros((1, 16, 32), np.int64)
-    mask[:, :, :16] = 1
-    out = masked_metrics(clip, corrupted, mask)
-    region = (clip[0, :, :, :16].astype(np.float64) - corrupted[0, :, :, :16].astype(np.float64))
-    expected = 10 * np.log10(1.0 / np.mean(region ** 2))
-    assert out["psnr"] == pytest.approx(expected, abs=1e-9)
-
-
-def test_masked_rejects_empty():
-    with pytest.raises(ValueError):
-        masked_metrics(np.zeros((1, 3, 8, 8)), np.zeros((1, 3, 8, 8)), np.zeros((1, 8, 8)))
 
 
 # -- splits -----------------------------------------------------------------------

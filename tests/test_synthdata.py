@@ -9,10 +9,7 @@ from refvae.synthdata import (
     VAL_SEED_OFFSET,
     build_dataset,
     gen_clip,
-    load_manifest,
-    manifest_dict,
     read_rdvc,
-    realize,
     write_rdvc,
 )
 
@@ -98,16 +95,6 @@ def test_mix_counts_always_total(n, seed):
     spec = DatasetSpec(n_train=n, n_val=1, master_seed=seed)
     train, _ = build_dataset(spec)
     assert len(train) == n
-
-
-def test_manifest_roundtrip_reproduces_clips():
-    spec = DatasetSpec(n_train=3, n_val=2, frames=5, master_seed=77)
-    train, val = build_dataset(spec)
-    d = manifest_dict(spec, train, val)
-    spec2, train2, val2 = load_manifest(d)
-    assert train2 == train and val2 == val
-    for a, b in zip(train, train2):
-        assert np.array_equal(realize(a, spec).frames, realize(b, spec2).frames)
 
 
 def test_build_dataset_is_deterministic():

@@ -7,7 +7,6 @@ from refvae.vae import (
     VaeConfig,
     decode_baseline_t,
     encode_t,
-    encoder_names,
     init_vae_params,
 )
 
@@ -96,9 +95,3 @@ def test_init_is_seed_deterministic(desk_cfg):
     assert sorted(a) == sorted(b)
     for name in a:
         assert np.array_equal(a[name].data, b[name].data)
-
-
-def test_encoder_names_cover_only_encoder(desk_params):
-    names = encoder_names(desk_params)
-    assert names and all(n.startswith("enc.") for n in names)
-    assert not any(n.startswith("dec.") for n in names)
