@@ -24,7 +24,7 @@ from . import __version__
 from .checkpoint import CheckpointError, load_checkpoint, params_from_arrays, save_checkpoint
 from .config import INJECTIONS, ConfigError, ExperimentConfig
 from .metrics import evaluate_params, fixed_seed_swap_compare, psnr
-from .refcond import RefCondConfig, decode_conditioned_t, init_ref_params
+from .refcond import RefCondConfig, decode_conditioned_t, init_ref_params, null_reference
 from .synthdata import build_dataset, gen_clip, realize, save_manifest, write_rdvc
 from .tensor import NumericsError, Tensor
 from .training import (
@@ -339,13 +339,24 @@ def cmd_ablate(cfg: ExperimentConfig, args) -> Path:
     return run.finish()
 
 
+def _load_npy(path: str, what: str) -> np.ndarray:
+    """A float32 array from a .npy file; every load failure is a ConfigError."""
+    try:
+        arr = np.load(path)
+        if not isinstance(arr, np.ndarray):
+            raise ValueError("not a single .npy array")
+        return arr.astype(np.float32)
+    except (OSError, ValueError, EOFError) as exc:
+        raise ConfigError(f"{what} {path}: {exc}") from exc
+
+
 def cmd_decode(cfg: ExperimentConfig, args) -> Path:
     params, meta, vae_cfg, ref_cfg = _load_model(args.ckpt)
 
     ground_truth = None
     ref_index = None
     if args.latent:
-        z = np.load(args.latent).astype(np.float32)
+        z = _load_npy(args.latent, "--latent")
     elif args.clip_seed is not None:
         clip = gen_clip(args.clip_seed, args.category, cfg.dataset.frames,
                         cfg.dataset.height, cfg.dataset.width)
@@ -367,12 +378,17 @@ def cmd_decode(cfg: ExperimentConfig, args) -> Path:
             ref_index = int(k)
             ref_image = ground_truth[ref_index]
         else:
-            ref_image = np.load(args.ref).astype(np.float32)
+            ref_image = _load_npy(args.ref, "--ref")
             hw = [n * vae_cfg.spatial_compression for n in z.shape[2:]]
             if list(ref_image.shape) != [3, *hw]:
                 raise ConfigError(f"reference image must be {[3, *hw]}, got {list(ref_image.shape)}")
     if meta["kind"] == "baseline" and ref_image is not None:
         raise ConfigError("baseline checkpoints cannot take a reference image")
+    if meta["kind"] != "baseline" and ref_image is None:
+        try:
+            null_reference(params, *z.shape[2:])
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     run = Runner("decode", cfg, args)
     if meta["kind"] == "baseline":

@@ -14,32 +14,87 @@ EPS = 1e-6
 # accumulator floats per row tile of _shifted_gemm: with its operand rows and
 # the kernel slice, one tile stays in L2 across all kernel offsets
 _TILE_FLOATS = 16384
-# narrower GEMM outputs are not tiled: OpenBLAS picks their kernel by row
-# count, so tiles would change their bits (and with them training trajectories)
+# narrower GEMM outputs are not tiled this way: OpenBLAS picks their kernel by
+# row count, so tiles would change their bits (and with them training
+# trajectories).  They run as grouped wide GEMMs instead (_grouped_gemm).
 _MIN_TILED_WIDTH = 8
+# row-tile height cap of _grouped_gemm: bounds its per-tile [group*k, rows]
+# product, which untiled would add ~14 MB at the decoder head
+_GROUPED_TILE_ROWS = 4096
+# OpenBLAS runs a GEMM of at most this many multiply-adds on its small-matrix
+# kernel, and a one-column product as a GEMV: each sums in another order
+_SMALL_GEMM_MACS = 100 ** 3
+
+
+def _row_tiles(rows: int, cap: int) -> list[tuple[int, int]]:
+    """Equal-height row ranges of at most cap rows.
+
+    No tile may be a sliver: a GEMM of a few dozen rows takes another BLAS
+    kernel, with other result bits.
+    """
+    n_tiles = -(-rows // max(1, cap))
+    tile = -(-rows // n_tiles)
+    return [(r0, min(r0 + tile, rows)) for r0 in range(0, rows, tile)]
 
 
 def _shifted_gemm(src: np.ndarray, starts: list[int], mats: list[np.ndarray],
-                  rows: int, dtype) -> np.ndarray:
+                  rows: int, dtype, group: int = 1) -> np.ndarray:
     """out[r] = sum over o of src[r + starts[o]] @ mats[o], for r < rows.
 
     Runs tile by tile over output rows, so each tile's accumulator and operand
     rows stay cache-resident across all offsets instead of streaming the
     whole array once per offset.  Every row still sums its offsets in list
-    order.  Tiles are of equal height, as no tile may be a sliver: a GEMM of
-    a few dozen rows takes another BLAS kernel, with other result bits.
+    order.  Outputs narrower than _MIN_TILED_WIDTH run untiled, or through
+    _grouped_gemm over runs of `group` offsets where that keeps every GEMM
+    off OpenBLAS's small-matrix and GEMV kernels.
     """
-    k = mats[0].shape[1]
-    n_tiles = -(-rows // max(1, _TILE_FLOATS // k)) if k >= _MIN_TILED_WIDTH else 1
-    tile = -(-rows // n_tiles)
+    c, k = mats[0].shape
+    if k < _MIN_TILED_WIDTH:
+        tiles = _row_tiles(rows, _GROUPED_TILE_ROWS)
+        last = tiles[-1][1] - tiles[-1][0]
+        if k > 1 and c * k * min(rows, group * last) > _SMALL_GEMM_MACS:
+            return _grouped_gemm(src, starts, mats, tiles, group, dtype).T
+        tiles = [(0, rows)]
+    else:
+        tiles = _row_tiles(rows, _TILE_FLOATS // k)
     out = np.empty((rows, k), dtype=dtype)
-    tmp = np.empty((tile, k), dtype=dtype)
-    for r0 in range(0, rows, tile):
-        r1 = min(r0 + tile, rows)
+    tmp = np.empty((tiles[0][1], k), dtype=dtype)
+    for r0, r1 in tiles:
         acc, part = out[r0:r1], tmp[:r1 - r0]
         np.matmul(src[r0 + starts[0]:r1 + starts[0]], mats[0], out=acc)
         for s, m in zip(starts[1:], mats[1:]):
             acc += np.matmul(src[r0 + s:r1 + s], m, out=part)
+    return out
+
+
+def _grouped_gemm(src: np.ndarray, starts: list[int], mats: list[np.ndarray],
+                  tiles: list[tuple[int, int]], group: int, dtype) -> np.ndarray:
+    """_shifted_gemm's result as [k, rows], for outputs narrower than _MIN_TILED_WIDTH.
+
+    Per row tile, each run of `group` offsets takes one wide GEMM,
+    [group*k, c] @ src[r0+lo : r1+hi]ᵀ over the tile's rows plus the run's
+    span of starts, in place of `group` narrow ones.  Its row blocks are
+    then added at their shifts, in list order.
+    """
+    k = mats[0].shape[1]
+    out = np.empty((k, tiles[-1][1]), dtype=dtype)
+    runs = [(starts[g:g + group], np.concatenate([m.T for m in mats[g:g + group]]))
+            for g in range(0, len(mats), group)]
+    for r0, r1 in tiles:
+        acc = out[:, r0:r1]
+        for j, (ss, wide) in enumerate(runs):
+            lo = min(ss)
+            prod = wide @ src[r0 + lo:r1 + max(ss)].T
+            # each element is the same c-long dot product as in a per-offset
+            # [rows, c] @ [c, k] GEMM on the blocked kernel (the caller keeps
+            # both off the small-matrix one), summed in the same offset
+            # order: the bits do not change
+            for i, s in enumerate(ss):
+                part = prod[i * k:(i + 1) * k, s - lo:s - lo + r1 - r0]
+                if i == j == 0:
+                    np.copyto(acc, part)
+                else:
+                    acc += part
     return out
 
 
@@ -94,7 +149,7 @@ def conv3d_causal(x: Tensor, kernel: Tensor, stride: tuple[int, int, int] = (1, 
         rows = t_out * hp * wp
         starts = [(dt * hp + dy) * wp + dx for dt, dy, dx, *_ in slices]
         mats = [wcl[dt, dy, dx] for dt, dy, dx, *_ in slices]
-        acc = _shifted_gemm(xpad.reshape(-1, cin), starts, mats, rows, dtype)
+        acc = _shifted_gemm(xpad.reshape(-1, cin), starts, mats, rows, dtype, kh * kw)
         acc = acc.reshape(t_out, hp, wp, cout)[:, :h_out, :w_out]
     else:
         acc = np.zeros((n, cout), dtype=dtype)
@@ -109,10 +164,16 @@ def conv3d_causal(x: Tensor, kernel: Tensor, stride: tuple[int, int, int] = (1, 
             # reduce over the n output positions only, never over junk rows:
             # one summation order at every stride
             gk = _grad_buffer(kernel)
-            patch = np.empty((t_out, h_out, w_out, cin), dtype=x.dtype)
-            for dt, dy, dx, ts, ys, xs in slices:
-                np.copyto(patch, xp[ts, ys, xs, :])
-                gk[:, :, dt, dy, dx] += gcl.T @ patch.reshape(n, cin)
+            # one all-frames patch per spatial offset: at stride 1 each frame
+            # range pt[ts] is contiguous, so the GEMM operand is the same
+            # [n, cin] array a per-offset copy made; at st > 1 reshape copies
+            for dy, dx in np.ndindex(kh, kw):
+                ys = slice(dy, dy + (h_out - 1) * sh + 1, sh)
+                xs = slice(dx, dx + (w_out - 1) * sw + 1, sw)
+                pt = np.ascontiguousarray(xp[:, ys, xs, :])
+                for dt in range(kt):
+                    ts = slice(dt, dt + (t_out - 1) * st + 1, st)
+                    gk[:, :, dt, dy, dx] += gcl.T @ pt[ts].reshape(n, cin)
         if not x.requires_grad:
             return
         if unit:
@@ -123,8 +184,11 @@ def conv3d_causal(x: Tensor, kernel: Tensor, stride: tuple[int, int, int] = (1, 
             gsrc = np.zeros((rows + starts[-1], cout), dtype=g.dtype)
             gsrc[lead:lead + rows].reshape(t_out, hp, wp, cout)[:, :h_out, :w_out] = \
                 gcl.reshape(t_out, h_out, w_out, cout)
-            gxp = _shifted_gemm(gsrc, [starts[-1] - o for o in starts], [m.T for m in mats],
-                                rows, dtype).reshape(t_in, hp, wp, cin)
+            # contiguous transposed kernels give the same bits as m.T views
+            # for gradients wider than _MIN_TILED_WIDTH only; narrower keep the views
+            tmats = [np.ascontiguousarray(m.T) if cin > _MIN_TILED_WIDTH else m.T for m in mats]
+            gxp = _shifted_gemm(gsrc, [starts[-1] - o for o in starts], tmats,
+                                rows, dtype, kh * kw).reshape(t_in, hp, wp, cin)
             gx = gxp[:, ph:ph + h_in, pw:pw + w_in, :]
         else:
             gxp = np.zeros(xpad.shape[:3] + (cin,), dtype=dtype)

@@ -130,7 +130,7 @@ def encode_reference(image: Tensor, params: dict[str, Tensor], vae_cfg: VaeConfi
     return rmsnorm(x, params["ref.norm.g"], axis=0)
 
 
-def _null_reference(params: dict[str, Tensor], hz: int, wz: int) -> Tensor:
+def null_reference(params: dict[str, Tensor], hz: int, wz: int) -> Tensor:
     null = params["ref.null"]
     _, _, h0, w0 = null.shape
     if (h0, w0) == (hz, wz):
@@ -142,7 +142,7 @@ def _null_reference(params: dict[str, Tensor], hz: int, wz: int) -> Tensor:
 
 def _resolve_reference(ref_image, params, vae_cfg, hz, wz) -> Tensor:
     if ref_image is None:
-        return _null_reference(params, hz, wz)
+        return null_reference(params, hz, wz)
     img = ref_image if isinstance(ref_image, Tensor) else Tensor(np.asarray(ref_image, dtype=np.float32))
     tokens = encode_reference(img, params, vae_cfg)
     if tokens.shape[2] != hz or tokens.shape[3] != wz:

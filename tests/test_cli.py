@@ -214,6 +214,11 @@ BAD_DECODE = {  # case -> decode arguments; files name arrays written by the tes
     "latent-3d": ["--latent", "z3d.npy"],
     "ref-image-wrong-size": ["--clip-seed", "3", "--ref", "ref8x8.npy"],
     "ref-image-2d": ["--clip-seed", "3", "--ref", "ref2d.npy"],
+    "ref-none-untileable-latent": ["--latent", "z3x5.npy", "--ref", "none"],
+    "latent-not-npy": ["--latent", "junk.npy"],
+    "ref-not-npy": ["--clip-seed", "3", "--ref", "junk.npy"],
+    "latent-missing": ["--latent", "missing.npy"],
+    "ref-missing": ["--clip-seed", "3", "--ref", "missing.npy"],
 }
 
 
@@ -224,6 +229,8 @@ def test_decode_rejects_malformed_input_with_exit_2(pipeline, tmp_path, case):
     np.save(tmp_path / "z3d.npy", np.zeros((8, 2, 4), np.float32))
     np.save(tmp_path / "ref8x8.npy", np.zeros((3, 8, 8), np.float32))
     np.save(tmp_path / "ref2d.npy", np.zeros((16, 32), np.float32))
+    np.save(tmp_path / "z3x5.npy", np.zeros((8, 3, 3, 5), np.float32))  # null map is 2x4
+    (tmp_path / "junk.npy").write_text("not an array\n")
     args = [str(tmp_path / a) if a.endswith(".npy") else a for a in BAD_DECODE[case]]
     assert main(["decode", "--config", str(write_config(tmp_path)), "--ckpt", str(refdec), *args]) == 2
     assert not (tmp_path / "runs").exists()

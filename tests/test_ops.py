@@ -146,6 +146,17 @@ def conv3d_unit_stride_untiled(x, w, g):
     pytest.param(32, (3, 8, 16), 32, (3, 3, 3), True, id="no-sliver-tile"),
     pytest.param(8, (9, 32, 64), 3, (3, 3, 3), True, id="cout3"),
     pytest.param(1, (9, 32, 64), 8, (1, 5, 5), True, id="cin1"),
+    # grouped narrow forward: 10880 rows run as three row tiles of 3627 (the
+    # last 3626), each with one wide GEMM per temporal offset
+    pytest.param(32, (5, 32, 62), 3, (3, 3, 3), True, id="cout3-three-tiles"),
+    # 10240 rows x 3 x 32 is within OpenBLAS's small-matrix size: per-offset GEMMs
+    pytest.param(32, (5, 30, 62), 3, (3, 3, 3), True, id="cout3-small-gemm"),
+    # a one-channel output stays on per-offset GEMVs, at any size
+    pytest.param(64, (9, 32, 64), 1, (3, 3, 3), True, id="cout1-gemv"),
+    # a 4-wide input gradient over 20196 rows takes the grouped path too
+    pytest.param(4, (9, 32, 64), 16, (3, 3, 3), True, id="cin4-grouped-input-grad"),
+    # an 8-wide input gradient keeps its transposed-view kernels (dec.in)
+    pytest.param(8, (5, 4, 8), 64, (3, 3, 3), True, id="cin8-cout64"),
 ])
 def test_conv_unit_stride_tiles_match_untiled_reference(cin, thw, cout, ksize, tiled):
     rng = np.random.default_rng(6)
@@ -159,6 +170,52 @@ def test_conv_unit_stride_tiles_match_untiled_reference(cin, thw, cout, ksize, t
     out = conv3d_causal(xt, wt)
     (out * Tensor(g)).sum().backward()
     ref_out, ref_gx, ref_gk = conv3d_unit_stride_untiled(x, w, g)
+    assert np.array_equal(out.data, ref_out)
+    assert np.array_equal(xt.grad, ref_gx)
+    assert np.array_equal(wt.grad, ref_gk)
+
+
+def conv3d_strided_patch_reference(x, w, g, stride):
+    """Output, input gradient and kernel gradient from one copied patch per offset.
+
+    Every offset reads its [n, cin] operand as a fresh contiguous copy of the
+    strided padded-input window: the per-element summation order the strided
+    conv must keep.
+    """
+    cin, t, h, wd = x.shape
+    cout, _, kt, kh, kw = w.shape
+    st, sh, sw = stride
+    ph, pw = (kh - 1) // 2, (kw - 1) // 2
+    xp = np.pad(x.transpose(1, 2, 3, 0), ((kt - 1, 0), (ph, ph), (pw, pw), (0, 0)))
+    to, ho, wo = (t - 1) // st + 1, (h - 1) // sh + 1, (wd - 1) // sw + 1
+    n = to * ho * wo
+    wcl = w.transpose(2, 3, 4, 1, 0)
+    gcl = np.ascontiguousarray(g.transpose(1, 2, 3, 0)).reshape(n, cout)
+    out = np.zeros((n, cout), x.dtype)
+    gxp = np.zeros_like(xp)
+    gk = np.zeros_like(w)
+    for dt, dy, dx in np.ndindex(kt, kh, kw):
+        win = (slice(dt, dt + (to - 1) * st + 1, st), slice(dy, dy + (ho - 1) * sh + 1, sh),
+               slice(dx, dx + (wo - 1) * sw + 1, sw))
+        patch = np.ascontiguousarray(xp[win]).reshape(n, cin)
+        out += patch @ wcl[dt, dy, dx]
+        gxp[win] += (gcl @ wcl[dt, dy, dx].T).reshape(to, ho, wo, cin)
+        gk[:, :, dt, dy, dx] += gcl.T @ patch
+    out = out.reshape(to, ho, wo, cout).transpose(3, 0, 1, 2)
+    gx = gxp[kt - 1:, ph:ph + h, pw:pw + wd].transpose(3, 0, 1, 2)
+    return out, gx, gk
+
+
+@pytest.mark.parametrize("stride", [(1, 2, 2), (2, 2, 2)])
+def test_conv_strided_matches_patch_reference(stride):
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((16, 9, 16, 32)).astype(np.float32)
+    w = (rng.standard_normal((32, 16, 3, 3, 3)) * 0.3).astype(np.float32)
+    xt, wt = parameter(x), parameter(w)
+    out = conv3d_causal(xt, wt, stride)
+    g = rng.standard_normal(out.shape).astype(np.float32)
+    (out * Tensor(g)).sum().backward()
+    ref_out, ref_gx, ref_gk = conv3d_strided_patch_reference(x, w, g, stride)
     assert np.array_equal(out.data, ref_out)
     assert np.array_equal(xt.grad, ref_gx)
     assert np.array_equal(wt.grad, ref_gk)
