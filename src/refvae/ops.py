@@ -38,7 +38,7 @@ def _row_tiles(rows: int, cap: int) -> list[tuple[int, int]]:
 
 
 def _shifted_gemm(src: np.ndarray, starts: list[int], mats: list[np.ndarray],
-                  rows: int, dtype, group: int = 1) -> np.ndarray:
+                  rows: int, dtype, group: int) -> np.ndarray:
     """out[r] = sum over o of src[r + starts[o]] @ mats[o], for r < rows.
 
     Runs tile by tile over output rows, so each tile's accumulator and operand
@@ -85,10 +85,8 @@ def _grouped_gemm(src: np.ndarray, starts: list[int], mats: list[np.ndarray],
         for j, (ss, wide) in enumerate(runs):
             lo = min(ss)
             prod = wide @ src[r0 + lo:r1 + max(ss)].T
-            # each element is the same c-long dot product as in a per-offset
-            # [rows, c] @ [c, k] GEMM on the blocked kernel (the caller keeps
-            # both off the small-matrix one), summed in the same offset
-            # order: the bits do not change
+            # same bits: each element is the c-long dot product of a per-offset
+            # GEMM on the same BLAS kernel, summed in the same offset order
             for i, s in enumerate(ss):
                 part = prod[i * k:(i + 1) * k, s - lo:s - lo + r1 - r0]
                 if i == j == 0:
@@ -164,13 +162,13 @@ def conv3d_causal(x: Tensor, kernel: Tensor, stride: tuple[int, int, int] = (1, 
             # reduce over the n output positions only, never over junk rows:
             # one summation order at every stride
             gk = _grad_buffer(kernel)
-            # one all-frames patch per spatial offset: at stride 1 each frame
-            # range pt[ts] is contiguous, so the GEMM operand is the same
-            # [n, cin] array a per-offset copy made; at st > 1 reshape copies
+            # at st == 1 one all-frames patch per spatial offset; same bits, as
+            # pt[ts] is the [n, cin] operand a per-offset copy made (st > 1:
+            # reshape makes that copy)
             for dy, dx in np.ndindex(kh, kw):
                 ys = slice(dy, dy + (h_out - 1) * sh + 1, sh)
                 xs = slice(dx, dx + (w_out - 1) * sw + 1, sw)
-                pt = np.ascontiguousarray(xp[:, ys, xs, :])
+                pt = np.ascontiguousarray(xp[:, ys, xs, :]) if st == 1 else xp[:, ys, xs, :]
                 for dt in range(kt):
                     ts = slice(dt, dt + (t_out - 1) * st + 1, st)
                     gk[:, :, dt, dy, dx] += gcl.T @ pt[ts].reshape(n, cin)
@@ -184,8 +182,7 @@ def conv3d_causal(x: Tensor, kernel: Tensor, stride: tuple[int, int, int] = (1, 
             gsrc = np.zeros((rows + starts[-1], cout), dtype=g.dtype)
             gsrc[lead:lead + rows].reshape(t_out, hp, wp, cout)[:, :h_out, :w_out] = \
                 gcl.reshape(t_out, h_out, w_out, cout)
-            # contiguous transposed kernels give the same bits as m.T views
-            # for gradients wider than _MIN_TILED_WIDTH only; narrower keep the views
+            # contiguous kernels give the m.T views' bits only above _MIN_TILED_WIDTH
             tmats = [np.ascontiguousarray(m.T) if cin > _MIN_TILED_WIDTH else m.T for m in mats]
             gxp = _shifted_gemm(gsrc, [starts[-1] - o for o in starts], tmats,
                                 rows, dtype, kh * kw).reshape(t_in, hp, wp, cin)
