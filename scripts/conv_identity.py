@@ -1,16 +1,16 @@
 #!/usr/bin/env python3
 """Check that conv3d_causal here and in another source tree agree bit for bit.
 
-    python3 scripts/conv_identity.py OTHER_SRC [--seeds 3]
+    python3 scripts/conv_identity.py OTHER_SRC
 
 OTHER_SRC is a directory that holds a `refvae` package, such as the `src/`
 of another checkout.  The script records the conv3d_causal call shapes of
 one default-config pretrain step per curriculum stage, one fine-tune step
 per stage (each injection) and one swap clip, on a small dataset.  For each
-distinct call it draws seeded inputs, a kernel and an output gradient, and
-runs the op of both trees: one line per shape says whether the output, the
-input gradient (gx) and the kernel gradient (gk) are bit-equal.  It exits 1
-if any differs.  BLAS runs on one thread, as in perfbench.
+distinct call it draws SEEDS sets of seeded inputs, kernel and output
+gradient, and runs the op of both trees: one line per shape says whether the
+output, the input gradient (gx) and the kernel gradient (gk) are bit-equal.
+It exits 1 if any differs.  BLAS runs on one thread, as in perfbench.
 """
 from __future__ import annotations
 
@@ -36,6 +36,7 @@ from refvae.synthdata import build_dataset  # noqa: E402
 from refvae.training import CurriculumSpec, pretrain_baseline, train_refdecoder  # noqa: E402
 
 CALLERS = (vae, refcond, training)  # every module that calls conv3d_causal
+SEEDS = 3  # input draws per call shape
 
 
 def load_other(src: Path):
@@ -91,15 +92,14 @@ def run_conv(conv, tensor_mod, x, w, g, stride):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("other_src", type=Path, help="directory holding the other refvae package")
-    parser.add_argument("--seeds", type=int, default=3, help="input draws per shape")
     args = parser.parse_args(argv)
     other_ops, other_tensor = load_other(args.other_src.resolve())
     calls = record_calls()
     bad = 0
-    print(f"{len(calls)} conv3d_causal call shapes, {args.seeds} seeds each")
+    print(f"{len(calls)} conv3d_causal call shapes, {SEEDS} seeds each")
     for xs, ks, stride, xd, kd in calls:
         same = np.ones(3, dtype=bool)
-        for seed in range(args.seeds):
+        for seed in range(SEEDS):
             rng = np.random.default_rng(seed)
             x = rng.standard_normal(xs).astype(xd)
             w = (rng.standard_normal(ks) * 0.1).astype(kd)

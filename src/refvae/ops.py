@@ -22,7 +22,11 @@ _MIN_TILED_WIDTH = 8
 # product, which untiled would add ~14 MB at the decoder head
 _GROUPED_TILE_ROWS = 4096
 # OpenBLAS runs a GEMM of at most this many multiply-adds on its small-matrix
-# kernel, and a one-column product as a GEMV: each sums in another order
+# kernel, and a one-column product as a GEMV: each sums in another order.
+# This bound, the k > 1 guard of _shifted_gemm and the contiguous-kernel rule
+# of the input gradient copy OpenBLAS 0.3.31's kernel choice (DYNAMIC_ARCH,
+# SkylakeX core); on any other BLAS build or core, rerun
+# scripts/conv_identity.py against the previous src/ before relying on them.
 _SMALL_GEMM_MACS = 100 ** 3
 
 
@@ -183,6 +187,7 @@ def conv3d_causal(x: Tensor, kernel: Tensor, stride: tuple[int, int, int] = (1, 
             gsrc[lead:lead + rows].reshape(t_out, hp, wp, cout)[:, :h_out, :w_out] = \
                 gcl.reshape(t_out, h_out, w_out, cout)
             # contiguous kernels give the m.T views' bits only above _MIN_TILED_WIDTH
+            # (measured on OpenBLAS 0.3.31, SkylakeX core; see _SMALL_GEMM_MACS)
             tmats = [np.ascontiguousarray(m.T) if cin > _MIN_TILED_WIDTH else m.T for m in mats]
             gxp = _shifted_gemm(gsrc, [starts[-1] - o for o in starts], tmats,
                                 rows, dtype, kh * kw).reshape(t_in, hp, wp, cin)
