@@ -6,8 +6,8 @@ positions where the window fits entirely inside the frame.
 
 The swap comparison decodes the *same* latent with two decoders, so every
 per-clip delta is attributable to the decoder alone.  Per-clip 32-bit
-seeds drive any evaluation-time randomness (the reference-frame draw) and
-are persisted with the latents, making a rerun bit-exact.
+seeds drive the reference-frame draw; the seed log records each clip's
+seed and latent file, and a rerun reproduces every output byte for byte.
 """
 from __future__ import annotations
 
@@ -169,7 +169,7 @@ class MetricsReport:
 
 
 def clip_metrics(frames: np.ndarray, decoded: np.ndarray, ref_index: int,
-                 clip_id: str, category: str, ref_distances: list[float] | None = None) -> dict:
+                 clip_id: str, category: str, ref_distances: list[float]) -> dict:
     psnr_frames, _ = psnr(frames, decoded)
     ssim_frames, _ = ssim(frames, decoded)
     return {
@@ -189,28 +189,47 @@ def derive_clip_seeds(master_seed: int, count: int) -> list[int]:
     return [int(s) for s in rng.integers(0, 2 ** 32, size=count, dtype=np.uint64)]
 
 
+def _eval_clips(val_refs: list[ClipRef], data_spec: DatasetSpec, vae_cfg: VaeConfig,
+                ref_cfg: RefCondConfig | None, decoders: list[tuple[dict, bool]],
+                master_seed: int, eval_policy: RefPolicy, injection: str,
+                ) -> tuple[list[MetricsReport], list[tuple[int, np.ndarray]]]:
+    """Score every clip with each `(params, conditioned)` decoder.
+
+    Each clip is encoded once, by the first decoder's encoder, and every
+    decoder gets the same latent and the same seeded reference draw.
+    Returns one report per decoder and each clip's `(seed, latent)`.
+    """
+    seeds = derive_clip_seeds(master_seed, len(val_refs))
+    reports = [MetricsReport() for _ in decoders]
+    latents = []
+    for ref, seed in zip(val_refs, seeds):
+        clip = realize(ref, data_spec)
+        z = encode_t(Tensor(clip.frames), vae_cfg, decoders[0][0])
+        clip_rng = np.random.default_rng(np.random.PCG64(seed))
+        ref_frame, ref_index = select_reference_frame(clip.frames, eval_policy, clip_rng)
+        ref_distances = frame_distances(clip.frames)  # ground truth's share of the temporal proxy
+        for report, (params, conditioned) in zip(reports, decoders):
+            if conditioned:
+                decoded = decode_conditioned_t(z, ref_frame, vae_cfg, ref_cfg, params, injection).data
+            else:
+                decoded = decode_baseline_t(z, vae_cfg, params).data
+            report.per_clip.append(clip_metrics(clip.frames, decoded, ref_index,
+                                                ref.clip_id, ref.category, ref_distances))
+        latents.append((seed, z.data))
+    return [report.finalize() for report in reports], latents
+
+
 def evaluate_params(val_refs: list[ClipRef], data_spec: DatasetSpec, vae_cfg: VaeConfig,
                     ref_cfg: RefCondConfig | None, params: dict, master_seed: int,
                     eval_policy: RefPolicy = RefPolicy.first_frame,
                     injection: str = "attention", conditioned: bool = True,
                     metadata: dict | None = None) -> MetricsReport:
     """Reconstruction metrics of one decoder over a validation set."""
-    seeds = derive_clip_seeds(master_seed, len(val_refs))
-    report = MetricsReport(metadata=metadata or {})
-    for ref, seed in zip(val_refs, seeds):
-        clip = realize(ref, data_spec)
-        z = encode_t(Tensor(clip.frames), vae_cfg, params)
-        clip_rng = np.random.default_rng(np.random.PCG64(seed))
-        ref_frame, ref_index = select_reference_frame(clip.frames, eval_policy, clip_rng)
-        if conditioned:
-            decoded = decode_conditioned_t(z, ref_frame, vae_cfg, ref_cfg, params, injection).data
-        else:
-            decoded = decode_baseline_t(z, vae_cfg, params).data
-        report.per_clip.append(clip_metrics(clip.frames, decoded, ref_index,
-                                            ref.clip_id, ref.category))
-    report.metadata.update({"eval_policy": eval_policy.value, "master_seed": master_seed,
-                            "conditioned": conditioned})
-    return report.finalize()
+    (report,), _ = _eval_clips(val_refs, data_spec, vae_cfg, ref_cfg, [(params, conditioned)],
+                               master_seed, eval_policy, injection)
+    report.metadata.update({**(metadata or {}), "eval_policy": eval_policy.value,
+                            "master_seed": master_seed, "conditioned": conditioned})
+    return report
 
 
 # -- fixed-seed decoder swap ----------------------------------------------------
@@ -232,29 +251,6 @@ class SwapResult:
         return float(np.mean([d["delta_psnr"] > 0 for d in self.deltas]))
 
 
-def _swap_clip(rep_base: MetricsReport, rep_cond: MetricsReport, deltas: list[dict],
-               ref: ClipRef, frames: np.ndarray, z: np.ndarray, seed: int, policy: RefPolicy,
-               vae_cfg: VaeConfig, ref_cfg: RefCondConfig, params_baseline: dict,
-               params_conditioned: dict, injection: str) -> None:
-    """Decode one latent with both decoders and record both clip metrics and their deltas."""
-    clip_rng = np.random.default_rng(np.random.PCG64(seed))
-    ref_frame, ref_index = select_reference_frame(frames, policy, clip_rng)
-    decoded_base = decode_baseline_t(Tensor(z), vae_cfg, params_baseline).data
-    decoded_cond = decode_conditioned_t(Tensor(z), ref_frame, vae_cfg, ref_cfg,
-                                        params_conditioned, injection).data
-    ref_distances = frame_distances(frames)  # ground truth's share of the temporal proxy
-    m_base = clip_metrics(frames, decoded_base, ref_index, ref.clip_id, ref.category, ref_distances)
-    m_cond = clip_metrics(frames, decoded_cond, ref_index, ref.clip_id, ref.category, ref_distances)
-    rep_base.per_clip.append(m_base)
-    rep_cond.per_clip.append(m_cond)
-    deltas.append({
-        "clip_id": ref.clip_id, "category": ref.category,
-        "delta_psnr": m_cond["psnr"]["overall"] - m_base["psnr"]["overall"],
-        "delta_psnr_reference": m_cond["psnr"]["reference_frame"] - m_base["psnr"]["reference_frame"],
-        "delta_ssim": m_cond["ssim"]["overall"] - m_base["ssim"]["overall"],
-    })
-
-
 def fixed_seed_swap_compare(val_refs: list[ClipRef], data_spec: DatasetSpec,
                             vae_cfg: VaeConfig, ref_cfg: RefCondConfig,
                             params_baseline: dict, params_conditioned: dict,
@@ -267,26 +263,25 @@ def fixed_seed_swap_compare(val_refs: list[ClipRef], data_spec: DatasetSpec,
     if fp_base != fp_cond:
         raise ValueError("encoder fingerprint mismatch between checkpoints")
 
-    latent_dir = None
-    if out_dir is not None:
-        latent_dir = Path(out_dir) / "latents"
-        latent_dir.mkdir(parents=True, exist_ok=True)
+    (rep_base, rep_cond), latents = _eval_clips(
+        val_refs, data_spec, vae_cfg, ref_cfg,
+        [(params_baseline, False), (params_conditioned, True)], master_seed, eval_policy, injection)
 
-    seeds = derive_clip_seeds(master_seed, len(val_refs))
+    if out_dir is not None:
+        (Path(out_dir) / "latents").mkdir(parents=True, exist_ok=True)
     entries = []
-    rep_base = MetricsReport()
-    rep_cond = MetricsReport()
-    deltas = []
-    for ref, seed in zip(val_refs, seeds):
-        clip = realize(ref, data_spec)
-        z = encode_t(Tensor(clip.frames), vae_cfg, params_baseline).data
+    for ref, (seed, z) in zip(val_refs, latents):
         latent_path = ""
-        if latent_dir is not None:
-            latent_path = str(latent_dir / f"{ref.clip_id}.npy")
+        if out_dir is not None:
+            latent_path = str(Path(out_dir) / "latents" / f"{ref.clip_id}.npy")
             np.save(latent_path, z)
-        _swap_clip(rep_base, rep_cond, deltas, ref, clip.frames, z, seed, eval_policy,
-                   vae_cfg, ref_cfg, params_baseline, params_conditioned, injection)
         entries.append({"clip_id": ref.clip_id, "seed": seed, "latent_path": latent_path})
+    deltas = [{
+        "clip_id": m_base["clip_id"], "category": m_base["category"],
+        "delta_psnr": m_cond["psnr"]["overall"] - m_base["psnr"]["overall"],
+        "delta_psnr_reference": m_cond["psnr"]["reference_frame"] - m_base["psnr"]["reference_frame"],
+        "delta_ssim": m_cond["ssim"]["overall"] - m_base["ssim"]["overall"],
+    } for m_base, m_cond in zip(rep_base.per_clip, rep_cond.per_clip)]
 
     seed_log = {
         "master_seed": master_seed,
@@ -298,24 +293,4 @@ def fixed_seed_swap_compare(val_refs: list[ClipRef], data_spec: DatasetSpec,
             "encoder_fingerprint": fp_base}
     rep_base.metadata.update(meta)
     rep_cond.metadata.update(meta)
-    return SwapResult(rep_base.finalize(), rep_cond.finalize(), deltas, seed_log)
-
-
-def rerun_swap_from_seedlog(seed_log: dict, val_refs: list[ClipRef], data_spec: DatasetSpec,
-                            vae_cfg: VaeConfig, ref_cfg: RefCondConfig,
-                            params_baseline: dict, params_conditioned: dict,
-                            injection: str = "attention") -> SwapResult:
-    """Replay the swap protocol from persisted seeds and latent files."""
-    by_id = {r.clip_id: r for r in val_refs}
-    policy = RefPolicy(seed_log["eval_policy"])
-    rep_base = MetricsReport()
-    rep_cond = MetricsReport()
-    deltas = []
-    for entry in seed_log["entries"]:
-        ref = by_id[entry["clip_id"]]
-        clip = realize(ref, data_spec)
-        z = np.load(entry["latent_path"]) if entry["latent_path"] else \
-            encode_t(Tensor(clip.frames), vae_cfg, params_baseline).data
-        _swap_clip(rep_base, rep_cond, deltas, ref, clip.frames, z, entry["seed"], policy,
-                   vae_cfg, ref_cfg, params_baseline, params_conditioned, injection)
-    return SwapResult(rep_base.finalize(), rep_cond.finalize(), deltas, seed_log)
+    return SwapResult(rep_base, rep_cond, deltas, seed_log)

@@ -33,7 +33,6 @@ class VideoClip:
     frames: np.ndarray  # [T, 3, H, W] float32 in [0, 1]
     seed: int
     category: str
-    split: str = "train"
 
 
 @dataclass(frozen=True)
@@ -251,9 +250,7 @@ def build_dataset(spec: DatasetSpec) -> tuple[list[ClipRef], list[ClipRef]]:
 
 
 def realize(ref: ClipRef, spec: DatasetSpec) -> VideoClip:
-    clip = gen_clip(ref.seed, ref.category, spec.frames, spec.height, spec.width)
-    clip.split = ref.split
-    return clip
+    return gen_clip(ref.seed, ref.category, spec.frames, spec.height, spec.width)
 
 
 def manifest_dict(spec: DatasetSpec, train: list[ClipRef], val: list[ClipRef]) -> dict:
@@ -289,14 +286,3 @@ def write_rdvc(path: Path, frames: np.ndarray) -> None:
         fh.write(RDVC_MAGIC)
         fh.write(struct.pack("<IIII", RDVC_VERSION, t, h, w))
         fh.write(np.ascontiguousarray(frames, dtype="<f4").tobytes())
-
-
-def read_rdvc(path: Path) -> np.ndarray:
-    raw = Path(path).read_bytes()
-    if raw[:4] != RDVC_MAGIC:
-        raise ValueError("not a frame dump (bad magic)")
-    version, t, h, w = struct.unpack("<IIII", raw[4:20])
-    if version != RDVC_VERSION:
-        raise ValueError(f"unsupported frame dump version {version}")
-    data = np.frombuffer(raw[20:], dtype="<f4")
-    return data.reshape(t, 3, h, w).copy()

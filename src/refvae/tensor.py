@@ -67,9 +67,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def item(self) -> float:
         return float(self.data.reshape(()))
 

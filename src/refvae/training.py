@@ -279,15 +279,6 @@ LOG_COLUMNS = ("step", "stage", "lr_new", "lr_dec", "r", "ref_index",
                "loss_l1", "loss_perc", "loss_total")
 
 
-def _materialize(refs: list[ClipRef], spec: DatasetSpec) -> list[np.ndarray]:
-    return [realize(r, spec).frames for r in refs]
-
-
-def _zero_grads(params: dict[str, Tensor]) -> None:
-    for p in params.values():
-        p.grad = None
-
-
 def _run_curriculum(forward, params: dict[str, Tensor], groups: list, train_refs: list[ClipRef],
                     data_spec: DatasetSpec, temporal_compression: int, curriculum: CurriculumSpec,
                     opt_spec: OptimizerSpec, rng: np.random.Generator, lambda_perc: float,
@@ -302,7 +293,7 @@ def _run_curriculum(forward, params: dict[str, Tensor], groups: list, train_refs
     if opt_spec.total_steps != curriculum.total_steps:
         raise ValueError("optimizer total_steps must equal the curriculum step total")
     opt = AdamW(groups, opt_spec)
-    clips = _materialize(train_refs, data_spec)
+    clips = [realize(r, data_spec).frames for r in train_refs]
     rows: list[dict] = []
     step = 0
     for stage_idx, stage in enumerate(curriculum.stages):
@@ -312,7 +303,8 @@ def _run_curriculum(forward, params: dict[str, Tensor], groups: list, train_refs
             idx = int(rng.integers(len(clips)))
             t0 = int(rng.integers(0, data_spec.frames - stage.frames + 1))
             window = clips[idx][t0:t0 + stage.frames]
-            _zero_grads(params)
+            for p in params.values():
+                p.grad = None
             x_hat, r, ref_index = forward(idx, t0, window)
             loss, l1, perc = loss_recon(Tensor(window), x_hat, lambda_perc)
             if not np.isfinite(loss.item()):

@@ -1,8 +1,21 @@
+import struct
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from refvae.refcond import RefCondConfig, init_ref_params
+from refvae.synthdata import RDVC_MAGIC, RDVC_VERSION
 from refvae.vae import VaeConfig, init_vae_params
+
+
+def read_rdvc(path: Path) -> np.ndarray:
+    """Frames of a `write_rdvc` dump: magic, version, T/H/W, then little-endian f32."""
+    raw = Path(path).read_bytes()
+    assert raw[:4] == RDVC_MAGIC
+    version, t, h, w = struct.unpack("<IIII", raw[4:20])
+    assert version == RDVC_VERSION
+    return np.frombuffer(raw[20:], dtype="<f4").reshape(t, 3, h, w)
 
 
 @pytest.fixture(scope="session")

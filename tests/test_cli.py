@@ -6,10 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import read_rdvc
 from refvae.checkpoint import load_checkpoint, save_checkpoint
 from refvae.cli import main
 from refvae.config import ExperimentConfig, Seeds
-from refvae.synthdata import read_rdvc
 from refvae.training import CurriculumSpec, OptimizerSpec, StageSpec
 
 
@@ -244,15 +244,13 @@ def test_decode_takes_a_reference_image(pipeline, tmp_path):
     assert read_rdvc(only_run_dir(tmp_path, "decode-") / "frames.rdvc").shape == (9, 3, 16, 32)
 
 
-def test_rerun_is_byte_identical_modulo_walltime(tmp_path):
-    cfg_path = write_config(tmp_path)
-    assert main(["pretrain", "--config", str(cfg_path)]) == 0
-    runs = tmp_path / "runs"
-    outdir = only_run_dir(runs, "pretrain-")
+def assert_rerun_identical(argv: list[str], outdir: Path) -> None:
+    """Rerun a command into its emptied run directory and compare every output file."""
     snapshot = {p.relative_to(outdir): p.read_bytes()
                 for p in outdir.rglob("*") if p.is_file()}
     shutil.rmtree(outdir)
-    assert main(["pretrain", "--config", str(cfg_path)]) == 0
+    assert main(argv) == 0
+    assert {p.relative_to(outdir) for p in outdir.rglob("*") if p.is_file()} == set(snapshot)
     for rel, raw in snapshot.items():
         fresh = (outdir / rel).read_bytes()
         if rel.name == "manifest.json":
@@ -263,6 +261,21 @@ def test_rerun_is_byte_identical_modulo_walltime(tmp_path):
             assert a == b
         else:
             assert fresh == raw, f"{rel} differs across reruns"
+
+
+def test_rerun_is_byte_identical_modulo_walltime(pipeline, tmp_path):
+    cfg_path = write_config(tmp_path)
+    pretrain = ["pretrain", "--config", str(cfg_path)]
+    assert main(pretrain) == 0
+    assert_rerun_identical(pretrain, only_run_dir(tmp_path / "runs", "pretrain-"))
+
+    _, pipeline_cfg, _, baseline, refdec = pipeline
+    out = tmp_path / "eval-runs"
+    for prefix, args in (("eval", ["--ckpt", str(baseline), "--ckpt", str(refdec)]),
+                         ("swap-compare", ["--baseline", str(baseline), "--refdec", str(refdec)])):
+        argv = [prefix, "--config", str(pipeline_cfg), "--out", str(out), *args]
+        assert main(argv) == 0
+        assert_rerun_identical(argv, only_run_dir(out, f"{prefix}-"))
 
 
 def test_seed_override_changes_hash_and_results(tmp_path):

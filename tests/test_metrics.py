@@ -10,7 +10,6 @@ from refvae.metrics import (
     fixed_seed_swap_compare,
     flicker_error,
     psnr,
-    rerun_swap_from_seedlog,
     split_report,
     ssim,
     temporal_consistency_proxy,
@@ -239,14 +238,23 @@ def test_swap_shares_latents_and_is_paired(swap_setup, tmp_path):
         assert (tmp_path / "latents" / f"{entry['clip_id']}.npy").exists()
 
 
-def test_swap_rerun_from_seedlog_bit_exact(swap_setup, tmp_path):
+def test_eval_matches_swap_per_clip(swap_setup):
+    from refvae.training import RefPolicy
+
     cfg, rcfg, base, cond, spec, val = swap_setup
-    first = fixed_seed_swap_compare(val, spec, cfg, rcfg, base, cond, master_seed=12,
-                                    out_dir=tmp_path)
-    again = rerun_swap_from_seedlog(first.seed_log, val, spec, cfg, rcfg, base, cond)
-    assert first.baseline.per_clip == again.baseline.per_clip
-    assert first.conditioned.per_clip == again.conditioned.per_clip
-    assert first.deltas == again.deltas
+    rng = np.random.default_rng(7)
+    live = dict(cond)  # non-zero out-projections, so the two decoders differ
+    for s in range(3):
+        w = cond[f"ref.embed{s}.out.w"]
+        live[f"ref.embed{s}.out.w"] = Tensor(rng.standard_normal(w.shape).astype(np.float32) * 0.05)
+    policy = RefPolicy.random_frame
+    swap = fixed_seed_swap_compare(val, spec, cfg, rcfg, base, live, 12, eval_policy=policy)
+    assert all(d["delta_psnr"] != 0.0 for d in swap.deltas)
+    assert len({c["ref_index"] for c in swap.baseline.per_clip}) > 1
+    assert evaluate_params(val, spec, cfg, rcfg, base, 12, policy,
+                           conditioned=False).per_clip == swap.baseline.per_clip
+    assert evaluate_params(val, spec, cfg, rcfg, live, 12, policy).per_clip == \
+        swap.conditioned.per_clip
 
 
 def test_swap_rejects_encoder_mismatch(swap_setup):

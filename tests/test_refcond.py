@@ -289,7 +289,7 @@ def test_full_stage_grad_check(tiny_cfg, tiny_ref_cfg, tiny_params):
 
         def g(t):
             params["ref.blk0.wq"] = t
-            v2, _ = stage_forward(video.detach(), ref, 0, tiny_cfg, tiny_ref_cfg, params)
+            v2, _ = stage_forward(Tensor(video.data), ref, 0, tiny_cfg, tiny_ref_cfg, params)
             return (v2 * v2).mean()
 
         try:
