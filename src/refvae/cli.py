@@ -22,10 +22,10 @@ import numpy as np
 
 from . import __version__
 from .checkpoint import CheckpointError, load_checkpoint, params_from_arrays, save_checkpoint
-from .config import INJECTIONS, ConfigError, ExperimentConfig
+from .config import INJECTIONS, ConfigError, ExperimentConfig, Seeds
 from .metrics import evaluate_params, fixed_seed_swap_compare, psnr
 from .refcond import RefCondConfig, decode_conditioned_t, init_ref_params, null_reference
-from .synthdata import build_dataset, gen_clip, realize, save_manifest, write_rdvc
+from .synthdata import CATEGORIES, build_dataset, gen_clip, realize, save_manifest, write_rdvc
 from .tensor import NumericsError, Tensor
 from .training import (
     LOG_COLUMNS,
@@ -358,6 +358,8 @@ def cmd_decode(cfg: ExperimentConfig, args) -> Path:
     if args.latent:
         z = _load_npy(args.latent, "--latent")
     elif args.clip_seed is not None:
+        if args.clip_seed < 0:
+            raise ConfigError(f"--clip-seed must be a non-negative integer, got {args.clip_seed}")
         clip = gen_clip(args.clip_seed, args.category, cfg.dataset.frames,
                         cfg.dataset.height, cfg.dataset.width)
         ground_truth = clip.frames
@@ -452,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--latent", default=None, help="latent .npy file")
     p.add_argument("--clip-seed", type=int, default=None, dest="clip_seed")
-    p.add_argument("--category", default="content_rich")
+    p.add_argument("--category", default="content_rich", choices=CATEGORIES)
     p.add_argument("--ref", default="none", help="'none', 'frame:K', or an image .npy")
     return parser
 
@@ -473,9 +475,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = ExperimentConfig.load(args.config)
         if args.seed is not None:
-            cfg.seeds.master = args.seed
-            cfg.seeds.train = None
-            cfg.seeds.eval = None
+            cfg.seeds = Seeds(master=args.seed)
+            cfg.validate()
         outdir = COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"error code={EXIT_CONFIG} command={args.command}: {exc}", file=sys.stderr)

@@ -72,6 +72,11 @@ class ExperimentConfig:
             raise ConfigError("optimizer.total_steps must equal the curriculum step total")
         if self.lambda_perc < 0:
             raise ConfigError("lambda_perc must be non-negative")
+        seeds = {f"seeds.{k}": v for k, v in asdict(self.seeds).items()}
+        seeds["dataset.master_seed"] = self.dataset.master_seed
+        for name, seed in seeds.items():
+            if seed is not None and not (isinstance(seed, int) and seed >= 0):
+                raise ConfigError(f"{name} must be a non-negative integer, got {seed!r}")
         for stage in self.curriculum.stages:
             if (stage.height, stage.width) != (self.dataset.height, self.dataset.width):
                 raise ConfigError("curriculum stage resolution must match the dataset")

@@ -132,9 +132,13 @@ def conv3d_causal(x: Tensor, kernel: Tensor, stride: tuple[int, int, int] = (1, 
     # blocks.  At stride 1 a spare trailing zero frame lets every offset read
     # its operand as one contiguous row range of the flattened padded input.
     hp, wp = h_in + 2 * ph, w_in + 2 * pw
-    xpad = np.zeros((kt - 1 + t_in + int(unit), hp, wp, cin), dtype=x.dtype)
-    xpad[kt - 1:kt - 1 + t_in, ph:ph + h_in, pw:pw + w_in] = x.data.transpose(1, 2, 3, 0)
-    xp = xpad[:kt - 1 + t_in]
+
+    def pad(spare_frames: int) -> np.ndarray:
+        buf = np.zeros((kt - 1 + t_in + spare_frames, hp, wp, cin), dtype=x.dtype)
+        buf[kt - 1:kt - 1 + t_in, ph:ph + h_in, pw:pw + w_in] = x.data.transpose(1, 2, 3, 0)
+        return buf
+
+    xpad = pad(int(unit))
     wcl = np.ascontiguousarray(kernel.data.transpose(2, 3, 4, 1, 0))  # [kt,kh,kw,Cin,Cout]
     slices = []
     for dt in range(kt):
@@ -156,7 +160,7 @@ def conv3d_causal(x: Tensor, kernel: Tensor, stride: tuple[int, int, int] = (1, 
     else:
         acc = np.zeros((n, cout), dtype=dtype)
         for dt, dy, dx, ts, ys, xs in slices:
-            acc += xp[ts, ys, xs, :].reshape(n, cin) @ wcl[dt, dy, dx]
+            acc += xpad[ts, ys, xs, :].reshape(n, cin) @ wcl[dt, dy, dx]
         acc = acc.reshape(t_out, h_out, w_out, cout)
     out = np.ascontiguousarray(acc.transpose(3, 0, 1, 2))
 
@@ -166,6 +170,7 @@ def conv3d_causal(x: Tensor, kernel: Tensor, stride: tuple[int, int, int] = (1, 
             # reduce over the n output positions only, never over junk rows:
             # one summation order at every stride
             gk = _grad_buffer(kernel)
+            xp = pad(0)  # padded again, not kept alive from the forward
             # at st == 1 one all-frames patch per spatial offset; same bits, as
             # pt[ts] is the [n, cin] operand a per-offset copy made (st > 1:
             # reshape makes that copy)
@@ -193,7 +198,7 @@ def conv3d_causal(x: Tensor, kernel: Tensor, stride: tuple[int, int, int] = (1, 
                                 rows, dtype, kh * kw).reshape(t_in, hp, wp, cin)
             gx = gxp[:, ph:ph + h_in, pw:pw + w_in, :]
         else:
-            gxp = np.zeros(xpad.shape[:3] + (cin,), dtype=dtype)
+            gxp = np.zeros((kt - 1 + t_in, hp, wp, cin), dtype=dtype)
             for dt, dy, dx, ts, ys, xs in slices:
                 gxp[ts, ys, xs, :] += (gcl @ wcl[dt, dy, dx].T).reshape(t_out, h_out, w_out, cin)
             gx = gxp[kt - 1:kt - 1 + t_in, ph:ph + h_in, pw:pw + w_in, :]

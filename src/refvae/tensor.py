@@ -4,7 +4,10 @@ The graph is built eagerly: every operation returns a new Tensor that keeps
 references to its parent tensors and a closure routing the output gradient
 back to them.  `backward` linearises the graph reachable from the loss into
 a tape (topological order, parents first) and walks it exactly once in
-reverse, accumulating into `.grad`.
+reverse, accumulating into `.grad`.  It releases the graph as it goes: once
+an interior node's closure has run, the node drops its gradient, closure
+and parents, so activations and interior gradients are freed as soon as
+nothing upstream needs them.  Only leaves keep `.grad`.
 
 Training runs in float32; `float64_mode` switches tensor creation to
 float64 so finite-difference checks are meaningful.
@@ -391,6 +394,11 @@ def build_tape(root: Tensor) -> list[Tensor]:
     return tape
 
 
+def _released(g: np.ndarray) -> None:
+    """Closure of a node whose graph an earlier backward released."""
+    raise ValueError("backward through a graph that an earlier backward released")
+
+
 def backward(loss: Tensor) -> None:
     if loss.data.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.data.shape}")
@@ -400,9 +408,13 @@ def backward(loss: Tensor) -> None:
     for t in tape:
         t.grad = None
     loss.grad = np.ones_like(loss.data)
-    for t in reversed(tape):
-        if t._backward is not None and t.grad is not None:
+    while tape:
+        t = tape.pop()
+        if t._backward is None:  # a leaf keeps its gradient
+            continue
+        if t.grad is not None:
             t._backward(t.grad)
+        t.grad, t._backward, t._parents = None, _released, ()
 
 
 def assert_finite(arr: np.ndarray, what: str) -> None:

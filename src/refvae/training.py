@@ -228,6 +228,7 @@ class AdamW:
         self.spec = spec
         self.groups = groups
         self.step_count = 0
+        self.grad_norm, self.clip_scale = 0.0, 1.0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
         for params, _ in groups:
@@ -235,22 +236,25 @@ class AdamW:
                 self.m[name] = np.zeros_like(p.data)
                 self.v[name] = np.zeros_like(p.data)
 
-    def step(self, base_lr: float) -> None:
+    def step(self, base_lr: float) -> tuple[float, float]:
+        """One update; returns the global gradient norm before clipping and the clip scale.
+
+        Both are also kept as `grad_norm` and `clip_scale` until the next step.
+        """
         self.step_count += 1
         b1, b2 = self.spec.betas
         c1 = 1.0 - b1 ** self.step_count
         c2 = 1.0 - b2 ** self.step_count
+        sq = 0.0
+        for params, _ in self.groups:
+            for name in params:
+                g = params[name].grad
+                if g is not None:
+                    sq += float(np.vdot(g, g))
+        norm = np.sqrt(sq)
         clip_scale = 1.0
-        if self.spec.grad_clip:
-            sq = 0.0
-            for params, _ in self.groups:
-                for name in params:
-                    g = params[name].grad
-                    if g is not None:
-                        sq += float(np.vdot(g, g))
-            norm = np.sqrt(sq)
-            if norm > self.spec.grad_clip:
-                clip_scale = self.spec.grad_clip / norm
+        if self.spec.grad_clip and norm > self.spec.grad_clip:
+            clip_scale = self.spec.grad_clip / norm
         for params, scale in self.groups:
             lr = base_lr * scale
             for name in sorted(params):
@@ -271,12 +275,14 @@ class AdamW:
                 v *= b2
                 v += (1.0 - b2) * g * g
                 p.data -= lr * (m / c1) / (np.sqrt(v / c2) + self.spec.eps)
+        self.grad_norm, self.clip_scale = norm, clip_scale
+        return norm, clip_scale
 
 
 # -- training loops -----------------------------------------------------------------
 
 LOG_COLUMNS = ("step", "stage", "lr_new", "lr_dec", "r", "ref_index",
-               "loss_l1", "loss_perc", "loss_total")
+               "loss_l1", "loss_perc", "loss_total", "grad_norm", "clip_scale")
 
 
 def _run_curriculum(forward, params: dict[str, Tensor], groups: list, train_refs: list[ClipRef],
@@ -311,10 +317,11 @@ def _run_curriculum(forward, params: dict[str, Tensor], groups: list, train_refs
                 raise NumericsError(f"training diverged at step {step}: loss={loss.item()}")
             backward(loss)
             lr = lr_at(step, opt_spec)
-            opt.step(lr)
+            opt.step(lr)  # its telemetry is read back below: a timing wrapper may drop the return
             rows.append({"step": step, "stage": stage_idx, "lr_new": lr * groups[0][1],
                          "lr_dec": lr * groups[-1][1], "r": r, "ref_index": ref_index,
-                         "loss_l1": l1, "loss_perc": perc, "loss_total": loss.item()})
+                         "loss_l1": l1, "loss_perc": perc, "loss_total": loss.item(),
+                         "grad_norm": float(opt.grad_norm), "clip_scale": float(opt.clip_scale)})
             step += 1
     for name in sorted(params):
         assert_finite(params[name].data, f"parameter {name}")

@@ -79,7 +79,8 @@ def test_pretrain_and_train_outputs(pipeline):
     _, _, runs, baseline, refdec = pipeline
     assert baseline.exists() and refdec.exists()
     loss = (only_run_dir(runs, "train-") / "loss.csv").read_text().splitlines()
-    assert loss[0] == "step,stage,lr_new,lr_dec,r,ref_index,loss_l1,loss_perc,loss_total"
+    assert loss[0] == ("step,stage,lr_new,lr_dec,r,ref_index,loss_l1,loss_perc,loss_total,"
+                       "grad_norm,clip_scale")
     assert len(loss) == 11  # header + 10 steps
 
 
@@ -206,6 +207,34 @@ def test_wrong_checkpoint_kind_exits_3(pipeline, tmp_path, command):
     assert not (tmp_path / "runs").exists()
 
 
+def exit_code(argv: list[str]) -> int:
+    """main's return value, or the code of the exit argparse takes on a bad flag."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+BAD_SEEDS = {  # case -> (command, config edits by section, arguments; ints index the pipeline)
+    "seed-flag-negative": ("pretrain", {}, ["--seed", "-5"]),
+    "dataset-master-seed-negative": ("gen-data", {"dataset": {"master_seed": -1}}, []),
+    "eval-seed-negative": ("eval", {"seeds": {"eval": -3}}, ["--ckpt", 3]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SEEDS))
+def test_negative_seed_exits_2_before_any_output(pipeline, tmp_path, case):
+    command, edits, args = BAD_SEEDS[case]
+    cfg_path = write_config(tmp_path)
+    payload = json.loads(cfg_path.read_text())
+    for section, values in edits.items():
+        payload[section].update(values)
+    cfg_path.write_text(json.dumps(payload))
+    args = [str(pipeline[a]) if isinstance(a, int) else a for a in args]
+    assert main([command, "--config", str(cfg_path), *args]) == 2
+    assert not (tmp_path / "runs").exists()
+
+
 BAD_DECODE = {  # case -> decode arguments; files name arrays written by the test
     "frame-past-end": ["--clip-seed", "3", "--ref", "frame:99"],
     "frame-not-int": ["--clip-seed", "3", "--ref", "frame:x"],
@@ -219,6 +248,8 @@ BAD_DECODE = {  # case -> decode arguments; files name arrays written by the tes
     "ref-not-npy": ["--clip-seed", "3", "--ref", "junk.npy"],
     "latent-missing": ["--latent", "missing.npy"],
     "ref-missing": ["--clip-seed", "3", "--ref", "missing.npy"],
+    "clip-seed-negative": ["--clip-seed", "-1"],
+    "category-unknown": ["--clip-seed", "3", "--category", "bogus"],
 }
 
 
@@ -232,7 +263,8 @@ def test_decode_rejects_malformed_input_with_exit_2(pipeline, tmp_path, case):
     np.save(tmp_path / "z3x5.npy", np.zeros((8, 3, 3, 5), np.float32))  # null map is 2x4
     (tmp_path / "junk.npy").write_text("not an array\n")
     args = [str(tmp_path / a) if a.endswith(".npy") else a for a in BAD_DECODE[case]]
-    assert main(["decode", "--config", str(write_config(tmp_path)), "--ckpt", str(refdec), *args]) == 2
+    assert exit_code(["decode", "--config", str(write_config(tmp_path)), "--ckpt", str(refdec),
+                      *args]) == 2
     assert not (tmp_path / "runs").exists()
 
 

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -95,6 +97,20 @@ def test_shared_subgraph_accumulates():
     q.backward()
     assert x.grad == pytest.approx((2.0 - 4.0) + (2.0 + 1.0))
     assert y.grad == pytest.approx(3.0)
+
+
+def test_backward_releases_the_graph():
+    x = parameter(np.ones(3))
+    y = (x * 2.0).exp()
+    loss = y.sum()
+    activation = weakref.ref(y.data)
+    del y
+    backward(loss)
+    assert activation() is None
+    assert loss.grad is None and not loss._parents
+    np.testing.assert_allclose(x.grad, np.full(3, 2.0 * np.exp(2.0)))
+    with pytest.raises(ValueError, match="released"):
+        backward(loss)
 
 
 def test_repeated_backward_resets_grads():

@@ -1,9 +1,13 @@
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
+from refvae import vae
 from refvae.refcond import RefCondConfig
 from refvae.synthdata import DatasetSpec, build_dataset, gen_clip
-from refvae.tensor import Tensor, float64_mode, grad_check, parameter
+from refvae.tensor import Tensor, backward, float64_mode, grad_check, parameter
 from refvae.training import (
     AdamW,
     CurriculumSpec,
@@ -20,7 +24,7 @@ from refvae.training import (
     select_reference_frame,
     train_refdecoder,
 )
-from refvae.vae import VaeConfig
+from refvae.vae import VaeConfig, decode_baseline_t, encode_t, init_vae_params
 
 
 # -- dropout ---------------------------------------------------------------
@@ -305,6 +309,9 @@ def test_pretrain_reduces_loss(small_baseline):
     # no reference path: nothing dropped, no reference frame, one learning rate
     assert all(r["r"] == 0.0 and r["ref_index"] == -1 for r in rows)
     assert all(r["lr_new"] == r["lr_dec"] for r in rows)
+    # telemetry: the norm before clipping and the scale the default clip at 1.0 applied
+    assert all(r["grad_norm"] > 0 and r["clip_scale"] == min(1.0, 1.0 / r["grad_norm"])
+               for r in rows)
 
 
 def test_pretrain_deterministic():
@@ -370,3 +377,61 @@ def test_total_steps_mismatch_rejected(small_baseline):
                          CurriculumSpec((StageSpec(5, 16, 32, 4),)),
                          OptimizerSpec(total_steps=99, warmup_steps=1),
                          DropoutSpec(), RefPolicy.first_frame, seed=0)
+
+
+def test_adamw_step_reports_norm_before_clipping():
+    for grad_clip, scale in ((0.0, 1.0), (1.0, 0.2), (10.0, 1.0)):
+        p = parameter(np.zeros(2))
+        p.grad = np.array([3.0, 4.0])
+        opt = AdamW([({"p": p}, 1.0)], OptimizerSpec(total_steps=10, warmup_steps=2,
+                                                     grad_clip=grad_clip))
+        assert opt.step(1e-3) == (5.0, scale)
+        assert (opt.grad_norm, opt.clip_scale) == (5.0, scale)
+
+
+# -- graph release ---------------------------------------------------------------
+
+
+def _pretrain_step_loss() -> tuple[dict[str, Tensor], Tensor]:
+    """Parameters and loss of one pretrain step at the CLI tests' tiny shape (9x16x32)."""
+    cfg = VaeConfig()
+    params = init_vae_params(cfg, np.random.default_rng(0))
+    window = Tensor(gen_clip(3, "content_rich", 9, 16, 32).frames)
+    x_hat = decode_baseline_t(encode_t(window, cfg, params), cfg, params)
+    return params, loss_recon(window, x_hat)[0]
+
+
+def test_backward_frees_activations_and_keeps_leaf_grads(monkeypatch):
+    silu_outputs = []
+
+    def recording_silu(x):
+        out = vae_silu(x)
+        silu_outputs.append(weakref.ref(out.data))
+        return out
+
+    vae_silu = vae.silu
+    monkeypatch.setattr(vae, "silu", recording_silu)
+    params, loss = _pretrain_step_loss()
+    assert silu_outputs and all(ref() is not None for ref in silu_outputs)
+    backward(loss)
+    assert all(ref() is None for ref in silu_outputs)  # resblock activations are gone
+    assert all(p.grad is not None for p in params.values())
+    grads = {n: p.grad for n, p in params.items()}
+    with pytest.raises(ValueError, match="released"):
+        backward(loss)
+    assert all(params[n].grad is g for n, g in grads.items())
+
+
+def test_backward_peak_memory_stays_near_its_start():
+    tracemalloc.start()
+    try:
+        _, loss = _pretrain_step_loss()
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        backward(loss)
+        end, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # interior gradients and activations are freed as backward goes
+    assert peak <= 1.15 * start, (peak, start)
+    assert end < start, (end, start)
