@@ -21,9 +21,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .checkpoint import CheckpointError, load_checkpoint, params_from_arrays, save_checkpoint
+from .checkpoint import (CheckpointError, encoder_fingerprint, load_checkpoint,
+                         params_from_arrays, save_checkpoint)
 from .config import INJECTIONS, ConfigError, ExperimentConfig, Seeds
-from .metrics import evaluate_params, fixed_seed_swap_compare, psnr
+from .metrics import evaluate_decoders, evaluate_params, fixed_seed_swap_compare, psnr
 from .refcond import RefCondConfig, decode_conditioned_t, init_ref_params, null_reference
 from .synthdata import CATEGORIES, build_dataset, gen_clip, realize, save_manifest, write_rdvc
 from .tensor import NumericsError, Tensor
@@ -220,13 +221,22 @@ def cmd_eval(cfg: ExperimentConfig, args) -> Path:
     models = [_load_model(ckpt) for ckpt in args.ckpt]  # every checkpoint loads before any output
     run = Runner("eval", cfg, args)
     _, val = build_dataset(cfg.dataset)
-    for i, (ckpt, (params, meta, vae_cfg, ref_cfg)) in enumerate(zip(args.ckpt, models)):
-        report = evaluate_params(
-            val, cfg.dataset, vae_cfg, ref_cfg, params, cfg.seeds.eval_seed,
-            cfg.eval_ref_policy, meta.get("injection", "attention"), meta["kind"] != "baseline",
-            metadata={"checkpoint": str(ckpt), "checkpoint_kind": meta["kind"],
-                      "config_hash": cfg.config_hash(), "code_version": __version__,
-                      "parallelism_degree": _parallelism_degree()})
+    # checkpoints with one encoder and one VaeConfig share a pass: each clip is encoded once
+    groups: dict[tuple[str, str], list[int]] = {}
+    for i, (params, _, vae_cfg, _) in enumerate(models):
+        key = (encoder_fingerprint({n: p.data for n, p in params.items()}), repr(vae_cfg))
+        groups.setdefault(key, []).append(i)
+    reports = {}
+    for members in groups.values():
+        decoders = [(models[i][0], None if models[i][1]["kind"] == "baseline" else models[i][3],
+                     models[i][1].get("injection", "attention")) for i in members]
+        reports.update(zip(members, evaluate_decoders(val, cfg.dataset, models[members[0]][2], decoders,
+                                                      cfg.seeds.eval_seed, cfg.eval_ref_policy)))
+    for i, (ckpt, (_, meta, _, _)) in enumerate(zip(args.ckpt, models)):
+        report = reports[i]
+        report.metadata.update({"checkpoint": str(ckpt), "checkpoint_kind": meta["kind"],
+                                "config_hash": cfg.config_hash(), "code_version": __version__,
+                                "parallelism_degree": _parallelism_degree()})
         stem = f"metrics-{i}-{meta['kind']}"
         (run.outdir / f"{stem}.json").write_text(report.to_json())
         _write_csv(run.outdir / f"{stem}.csv", report.csv_rows(),

@@ -133,6 +133,18 @@ def split_report(per_frame: list[float], ref_index: int) -> dict[str, float | No
 # -- reports -----------------------------------------------------------------
 
 
+def _mean_metrics(clips: list[dict]) -> dict:
+    agg: dict = {}
+    for metric in ("psnr", "ssim"):
+        agg[metric] = {}
+        for split in ("overall", "reference_frame", "non_reference"):
+            vals = [c[metric][split] for c in clips if c[metric][split] is not None]
+            agg[metric][split] = float(np.mean(vals)) if vals else None
+    for metric in ("l1", "flicker", "temporal_consistency"):
+        agg[metric] = float(np.mean([c[metric] for c in clips]))
+    return agg
+
+
 @dataclass
 class MetricsReport:
     per_clip: list[dict] = field(default_factory=list)
@@ -140,15 +152,13 @@ class MetricsReport:
     metadata: dict = field(default_factory=dict)
 
     def finalize(self) -> "MetricsReport":
-        agg: dict = {}
-        for metric in ("psnr", "ssim"):
-            agg[metric] = {}
-            for split in ("overall", "reference_frame", "non_reference"):
-                vals = [c[metric][split] for c in self.per_clip if c[metric][split] is not None]
-                agg[metric][split] = float(np.mean(vals)) if vals else None
-        for metric in ("l1", "flicker", "temporal_consistency"):
-            agg[metric] = float(np.mean([c[metric] for c in self.per_clip]))
-        self.aggregate = agg
+        """Means over all clips, and under `per_category` over each category's clips."""
+        self.aggregate = _mean_metrics(self.per_clip)
+        by_cat: dict[str, list[dict]] = {}
+        for clip in self.per_clip:
+            by_cat.setdefault(clip["category"], []).append(clip)
+        self.aggregate["per_category"] = {cat: {**_mean_metrics(clips), "clips": len(clips)}
+                                          for cat, clips in by_cat.items()}
         return self
 
     def to_json(self) -> str:
@@ -189,14 +199,17 @@ def derive_clip_seeds(master_seed: int, count: int) -> list[int]:
     return [int(s) for s in rng.integers(0, 2 ** 32, size=count, dtype=np.uint64)]
 
 
+Decoder = tuple[dict, RefCondConfig | None, str]  # (params, ref_cfg or None for baseline, injection)
+
+
 def _eval_clips(val_refs: list[ClipRef], data_spec: DatasetSpec, vae_cfg: VaeConfig,
-                ref_cfg: RefCondConfig | None, decoders: list[tuple[dict, bool]],
-                master_seed: int, eval_policy: RefPolicy, injection: str,
+                decoders: list[Decoder], master_seed: int, eval_policy: RefPolicy,
                 ) -> tuple[list[MetricsReport], list[tuple[int, np.ndarray]]]:
-    """Score every clip with each `(params, conditioned)` decoder.
+    """Score every clip with each `(params, ref_cfg, injection)` decoder.
 
     Each clip is encoded once, by the first decoder's encoder, and every
-    decoder gets the same latent and the same seeded reference draw.
+    decoder gets the same latent and the same seeded reference draw; a
+    decoder whose `ref_cfg` is None decodes without the reference.
     Returns one report per decoder and each clip's `(seed, latent)`.
     """
     seeds = derive_clip_seeds(master_seed, len(val_refs))
@@ -208,8 +221,8 @@ def _eval_clips(val_refs: list[ClipRef], data_spec: DatasetSpec, vae_cfg: VaeCon
         clip_rng = np.random.default_rng(np.random.PCG64(seed))
         ref_frame, ref_index = select_reference_frame(clip.frames, eval_policy, clip_rng)
         ref_distances = frame_distances(clip.frames)  # ground truth's share of the temporal proxy
-        for report, (params, conditioned) in zip(reports, decoders):
-            if conditioned:
+        for report, (params, ref_cfg, injection) in zip(reports, decoders):
+            if ref_cfg is not None:
                 decoded = decode_conditioned_t(z, ref_frame, vae_cfg, ref_cfg, params, injection).data
             else:
                 decoded = decode_baseline_t(z, vae_cfg, params).data
@@ -219,16 +232,31 @@ def _eval_clips(val_refs: list[ClipRef], data_spec: DatasetSpec, vae_cfg: VaeCon
     return [report.finalize() for report in reports], latents
 
 
+def evaluate_decoders(val_refs: list[ClipRef], data_spec: DatasetSpec, vae_cfg: VaeConfig,
+                      decoders: list[Decoder], master_seed: int,
+                      eval_policy: RefPolicy = RefPolicy.first_frame) -> list[MetricsReport]:
+    """Reconstruction metrics over a validation set, one report per decoder.
+
+    The decoders must share one encoder: each clip is encoded once, by the
+    first decoder's, and every report equals the one `evaluate_params` gives.
+    """
+    reports, _ = _eval_clips(val_refs, data_spec, vae_cfg, decoders, master_seed, eval_policy)
+    for report, (_, ref_cfg, _) in zip(reports, decoders):
+        report.metadata.update({"eval_policy": eval_policy.value, "master_seed": master_seed,
+                                "conditioned": ref_cfg is not None})
+    return reports
+
+
 def evaluate_params(val_refs: list[ClipRef], data_spec: DatasetSpec, vae_cfg: VaeConfig,
                     ref_cfg: RefCondConfig | None, params: dict, master_seed: int,
                     eval_policy: RefPolicy = RefPolicy.first_frame,
                     injection: str = "attention", conditioned: bool = True,
                     metadata: dict | None = None) -> MetricsReport:
     """Reconstruction metrics of one decoder over a validation set."""
-    (report,), _ = _eval_clips(val_refs, data_spec, vae_cfg, ref_cfg, [(params, conditioned)],
-                               master_seed, eval_policy, injection)
-    report.metadata.update({**(metadata or {}), "eval_policy": eval_policy.value,
-                            "master_seed": master_seed, "conditioned": conditioned})
+    (report,) = evaluate_decoders(val_refs, data_spec, vae_cfg,
+                                  [(params, ref_cfg if conditioned else None, injection)],
+                                  master_seed, eval_policy)
+    report.metadata = {**(metadata or {}), **report.metadata}
     return report
 
 
@@ -264,8 +292,9 @@ def fixed_seed_swap_compare(val_refs: list[ClipRef], data_spec: DatasetSpec,
         raise ValueError("encoder fingerprint mismatch between checkpoints")
 
     (rep_base, rep_cond), latents = _eval_clips(
-        val_refs, data_spec, vae_cfg, ref_cfg,
-        [(params_baseline, False), (params_conditioned, True)], master_seed, eval_policy, injection)
+        val_refs, data_spec, vae_cfg,
+        [(params_baseline, None, injection), (params_conditioned, ref_cfg, injection)],
+        master_seed, eval_policy)
 
     if out_dir is not None:
         (Path(out_dir) / "latents").mkdir(parents=True, exist_ok=True)

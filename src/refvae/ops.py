@@ -1,14 +1,15 @@
 """Model-level differentiable primitives built on the tensor engine.
 
-Convolution, attention and rotary embedding carry hand-written backward
-rules (fused ops); the normalisations and the causal temporal upsampling
-are compositions of engine primitives and inherit their gradients.
+Convolution, attention, rotary embedding and group normalisation carry
+hand-written backward rules (fused ops); RMS normalisation and the causal
+temporal upsampling are compositions of engine primitives and inherit their
+gradients.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, _acc, _from_op, _grad_buffer, concat
+from .tensor import Tensor, _acc, _from_op, _grad_buffer, _unbroadcast, concat
 
 EPS = 1e-6
 # accumulator floats per row tile of _shifted_gemm: with its operand rows and
@@ -100,6 +101,18 @@ def _grouped_gemm(src: np.ndarray, starts: list[int], mats: list[np.ndarray],
     return out
 
 
+def _patch_gemm(patch: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """patch[..., k] @ m[k, c] as [..., c], for the strided conv's per-offset GEMMs.
+
+    At k == 1 the GEMM is an outer product: a broadcast multiply of the
+    strided view gives each element the same single rounded product, without
+    the reshape copy.
+    """
+    if m.shape[0] == 1:
+        return patch * m[0]
+    return (patch.reshape(-1, m.shape[0]) @ m).reshape(*patch.shape[:-1], m.shape[1])
+
+
 def conv3d_causal(x: Tensor, kernel: Tensor, stride: tuple[int, int, int] = (1, 1, 1)) -> Tensor:
     """Causal 3D convolution over [C, T, H, W].
 
@@ -158,10 +171,9 @@ def conv3d_causal(x: Tensor, kernel: Tensor, stride: tuple[int, int, int] = (1, 
         acc = _shifted_gemm(xpad.reshape(-1, cin), starts, mats, rows, dtype, kh * kw)
         acc = acc.reshape(t_out, hp, wp, cout)[:, :h_out, :w_out]
     else:
-        acc = np.zeros((n, cout), dtype=dtype)
+        acc = np.zeros((t_out, h_out, w_out, cout), dtype=dtype)
         for dt, dy, dx, ts, ys, xs in slices:
-            acc += xpad[ts, ys, xs, :].reshape(n, cin) @ wcl[dt, dy, dx]
-        acc = acc.reshape(t_out, h_out, w_out, cout)
+            acc += _patch_gemm(xpad[ts, ys, xs, :], wcl[dt, dy, dx])
     out = np.ascontiguousarray(acc.transpose(3, 0, 1, 2))
 
     def bw(g):
@@ -199,8 +211,9 @@ def conv3d_causal(x: Tensor, kernel: Tensor, stride: tuple[int, int, int] = (1, 
             gx = gxp[:, ph:ph + h_in, pw:pw + w_in, :]
         else:
             gxp = np.zeros((kt - 1 + t_in, hp, wp, cin), dtype=dtype)
+            g4 = gcl.reshape(t_out, h_out, w_out, cout)
             for dt, dy, dx, ts, ys, xs in slices:
-                gxp[ts, ys, xs, :] += (gcl @ wcl[dt, dy, dx].T).reshape(t_out, h_out, w_out, cin)
+                gxp[ts, ys, xs, :] += _patch_gemm(g4, wcl[dt, dy, dx].T)
             gx = gxp[kt - 1:kt - 1 + t_in, ph:ph + h_in, pw:pw + w_in, :]
         _acc(x, gx.transpose(3, 0, 1, 2).astype(x.dtype, copy=False))
 
@@ -328,18 +341,42 @@ def groupnorm(x: Tensor, groups: int, gain: Tensor, bias: Tensor) -> Tensor:
 
     Statistics are taken per frame (over in-group channels and space, never
     over time), so normalisation cannot leak future frames into past ones.
+    One fused node keeps only the input, the mean and the std; its backward
+    recomputes the centred input and replays the engine's rules for the
+    composed op (mean, sub, x*x, mean, +eps, sqrt, div, *gain, +bias) step by
+    step, so outputs and gradients have the composed op's bits.
     """
     c, t, h, w = x.shape
     if groups < 1:
         raise ValueError("groups must be >= 1")
     if c % groups:
         raise ValueError(f"{c} channels not divisible into {groups} groups")
-    xg = x.reshape(groups, c // groups, t, h, w)
-    mu = xg.mean(axis=(1, 3, 4), keepdims=True)
+    axes, n = (1, 3, 4), (c // groups) * h * w
+    xg = x.data.reshape(groups, c // groups, t, h, w)
+    mu = xg.mean(axis=axes, keepdims=True)
     xc = xg - mu
-    var = (xc * xc).mean(axis=(1, 3, 4), keepdims=True)
-    y = xc / (var + EPS).sqrt()
-    return y.reshape(x.shape) * gain + bias
+    var = (xc * xc).mean(axis=axes, keepdims=True)
+    std = np.sqrt(var + np.asarray(EPS, dtype=var.dtype))
+    out = (xc / std).reshape(x.shape) * gain.data + bias.data
+
+    def bw(g):
+        xc = xg - mu
+        if bias.requires_grad:
+            _acc(bias, _unbroadcast(g, bias.shape))
+        if gain.requires_grad:
+            _acc(gain, _unbroadcast(g * (xc / std).reshape(x.shape), gain.shape))
+        if not x.requires_grad:
+            return
+        gy = _unbroadcast(g * gain.data, x.shape).reshape(xg.shape)
+        g_xc = gy / std
+        g_std = -_unbroadcast(gy * xc / (std * std), std.shape)
+        g_sq = g_std / (2.0 * std) / n
+        g_xc += g_sq * xc  # x*x passes one gradient to each operand
+        g_xc += g_sq * xc
+        g_xc += -_unbroadcast(g_xc, mu.shape) / n
+        _acc(x, g_xc.reshape(x.shape))
+
+    return _from_op(out, (x, gain, bias), bw)
 
 
 def patch_embed(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:

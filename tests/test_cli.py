@@ -95,6 +95,21 @@ def test_eval_command(pipeline):
     assert len(ref_metrics["per_clip"]) == 3
 
 
+def test_eval_encodes_each_clip_once_per_encoder(pipeline, tmp_path, monkeypatch):
+    from refvae import metrics
+    _, cfg_path, _, baseline, refdec = pipeline
+    calls = []
+    encode = metrics.encode_t
+    monkeypatch.setattr(metrics, "encode_t", lambda *a: calls.append(1) or encode(*a))
+    assert main(["eval", "--config", str(cfg_path), "--out", str(tmp_path),
+                 "--ckpt", str(baseline), "--ckpt", str(refdec)]) == 0
+    assert len(calls) == 3  # 3 val clips; baseline and refdec share the encoder
+    outdir = only_run_dir(tmp_path, "eval-")
+    assert (outdir / "metrics-0-baseline.json").exists() and (outdir / "metrics-1-refdec.json").exists()
+    per_cat = json.loads((outdir / "metrics-1-refdec.json").read_text())["aggregate"]["per_category"]
+    assert sum(c["clips"] for c in per_cat.values()) == 3
+
+
 def test_swap_compare_and_decode(pipeline):
     tmp, cfg_path, runs, baseline, refdec = pipeline
     assert main(["swap-compare", "--config", str(cfg_path), "--baseline", str(baseline),

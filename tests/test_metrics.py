@@ -182,6 +182,36 @@ def test_split_hand_computed():
         split_report(vals, 4)
 
 
+def test_report_per_category_aggregates_hand_computed():
+    report = MetricsReport()
+    clips = [("content_rich", 20.0, 0.10), ("content_sparse", 30.0, 0.20),
+             ("content_rich", 26.0, 0.30), ("large_motion", 14.0, 0.40),
+             ("content_rich", 17.0, 0.50)]
+    for i, (cat, v, fl) in enumerate(clips):
+        report.per_clip.append({
+            "clip_id": f"val-{i:04d}", "category": cat, "ref_index": 0,
+            "psnr": {"overall": v, "reference_frame": v + 2, "non_reference": v - 1},
+            "ssim": {"overall": v / 100, "reference_frame": 0.6,
+                     "non_reference": None if cat == "large_motion" else 0.4},
+            "l1": 0.01 * (i + 1), "flicker": fl, "temporal_consistency": 0.2,
+        })
+    per_cat = report.finalize().aggregate["per_category"]
+    assert set(per_cat) == {"content_rich", "content_sparse", "large_motion"}
+    rich = per_cat["content_rich"]
+    assert rich["clips"] == 3
+    assert rich["psnr"]["overall"] == pytest.approx((20 + 26 + 17) / 3)
+    assert rich["psnr"]["reference_frame"] == pytest.approx((22 + 28 + 19) / 3)
+    assert rich["ssim"]["overall"] == pytest.approx((0.20 + 0.26 + 0.17) / 3)
+    assert rich["l1"] == pytest.approx((0.01 + 0.03 + 0.05) / 3)
+    assert rich["flicker"] == pytest.approx((0.1 + 0.3 + 0.5) / 3)
+    assert per_cat["content_sparse"]["clips"] == 1
+    assert per_cat["content_sparse"]["psnr"]["non_reference"] == pytest.approx(29.0)
+    assert per_cat["large_motion"]["ssim"]["non_reference"] is None
+    assert per_cat["large_motion"]["flicker"] == pytest.approx(0.4)
+    assert report.aggregate["psnr"]["overall"] == pytest.approx(107.0 / 5)
+    assert "per_category" not in rich
+
+
 def test_report_aggregate_is_mean_of_clips():
     report = MetricsReport()
     for i, v in enumerate((20.0, 30.0)):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from refvae import ops
+from refvae import ops, vae
 from refvae.ops import (
     attention,
     conv3d_causal,
@@ -221,6 +221,23 @@ def test_conv_strided_matches_patch_reference(stride):
     assert np.array_equal(wt.grad, ref_gk)
 
 
+@pytest.mark.parametrize("cin,cout,kt,k", [(1, 1, 1, 5), (1, 6, 2, 3), (6, 1, 2, 3)])
+def test_conv_strided_one_channel_matches_patch_reference(cin, cout, kt, k):
+    # an inner GEMM dimension of 1 (cin == 1 forward, cout == 1 input gradient)
+    # runs as a broadcast outer product; the bits must stay the GEMM's
+    rng = np.random.default_rng(8)
+    x = rng.random((cin, 7, 16, 32), dtype=np.float32)
+    w = rng.standard_normal((cout, cin, kt, k, k)).astype(np.float32)
+    xt, wt = parameter(x), parameter(w)
+    out = conv3d_causal(xt, wt, (1, 2, 2))
+    g = rng.standard_normal(out.shape).astype(np.float32)
+    (out * Tensor(g)).sum().backward()
+    ref_out, ref_gx, ref_gk = conv3d_strided_patch_reference(x, w, g, (1, 2, 2))
+    assert np.array_equal(out.data, ref_out)
+    assert np.array_equal(xt.grad, ref_gx)
+    assert np.array_equal(wt.grad, ref_gk)
+
+
 @pytest.mark.parametrize("stride", [(1, 1, 1), (1, 2, 2)])
 def test_conv_promotes_mixed_dtypes(stride):
     rng = np.random.default_rng(5)
@@ -412,6 +429,80 @@ def test_groupnorm_grad_and_errors():
         groupnorm(Tensor(np.zeros((4, 1, 1, 1))), 0, gain, bias)
     with pytest.raises(ValueError):
         groupnorm(Tensor(np.zeros((4, 1, 1, 1))), 3, gain, bias)
+
+
+def _groupnorm_composed(x, groups, gain, bias):
+    """The engine-primitive composition that the fused groupnorm replaces: its oracle."""
+    c, t, h, w = x.shape
+    xg = x.reshape(groups, c // groups, t, h, w)
+    mu = xg.mean(axis=(1, 3, 4), keepdims=True)
+    xc = xg - mu
+    var = (xc * xc).mean(axis=(1, 3, 4), keepdims=True)
+    y = xc / (var + ops.EPS).sqrt()
+    return y.reshape(x.shape) * gain + bias
+
+
+@pytest.mark.parametrize("shape,groups", [((32, 17, 16, 32), 8), ((64, 9, 8, 16), 8),
+                                          ((64, 5, 4, 8), 8), ((8, 3, 4, 4), 8),
+                                          ((4, 2, 1, 1), 4)])
+def test_fused_groupnorm_matches_composed_bitwise(shape, groups):
+    rng = np.random.default_rng(17)
+    x0 = (rng.standard_normal(shape) * 2.0 + 0.5).astype(np.float32)
+    gain0 = (1.0 + 0.3 * rng.standard_normal((shape[0], 1, 1, 1))).astype(np.float32)
+    bias0 = (0.2 * rng.standard_normal((shape[0], 1, 1, 1))).astype(np.float32)
+    w = Tensor(rng.standard_normal(shape).astype(np.float32))
+    results = []
+    for norm in (groupnorm, _groupnorm_composed):
+        x, gain, bias = parameter(x0), parameter(gain0), parameter(bias0)
+        out = norm(x, groups, gain, bias)
+        # the resblock pattern: x feeds the norm and also the residual add
+        ((x + silu(out)) * w).sum().backward()
+        results.append((out.data, x.grad, gain.grad, bias.grad))
+    for fused, composed in zip(*results):
+        assert fused.dtype == composed.dtype == np.float32
+        assert fused.shape == composed.shape
+        assert fused.tobytes() == composed.tobytes()
+
+
+def test_fused_groupnorm_is_one_node_over_its_inputs():
+    rng = np.random.default_rng(18)
+    x = parameter(rng.standard_normal((4, 2, 3, 3)))
+    gain, bias = parameter(np.ones((4, 1, 1, 1))), parameter(np.zeros((4, 1, 1, 1)))
+    out = groupnorm(x, 2, gain, bias)
+    assert len(out._parents) == 3
+    assert all(p is q for p, q in zip(out._parents, (x, gain, bias)))
+    assert groupnorm(Tensor(x.data), 2, Tensor(gain.data), Tensor(bias.data))._parents == ()
+
+
+def test_model_grads_match_composed_groupnorm(desk_cfg, desk_params, monkeypatch):
+    frames = Tensor(np.random.default_rng(19).random((5, 3, 16, 32), dtype=np.float32))
+    grads = []
+    for norm in (groupnorm, _groupnorm_composed):
+        monkeypatch.setattr(vae, "groupnorm", norm)
+        for p in desk_params.values():
+            p.grad = None
+        x_hat = vae.decode_baseline_t(vae.encode_t(frames, desk_cfg, desk_params), desk_cfg, desk_params)
+        (x_hat - frames).abs().mean().backward()
+        grads.append({n: p.grad.tobytes() for n, p in desk_params.items()})
+    for p in desk_params.values():
+        p.grad = None
+    assert grads[0] == grads[1]
+
+
+def test_groupnorm_gain_and_bias_grads():
+    with float64_mode():
+        rng = np.random.default_rng(20)
+        x = Tensor(rng.standard_normal((4, 2, 3, 3)))
+        gain = parameter(1.0 + 0.3 * rng.standard_normal((4, 1, 1, 1)))
+        bias = parameter(0.2 * rng.standard_normal((4, 1, 1, 1)))
+        target = Tensor(rng.standard_normal((4, 2, 3, 3)))
+
+        def loss(out):
+            d = out - target
+            return (d * d).mean()
+
+        assert grad_check(lambda g: loss(groupnorm(x, 2, g, bias)), gain) < 1e-6
+        assert grad_check(lambda b: loss(groupnorm(x, 2, gain, b)), bias) < 1e-6
 
 
 def test_activation_grads():
