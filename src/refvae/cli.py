@@ -221,6 +221,8 @@ def cmd_eval(cfg: ExperimentConfig, args) -> Path:
     models = [_load_model(ckpt) for ckpt in args.ckpt]  # every checkpoint loads before any output
     run = Runner("eval", cfg, args)
     _, val = build_dataset(cfg.dataset)
+    decoders = [(params, None if meta["kind"] == "baseline" else ref_cfg, meta.get("injection", "attention"))
+                for params, meta, _, ref_cfg in models]
     # checkpoints with one encoder and one VaeConfig share a pass: each clip is encoded once
     groups: dict[tuple[str, str], list[int]] = {}
     for i, (params, _, vae_cfg, _) in enumerate(models):
@@ -228,10 +230,9 @@ def cmd_eval(cfg: ExperimentConfig, args) -> Path:
         groups.setdefault(key, []).append(i)
     reports = {}
     for members in groups.values():
-        decoders = [(models[i][0], None if models[i][1]["kind"] == "baseline" else models[i][3],
-                     models[i][1].get("injection", "attention")) for i in members]
-        reports.update(zip(members, evaluate_decoders(val, cfg.dataset, models[members[0]][2], decoders,
-                                                      cfg.seeds.eval_seed, cfg.eval_ref_policy)))
+        reports.update(zip(members, evaluate_decoders(
+            val, cfg.dataset, models[members[0]][2], [decoders[i] for i in members],
+            cfg.seeds.eval_seed, cfg.eval_ref_policy)))
     for i, (ckpt, (_, meta, _, _)) in enumerate(zip(args.ckpt, models)):
         report = reports[i]
         report.metadata.update({"checkpoint": str(ckpt), "checkpoint_kind": meta["kind"],

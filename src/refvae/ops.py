@@ -371,7 +371,7 @@ def groupnorm(x: Tensor, groups: int, gain: Tensor, bias: Tensor) -> Tensor:
         g_xc = gy / std
         g_std = -_unbroadcast(gy * xc / (std * std), std.shape)
         g_sq = g_std / (2.0 * std) / n
-        g_xc += g_sq * xc  # x*x passes one gradient to each operand
+        g_xc += g_sq * xc  # x*x passes one gradient per operand: two adds, as there
         g_xc += g_sq * xc
         g_xc += -_unbroadcast(g_xc, mu.shape) / n
         _acc(x, g_xc.reshape(x.shape))
