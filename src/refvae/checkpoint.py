@@ -30,8 +30,9 @@ class CheckpointError(RuntimeError):
     pass
 
 
-def encoder_fingerprint(arrays: dict[str, np.ndarray]) -> str:
+def encoder_fingerprint(params: dict[str, Tensor] | dict[str, np.ndarray]) -> str:
     """SHA-256 over the encoder tensors (names and little-endian f32 bytes)."""
+    arrays = _as_arrays(params)
     h = hashlib.sha256()
     for name in sorted(n for n in arrays if n.startswith("enc.")):
         h.update(name.encode())

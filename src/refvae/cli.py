@@ -24,7 +24,7 @@ from . import __version__
 from .checkpoint import (CheckpointError, encoder_fingerprint, load_checkpoint,
                          params_from_arrays, save_checkpoint)
 from .config import INJECTIONS, ConfigError, ExperimentConfig, Seeds
-from .metrics import evaluate_decoders, evaluate_params, fixed_seed_swap_compare, psnr
+from .metrics import evaluate_params, fixed_seed_swap_compare, psnr
 from .refcond import RefCondConfig, decode_conditioned_t, init_ref_params, null_reference
 from .synthdata import CATEGORIES, build_dataset, gen_clip, realize, save_manifest, write_rdvc
 from .tensor import NumericsError, Tensor
@@ -226,11 +226,11 @@ def cmd_eval(cfg: ExperimentConfig, args) -> Path:
     # checkpoints with one encoder and one VaeConfig share a pass: each clip is encoded once
     groups: dict[tuple[str, str], list[int]] = {}
     for i, (params, _, vae_cfg, _) in enumerate(models):
-        key = (encoder_fingerprint({n: p.data for n, p in params.items()}), repr(vae_cfg))
+        key = (encoder_fingerprint(params), repr(vae_cfg))
         groups.setdefault(key, []).append(i)
     reports = {}
     for members in groups.values():
-        reports.update(zip(members, evaluate_decoders(
+        reports.update(zip(members, evaluate_params(
             val, cfg.dataset, models[members[0]][2], [decoders[i] for i in members],
             cfg.seeds.eval_seed, cfg.eval_ref_policy)))
     for i, (ckpt, (_, meta, _, _)) in enumerate(zip(args.ckpt, models)):
@@ -313,8 +313,8 @@ def _run_grid_point(payload: tuple) -> list[dict]:
                      if axis == "ref_policy" else [cfg.eval_ref_policy])
     table_rows = []
     for policy in eval_policies:
-        report = evaluate_params(val, cfg.dataset, cfg.vae, cfg.refdec, params,
-                                 cfg.seeds.eval_seed, policy, cfg.injection, True)
+        (report,) = evaluate_params(val, cfg.dataset, cfg.vae, [(params, cfg.refdec, cfg.injection)],
+                                    cfg.seeds.eval_seed, policy)
         stem = f"metrics-eval-{policy.value}"
         (point_dir / f"{stem}.json").write_text(report.to_json())
         agg = report.aggregate

@@ -232,32 +232,19 @@ def _eval_clips(val_refs: list[ClipRef], data_spec: DatasetSpec, vae_cfg: VaeCon
     return [report.finalize() for report in reports], latents
 
 
-def evaluate_decoders(val_refs: list[ClipRef], data_spec: DatasetSpec, vae_cfg: VaeConfig,
-                      decoders: list[Decoder], master_seed: int,
-                      eval_policy: RefPolicy = RefPolicy.first_frame) -> list[MetricsReport]:
+def evaluate_params(val_refs: list[ClipRef], data_spec: DatasetSpec, vae_cfg: VaeConfig,
+                    decoders: list[Decoder], master_seed: int,
+                    eval_policy: RefPolicy = RefPolicy.first_frame) -> list[MetricsReport]:
     """Reconstruction metrics over a validation set, one report per decoder.
 
     The decoders must share one encoder: each clip is encoded once, by the
-    first decoder's, and every report equals the one `evaluate_params` gives.
+    first decoder's, and each report is the one that decoder gets alone.
     """
     reports, _ = _eval_clips(val_refs, data_spec, vae_cfg, decoders, master_seed, eval_policy)
     for report, (_, ref_cfg, _) in zip(reports, decoders):
         report.metadata.update({"eval_policy": eval_policy.value, "master_seed": master_seed,
                                 "conditioned": ref_cfg is not None})
     return reports
-
-
-def evaluate_params(val_refs: list[ClipRef], data_spec: DatasetSpec, vae_cfg: VaeConfig,
-                    ref_cfg: RefCondConfig | None, params: dict, master_seed: int,
-                    eval_policy: RefPolicy = RefPolicy.first_frame,
-                    injection: str = "attention", conditioned: bool = True,
-                    metadata: dict | None = None) -> MetricsReport:
-    """Reconstruction metrics of one decoder over a validation set."""
-    (report,) = evaluate_decoders(val_refs, data_spec, vae_cfg,
-                                  [(params, ref_cfg if conditioned else None, injection)],
-                                  master_seed, eval_policy)
-    report.metadata = {**(metadata or {}), **report.metadata}
-    return report
 
 
 # -- fixed-seed decoder swap ----------------------------------------------------
@@ -286,9 +273,8 @@ def fixed_seed_swap_compare(val_refs: list[ClipRef], data_spec: DatasetSpec,
                             eval_policy: RefPolicy = RefPolicy.first_frame,
                             injection: str = "attention") -> SwapResult:
     """Decode identical latents with both decoders and report paired deltas."""
-    fp_base = encoder_fingerprint({n: p.data for n, p in params_baseline.items()})
-    fp_cond = encoder_fingerprint({n: p.data for n, p in params_conditioned.items()})
-    if fp_base != fp_cond:
+    fp_base = encoder_fingerprint(params_baseline)
+    if fp_base != encoder_fingerprint(params_conditioned):
         raise ValueError("encoder fingerprint mismatch between checkpoints")
 
     (rep_base, rep_cond), latents = _eval_clips(

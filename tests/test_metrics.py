@@ -281,10 +281,10 @@ def test_eval_matches_swap_per_clip(swap_setup):
     swap = fixed_seed_swap_compare(val, spec, cfg, rcfg, base, live, 12, eval_policy=policy)
     assert all(d["delta_psnr"] != 0.0 for d in swap.deltas)
     assert len({c["ref_index"] for c in swap.baseline.per_clip}) > 1
-    assert evaluate_params(val, spec, cfg, rcfg, base, 12, policy,
-                           conditioned=False).per_clip == swap.baseline.per_clip
-    assert evaluate_params(val, spec, cfg, rcfg, live, 12, policy).per_clip == \
-        swap.conditioned.per_clip
+    (rep_base,) = evaluate_params(val, spec, cfg, [(base, None, "attention")], 12, policy)
+    (rep_cond,) = evaluate_params(val, spec, cfg, [(live, rcfg, "attention")], 12, policy)
+    assert rep_base.per_clip == swap.baseline.per_clip
+    assert rep_cond.per_clip == swap.conditioned.per_clip
 
 
 def test_swap_rejects_encoder_mismatch(swap_setup):
@@ -301,6 +301,6 @@ def test_evaluate_params_deterministic(swap_setup):
     cfg, rcfg, base, cond, spec, val = swap_setup
     from refvae.training import RefPolicy
 
-    a = evaluate_params(val, spec, cfg, rcfg, cond, 21, RefPolicy.random_frame)
-    b = evaluate_params(val, spec, cfg, rcfg, cond, 21, RefPolicy.random_frame)
+    (a,) = evaluate_params(val, spec, cfg, [(cond, rcfg, "attention")], 21, RefPolicy.random_frame)
+    (b,) = evaluate_params(val, spec, cfg, [(cond, rcfg, "attention")], 21, RefPolicy.random_frame)
     assert a.per_clip == b.per_clip and a.aggregate == b.aggregate
