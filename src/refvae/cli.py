@@ -221,8 +221,8 @@ def cmd_eval(cfg: ExperimentConfig, args) -> Path:
     models = [_load_model(ckpt) for ckpt in args.ckpt]  # every checkpoint loads before any output
     run = Runner("eval", cfg, args)
     _, val = build_dataset(cfg.dataset)
-    decoders = [(params, None if meta["kind"] == "baseline" else ref_cfg, meta.get("injection", "attention"))
-                for params, meta, _, ref_cfg in models]
+    decoders = [(params, None if meta["kind"] == "baseline" else ref_cfg, meta.get("injection", "attention"),
+                 cfg.eval_ref_policy) for params, meta, _, ref_cfg in models]
     # checkpoints with one encoder and one VaeConfig share a pass: each clip is encoded once
     groups: dict[tuple[str, str], list[int]] = {}
     for i, (params, _, vae_cfg, _) in enumerate(models):
@@ -231,8 +231,7 @@ def cmd_eval(cfg: ExperimentConfig, args) -> Path:
     reports = {}
     for members in groups.values():
         reports.update(zip(members, evaluate_params(
-            val, cfg.dataset, models[members[0]][2], [decoders[i] for i in members],
-            cfg.seeds.eval_seed, cfg.eval_ref_policy)))
+            val, cfg.dataset, models[members[0]][2], [decoders[i] for i in members], cfg.seeds.eval_seed)))
     for i, (ckpt, (_, meta, _, _)) in enumerate(zip(args.ckpt, models)):
         report = reports[i]
         report.metadata.update({"checkpoint": str(ckpt), "checkpoint_kind": meta["kind"],
@@ -311,10 +310,12 @@ def _run_grid_point(payload: tuple) -> list[dict]:
 
     eval_policies = ([RefPolicy.first_frame, RefPolicy.random_frame]
                      if axis == "ref_policy" else [cfg.eval_ref_policy])
+    # one pass scores every policy: each clip is encoded once
+    reports = evaluate_params(val, cfg.dataset, cfg.vae,
+                              [(params, cfg.refdec, cfg.injection, policy) for policy in eval_policies],
+                              cfg.seeds.eval_seed)
     table_rows = []
-    for policy in eval_policies:
-        (report,) = evaluate_params(val, cfg.dataset, cfg.vae, [(params, cfg.refdec, cfg.injection)],
-                                    cfg.seeds.eval_seed, policy)
+    for policy, report in zip(eval_policies, reports):
         stem = f"metrics-eval-{policy.value}"
         (point_dir / f"{stem}.json").write_text(report.to_json())
         agg = report.aggregate

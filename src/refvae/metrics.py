@@ -199,17 +199,19 @@ def derive_clip_seeds(master_seed: int, count: int) -> list[int]:
     return [int(s) for s in rng.integers(0, 2 ** 32, size=count, dtype=np.uint64)]
 
 
-Decoder = tuple[dict, RefCondConfig | None, str]  # (params, ref_cfg or None for baseline, injection)
+# (params, ref_cfg or None for baseline, injection, eval policy)
+Decoder = tuple[dict, RefCondConfig | None, str, RefPolicy]
 
 
 def _eval_clips(val_refs: list[ClipRef], data_spec: DatasetSpec, vae_cfg: VaeConfig,
-                decoders: list[Decoder], master_seed: int, eval_policy: RefPolicy,
+                decoders: list[Decoder], master_seed: int,
                 ) -> tuple[list[MetricsReport], list[tuple[int, np.ndarray]]]:
-    """Score every clip with each `(params, ref_cfg, injection)` decoder.
+    """Score every clip with each `(params, ref_cfg, injection, policy)` decoder.
 
     Each clip is encoded once, by the first decoder's encoder, and every
-    decoder gets the same latent and the same seeded reference draw; a
-    decoder whose `ref_cfg` is None decodes without the reference.
+    decoder gets the same latent.  Each policy draws the reference from its
+    own generator on the clip seed, so decoders that share a policy share
+    the draw; a decoder whose `ref_cfg` is None decodes without the reference.
     Returns one report per decoder and each clip's `(seed, latent)`.
     """
     seeds = derive_clip_seeds(master_seed, len(val_refs))
@@ -218,10 +220,12 @@ def _eval_clips(val_refs: list[ClipRef], data_spec: DatasetSpec, vae_cfg: VaeCon
     for ref, seed in zip(val_refs, seeds):
         clip = realize(ref, data_spec)
         z = encode_t(Tensor(clip.frames), vae_cfg, decoders[0][0])
-        clip_rng = np.random.default_rng(np.random.PCG64(seed))
-        ref_frame, ref_index = select_reference_frame(clip.frames, eval_policy, clip_rng)
+        draws = {policy: select_reference_frame(clip.frames, policy,
+                                                np.random.default_rng(np.random.PCG64(seed)))
+                 for *_, policy in decoders}
         ref_distances = frame_distances(clip.frames)  # ground truth's share of the temporal proxy
-        for report, (params, ref_cfg, injection) in zip(reports, decoders):
+        for report, (params, ref_cfg, injection, policy) in zip(reports, decoders):
+            ref_frame, ref_index = draws[policy]
             if ref_cfg is not None:
                 decoded = decode_conditioned_t(z, ref_frame, vae_cfg, ref_cfg, params, injection).data
             else:
@@ -233,16 +237,15 @@ def _eval_clips(val_refs: list[ClipRef], data_spec: DatasetSpec, vae_cfg: VaeCon
 
 
 def evaluate_params(val_refs: list[ClipRef], data_spec: DatasetSpec, vae_cfg: VaeConfig,
-                    decoders: list[Decoder], master_seed: int,
-                    eval_policy: RefPolicy = RefPolicy.first_frame) -> list[MetricsReport]:
+                    decoders: list[Decoder], master_seed: int) -> list[MetricsReport]:
     """Reconstruction metrics over a validation set, one report per decoder.
 
     The decoders must share one encoder: each clip is encoded once, by the
     first decoder's, and each report is the one that decoder gets alone.
     """
-    reports, _ = _eval_clips(val_refs, data_spec, vae_cfg, decoders, master_seed, eval_policy)
-    for report, (_, ref_cfg, _) in zip(reports, decoders):
-        report.metadata.update({"eval_policy": eval_policy.value, "master_seed": master_seed,
+    reports, _ = _eval_clips(val_refs, data_spec, vae_cfg, decoders, master_seed)
+    for report, (_, ref_cfg, _, policy) in zip(reports, decoders):
+        report.metadata.update({"eval_policy": policy.value, "master_seed": master_seed,
                                 "conditioned": ref_cfg is not None})
     return reports
 
@@ -279,8 +282,8 @@ def fixed_seed_swap_compare(val_refs: list[ClipRef], data_spec: DatasetSpec,
 
     (rep_base, rep_cond), latents = _eval_clips(
         val_refs, data_spec, vae_cfg,
-        [(params_baseline, None, injection), (params_conditioned, ref_cfg, injection)],
-        master_seed, eval_policy)
+        [(params_baseline, None, injection, eval_policy),
+         (params_conditioned, ref_cfg, injection, eval_policy)], master_seed)
 
     if out_dir is not None:
         (Path(out_dir) / "latents").mkdir(parents=True, exist_ok=True)

@@ -62,13 +62,16 @@ def _shifted_gemm(src: np.ndarray, starts: list[int], mats: list[np.ndarray],
         tiles = [(0, rows)]
     else:
         tiles = _row_tiles(rows, _TILE_FLOATS // k)
+    # an inner dimension of 1 makes each GEMM an outer product: a broadcast
+    # multiply gives every element the same single rounded product
+    mul = np.multiply if c == 1 else np.matmul
     out = np.empty((rows, k), dtype=dtype)
     tmp = np.empty((tiles[0][1], k), dtype=dtype)
     for r0, r1 in tiles:
         acc, part = out[r0:r1], tmp[:r1 - r0]
-        np.matmul(src[r0 + starts[0]:r1 + starts[0]], mats[0], out=acc)
+        mul(src[r0 + starts[0]:r1 + starts[0]], mats[0], out=acc)
         for s, m in zip(starts[1:], mats[1:]):
-            acc += np.matmul(src[r0 + s:r1 + s], m, out=part)
+            acc += mul(src[r0 + s:r1 + s], m, out=part)
     return out
 
 
@@ -101,18 +104,6 @@ def _grouped_gemm(src: np.ndarray, starts: list[int], mats: list[np.ndarray],
     return out
 
 
-def _patch_gemm(patch: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """patch[..., k] @ m[k, c] as [..., c], for the strided conv's per-offset GEMMs.
-
-    At k == 1 the GEMM is an outer product: a broadcast multiply of the
-    strided view gives each element the same single rounded product, without
-    the reshape copy.
-    """
-    if m.shape[0] == 1:
-        return patch * m[0]
-    return (patch.reshape(-1, m.shape[0]) @ m).reshape(*patch.shape[:-1], m.shape[1])
-
-
 def conv3d_causal(x: Tensor, kernel: Tensor, stride: tuple[int, int, int] = (1, 1, 1)) -> Tensor:
     """Causal 3D convolution over [C, T, H, W].
 
@@ -139,82 +130,76 @@ def conv3d_causal(x: Tensor, kernel: Tensor, stride: tuple[int, int, int] = (1, 
     w_out = (w_in - 1) // sw + 1
     n = t_out * h_out * w_out
     dtype = np.result_type(x.data, kernel.data)
-    unit = (st, sh, sw) == (1, 1, 1)
 
-    # channels-last internally: per-offset patches become contiguous channel
-    # blocks.  At stride 1 a spare trailing zero frame lets every offset read
-    # its operand as one contiguous row range of the flattened padded input.
-    hp, wp = h_in + 2 * ph, w_in + 2 * pw
+    # channels-last internally, split into stride phases: padded position
+    # (t*st + a, y*sh + b, x*sw + c) sits at (t, y, x) of phase (a, b, c), so
+    # each kernel offset reads a stride-1 shift of one phase.  The padded
+    # extents round up to whole phases; with a spare frame per phase, every
+    # offset reads its operand as one contiguous row range of the stacked
+    # phases.  At stride 1 the stack is the padded input itself.
+    tq, hq, wq = -(-(kt - 1 + t_in) // st), -(-(h_in + 2 * ph) // sh), -(-(w_in + 2 * pw) // sw)
+    block = (tq + 1) * hq * wq
 
-    def pad(spare_frames: int) -> np.ndarray:
-        buf = np.zeros((kt - 1 + t_in + spare_frames, hp, wp, cin), dtype=x.dtype)
+    def phases() -> np.ndarray:
+        buf = np.zeros(((tq + 1) * st, hq * sh, wq * sw, cin), dtype=x.dtype)
         buf[kt - 1:kt - 1 + t_in, ph:ph + h_in, pw:pw + w_in] = x.data.transpose(1, 2, 3, 0)
-        return buf
+        phase_major = buf.reshape(tq + 1, st, hq, sh, wq, sw, cin).transpose(1, 3, 5, 0, 2, 4, 6)
+        return np.ascontiguousarray(phase_major)  # a view at stride 1
 
-    xpad = pad(int(unit))
+    # output row r = (t*hq + y)*wq + x of a phase reads row r + start of the
+    # stack; rows with y >= h_out or x >= w_out are junk and cropped once at the end
+    rows = t_out * hq * wq
+    offsets = list(np.ndindex(kt, kh, kw))
+    starts = [(((dt % st) * sh + dy % sh) * sw + dx % sw) * block
+              + ((dt // st) * hq + dy // sh) * wq + dx // sw for dt, dy, dx in offsets]
     wcl = np.ascontiguousarray(kernel.data.transpose(2, 3, 4, 1, 0))  # [kt,kh,kw,Cin,Cout]
-    slices = []
-    for dt in range(kt):
-        ts = slice(dt, dt + (t_out - 1) * st + 1, st)
-        for dy in range(kh):
-            ys = slice(dy, dy + (h_out - 1) * sh + 1, sh)
-            for dx in range(kw):
-                xs = slice(dx, dx + (w_out - 1) * sw + 1, sw)
-                slices.append((dt, dy, dx, ts, ys, xs))
-
-    if unit:
-        # output row r = (t*hp + y)*wp + x reads input row r + (dt*hp + dy)*wp + dx;
-        # rows with y >= h_out or x >= w_out are junk and cropped once at the end
-        rows = t_out * hp * wp
-        starts = [(dt * hp + dy) * wp + dx for dt, dy, dx, *_ in slices]
-        mats = [wcl[dt, dy, dx] for dt, dy, dx, *_ in slices]
-        acc = _shifted_gemm(xpad.reshape(-1, cin), starts, mats, rows, dtype, kh * kw)
-        acc = acc.reshape(t_out, hp, wp, cout)[:, :h_out, :w_out]
-    else:
-        acc = np.zeros((t_out, h_out, w_out, cout), dtype=dtype)
-        for dt, dy, dx, ts, ys, xs in slices:
-            acc += _patch_gemm(xpad[ts, ys, xs, :], wcl[dt, dy, dx])
-    out = np.ascontiguousarray(acc.transpose(3, 0, 1, 2))
+    mats = [wcl[o] for o in offsets]
+    acc = _shifted_gemm(phases().reshape(-1, cin), starts, mats, rows, dtype, kh * kw)
+    out = np.ascontiguousarray(acc.reshape(t_out, hq, wq, cout)[:, :h_out, :w_out].transpose(3, 0, 1, 2))
 
     def bw(g):
         gcl = np.ascontiguousarray(g.transpose(1, 2, 3, 0)).reshape(n, cout)
         if kernel.requires_grad:
-            # reduce over the n output positions only, never over junk rows:
-            # one summation order at every stride
+            # reduce over the n output positions only, never over junk rows;
+            # one all-frames patch per temporal phase and spatial offset, whose
+            # frame ranges are the [n, cin] operands a per-offset copy makes
             gk = _grad_buffer(kernel)
-            xp = pad(0)  # padded again, not kept alive from the forward
-            # at st == 1 one all-frames patch per spatial offset; same bits, as
-            # pt[ts] is the [n, cin] operand a per-offset copy made (st > 1:
-            # reshape makes that copy)
+            xq = phases()  # rebuilt, not kept alive from the forward
             for dy, dx in np.ndindex(kh, kw):
-                ys = slice(dy, dy + (h_out - 1) * sh + 1, sh)
-                xs = slice(dx, dx + (w_out - 1) * sw + 1, sw)
-                pt = np.ascontiguousarray(xp[:, ys, xs, :]) if st == 1 else xp[:, ys, xs, :]
-                for dt in range(kt):
-                    ts = slice(dt, dt + (t_out - 1) * st + 1, st)
-                    gk[:, :, dt, dy, dx] += gcl.T @ pt[ts].reshape(n, cin)
+                for a in range(min(st, kt)):
+                    pt = np.ascontiguousarray(xq[a, dy % sh, dx % sw, :tq, dy // sh:dy // sh + h_out,
+                                                 dx // sw:dx // sw + w_out])
+                    for dt in range(a, kt, st):
+                        gk[:, :, dt, dy, dx] += gcl.T @ pt[dt // st:dt // st + t_out].reshape(n, cin)
         if not x.requires_grad:
             return
-        if unit:
-            # padded-input row j = r + (kt-1)*hp*wp of the kept frames gathers
-            # g row j - start_o from every offset o: a forward pass of g,
-            # front-padded so that every such row is in range
-            lead = starts[-1] - (kt - 1) * hp * wp
-            gsrc = np.zeros((rows + starts[-1], cout), dtype=g.dtype)
-            gsrc[lead:lead + rows].reshape(t_out, hp, wp, cout)[:, :h_out, :w_out] = \
-                gcl.reshape(t_out, h_out, w_out, cout)
-            # contiguous kernels give the m.T views' bits only above _MIN_TILED_WIDTH
-            # (measured on OpenBLAS 0.3.31, SkylakeX core; see _SMALL_GEMM_MACS)
-            tmats = [np.ascontiguousarray(m.T) if cin > _MIN_TILED_WIDTH else m.T for m in mats]
-            gxp = _shifted_gemm(gsrc, [starts[-1] - o for o in starts], tmats,
-                                rows, dtype, kh * kw).reshape(t_in, hp, wp, cin)
-            gx = gxp[:, ph:ph + h_in, pw:pw + w_in, :]
-        else:
-            gxp = np.zeros((kt - 1 + t_in, hp, wp, cin), dtype=dtype)
-            g4 = gcl.reshape(t_out, h_out, w_out, cout)
-            for dt, dy, dx, ts, ys, xs in slices:
-                gxp[ts, ys, xs, :] += _patch_gemm(g4, wcl[dt, dy, dx].T)
-            gx = gxp[kt - 1:kt - 1 + t_in, ph:ph + h_in, pw:pw + w_in, :]
+        # phase row j gathers g row j - s from each offset of the phase, at
+        # its in-phase start s: a forward pass of g laid out on the output
+        # rows, front-padded so that every such row is in range
+        lead = max(s % block for s in starts)
+        gsrc = np.zeros((lead + tq * hq * wq, cout), dtype=g.dtype)
+        gsrc[lead:lead + rows].reshape(t_out, hq, wq, cout)[:, :h_out, :w_out] = \
+            gcl.reshape(t_out, h_out, w_out, cout)
+        # contiguous kernels give the m.T views' bits only above _MIN_TILED_WIDTH
+        # (measured on OpenBLAS 0.3.31, SkylakeX core; see _SMALL_GEMM_MACS)
+        tmats = [np.ascontiguousarray(m.T) if cin > _MIN_TILED_WIDTH else m.T for m in mats]
+        # at stride 1 the one phase's input frames are the gradient, cropped
+        # in place; strided phases scatter into a zero-filled padded buffer
+        gxp = None if st * sh * sw == 1 else np.zeros(((tq + 1) * st, hq * sh, wq * sw, cin), dtype=dtype)
+        for p, (a, b, c) in enumerate(np.ndindex(st, sh, sw)):
+            own = [i for i, s in enumerate(starts) if s // block == p]
+            f0, f1 = -((a - kt + 1) // st), -((a - kt + 1 - t_in) // st)  # phase frames holding input
+            if not own or f0 >= f1:
+                continue
+            gph = _shifted_gemm(gsrc, [lead + f0 * hq * wq - starts[i] % block for i in own],
+                                [tmats[i] for i in own], (f1 - f0) * hq * wq, dtype,
+                                len(own) // len(range(a, kt, st))).reshape(f1 - f0, hq, wq, cin)
+            if gxp is None:
+                gx = gph[:, ph:ph + h_in, pw:pw + w_in]
+            else:
+                gxp.reshape(tq + 1, st, hq, sh, wq, sw, cin)[f0:f1, a, :, b, :, c] = gph
+        if gxp is not None:
+            gx = gxp[kt - 1:kt - 1 + t_in, ph:ph + h_in, pw:pw + w_in]
         _acc(x, gx.transpose(3, 0, 1, 2).astype(x.dtype, copy=False))
 
     return _from_op(out, (x, kernel), bw)

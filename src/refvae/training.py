@@ -236,10 +236,11 @@ class AdamW:
                 self.m[name] = np.zeros_like(p.data)
                 self.v[name] = np.zeros_like(p.data)
 
-    def step(self, base_lr: float) -> tuple[float, float]:
-        """One update; returns the global gradient norm before clipping and the clip scale.
+    def step(self, base_lr: float) -> None:
+        """One update.
 
-        Both are also kept as `grad_norm` and `clip_scale` until the next step.
+        The global gradient norm before clipping and the clip scale are kept
+        as `grad_norm` and `clip_scale` until the next step.
         """
         self.step_count += 1
         b1, b2 = self.spec.betas
@@ -276,7 +277,6 @@ class AdamW:
                 v += (1.0 - b2) * g * g
                 p.data -= lr * (m / c1) / (np.sqrt(v / c2) + self.spec.eps)
         self.grad_norm, self.clip_scale = norm, clip_scale
-        return norm, clip_scale
 
 
 # -- training loops -----------------------------------------------------------------
@@ -317,7 +317,7 @@ def _run_curriculum(forward, params: dict[str, Tensor], groups: list, train_refs
                 raise NumericsError(f"training diverged at step {step}: loss={loss.item()}")
             backward(loss)
             lr = lr_at(step, opt_spec)
-            opt.step(lr)  # its telemetry is read back below: a timing wrapper may drop the return
+            opt.step(lr)
             rows.append({"step": step, "stage": stage_idx, "lr_new": lr * groups[0][1],
                          "lr_dec": lr * groups[-1][1], "r": r, "ref_index": ref_index,
                          "loss_l1": l1, "loss_perc": perc, "loss_total": loss.item(),

@@ -110,6 +110,19 @@ def test_eval_encodes_each_clip_once_per_encoder(pipeline, tmp_path, monkeypatch
     assert sum(c["clips"] for c in per_cat.values()) == 3
 
 
+def test_ablate_ref_policy_encodes_each_clip_once_per_grid_point(pipeline, tmp_path, monkeypatch):
+    from refvae import metrics
+    _, cfg_path, _, baseline, _ = pipeline
+    calls = []
+    encode = metrics.encode_t
+    monkeypatch.setattr(metrics, "encode_t", lambda *a: calls.append(1) or encode(*a))
+    assert main(["ablate", "--config", str(cfg_path), "--out", str(tmp_path), "--axis", "ref_policy",
+                 "--baseline", str(baseline)]) == 0
+    assert len(calls) == 6  # 3 val clips x 2 grid points; both eval policies share each encode
+    rows = json.loads((only_run_dir(tmp_path, "ablate-") / "table.json").read_text())["rows"]
+    assert [r["eval_policy"] for r in rows] == ["first_frame", "random_frame"] * 2
+
+
 def test_swap_compare_and_decode(pipeline):
     tmp, cfg_path, runs, baseline, refdec = pipeline
     assert main(["swap-compare", "--config", str(cfg_path), "--baseline", str(baseline),

@@ -67,10 +67,11 @@ def test_conv_causal_future_invisible():
 
 
 @settings(max_examples=20, deadline=None)
-@given(st.integers(0, 2 ** 31 - 1), st.sampled_from([(1, 1, 1), (2, 2, 2), (1, 2, 1)]),
+@given(st.integers(0, 2 ** 31 - 1),
+       st.sampled_from([(1, 1, 1), (2, 2, 2), (1, 2, 1), (1, 2, 2), (3, 3, 3)]),
        st.sampled_from([(2, 3, 3), (3, 3, 3), (1, 5, 5)]))
-@example(0, (1, 1, 1), (3, 3, 3))  # row-shifted GEMM path
-@example(0, (2, 2, 2), (1, 5, 5))  # strided patch-copy path
+@example(0, (1, 1, 1), (3, 3, 3))  # one phase: the padded input itself
+@example(0, (2, 2, 2), (1, 5, 5))  # eight phases, two of them without an offset
 def test_conv_matches_naive_oracle(seed, stride, ksize):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((2, 5, 4, 6))
@@ -81,13 +82,14 @@ def test_conv_matches_naive_oracle(seed, stride, ksize):
     np.testing.assert_allclose(fast, naive, atol=1e-6)
 
 
-def test_conv_grad_matches_finite_differences():
+@pytest.mark.parametrize("stride", [(1, 2, 2), (2, 2, 2), (3, 3, 3)])
+def test_conv_grad_matches_finite_differences(stride):
     with float64_mode():
         rng = np.random.default_rng(2)
         x = parameter(rng.standard_normal((2, 4, 4, 4)))
         w = parameter(rng.standard_normal((2, 2, 2, 3, 3)) * 0.3)
-        assert grad_check(lambda t: conv3d_causal(t, w, (2, 2, 2)).sum(), x) < 1e-4
-        assert grad_check(lambda t: conv3d_causal(x, t, (1, 1, 1)).abs().mean(), w) < 1e-3
+        assert grad_check(lambda t: conv3d_causal(t, w, stride).sum(), x) < 1e-4
+        assert grad_check(lambda t: conv3d_causal(x, t, stride).abs().mean(), w) < 1e-3
 
 
 @pytest.mark.parametrize("ksize", [(3, 3, 3), (1, 5, 5)])
@@ -189,7 +191,7 @@ def conv3d_strided_patch_reference(x, w, g, stride):
     xp = np.pad(x.transpose(1, 2, 3, 0), ((kt - 1, 0), (ph, ph), (pw, pw), (0, 0)))
     to, ho, wo = (t - 1) // st + 1, (h - 1) // sh + 1, (wd - 1) // sw + 1
     n = to * ho * wo
-    wcl = w.transpose(2, 3, 4, 1, 0)
+    wcl = np.ascontiguousarray(w.transpose(2, 3, 4, 1, 0))
     gcl = np.ascontiguousarray(g.transpose(1, 2, 3, 0)).reshape(n, cout)
     out = np.zeros((n, cout), x.dtype)
     gxp = np.zeros_like(xp)
@@ -199,18 +201,77 @@ def conv3d_strided_patch_reference(x, w, g, stride):
                slice(dx, dx + (wo - 1) * sw + 1, sw))
         patch = np.ascontiguousarray(xp[win]).reshape(n, cin)
         out += patch @ wcl[dt, dy, dx]
-        gxp[win] += (gcl @ wcl[dt, dy, dx].T).reshape(to, ho, wo, cin)
+        # conv3d_causal's input-gradient kernels: .T views up to
+        # _MIN_TILED_WIDTH input channels, contiguous copies above
+        wt = wcl[dt, dy, dx].T
+        wt = wt if cin <= ops._MIN_TILED_WIDTH else np.ascontiguousarray(wt)
+        gxp[win] += (gcl @ wt).reshape(to, ho, wo, cin)
         gk[:, :, dt, dy, dx] += gcl.T @ patch
     out = out.reshape(to, ho, wo, cout).transpose(3, 0, 1, 2)
     gx = gxp[kt - 1:, ph:ph + h, pw:pw + wd].transpose(3, 0, 1, 2)
     return out, gx, gk
 
 
-@pytest.mark.parametrize("stride", [(1, 2, 2), (2, 2, 2)])
-def test_conv_strided_matches_patch_reference(stride):
+def conv3d_phase_rows_input_grad(x, w, g, stride):
+    """Input gradient from whole-array per-offset GEMMs over stacked stride-phase rows.
+
+    The strided twin of conv3d_unit_stride_untiled's input gradient.  g sits
+    on a phase's [to, hq, wq] output rows, front-padded by the largest
+    in-phase offset start; the input-holding frames of each phase gather one
+    untiled GEMM per offset of that phase, in (dt, dy, dx) order.  A
+    one-column product is a GEMV, whose bits OpenBLAS ties to the row range
+    of the call: this layout is the one conv3d_causal calls it on.
+    """
+    cin, t, h, wd = x.shape
+    cout, _, kt, kh, kw = w.shape
+    st, sh, sw = stride
+    ph, pw = (kh - 1) // 2, (kw - 1) // 2
+    to, ho, wo = (t - 1) // st + 1, (h - 1) // sh + 1, (wd - 1) // sw + 1
+    tq, hq, wq = -(-(kt - 1 + t) // st), -(-(h + 2 * ph) // sh), -(-(wd + 2 * pw) // sw)
+    wcl = np.ascontiguousarray(w.transpose(2, 3, 4, 1, 0))
+    local = {o: ((o[0] // st) * hq + o[1] // sh) * wq + o[2] // sw for o in np.ndindex(kt, kh, kw)}
+    lead = max(local.values())
+    gsrc = np.zeros((lead + tq * hq * wq, cout), g.dtype)
+    gsrc[lead:lead + to * hq * wq].reshape(to, hq, wq, cout)[:, :ho, :wo] = g.transpose(1, 2, 3, 0)
+    gxq = np.zeros((tq + 1, st, hq, sh, wq, sw, cin), g.dtype)  # padded positions by phase
+    for a, b, c in np.ndindex(st, sh, sw):
+        f0, f1 = -(-(kt - 1 - a) // st), -(-(kt - 1 + t - a) // st)
+        if f0 >= f1:
+            continue
+        rows = (f1 - f0) * hq * wq
+        acc = np.zeros((rows, cin), g.dtype)
+        for o, s in local.items():
+            if (o[0] % st, o[1] % sh, o[2] % sw) == (a, b, c):
+                begin = lead + f0 * hq * wq - s
+                acc += gsrc[begin:begin + rows] @ wcl[o].T
+        gxq[f0:f1, a, :, b, :, c] = acc.reshape(-1, hq, wq, cin)
+    gxp = gxq.reshape((tq + 1) * st, hq * sh, wq * sw, cin)
+    return gxp[kt - 1:kt - 1 + t, ph:ph + h, pw:pw + wd].transpose(3, 0, 1, 2)
+
+
+@pytest.mark.parametrize("xshape, cout, ksize, stride", [
+    pytest.param((16, 9, 16, 32), 32, (3, 3, 3), (1, 2, 2), id="stride0"),
+    pytest.param((16, 9, 16, 32), 32, (3, 3, 3), (2, 2, 2), id="stride1"),
+    # the model's strided convs: enc.in, the downsamples at 17 and 5 frames,
+    # and the perceptual proxy's blur
+    pytest.param((3, 17, 32, 64), 32, (3, 3, 3), (1, 2, 2), id="enc-in"),
+    pytest.param((32, 17, 16, 32), 64, (3, 3, 3), (2, 2, 2), id="down-32x17x16x32"),
+    pytest.param((64, 9, 8, 16), 64, (3, 3, 3), (2, 2, 2), id="down-64x9x8x16"),
+    pytest.param((32, 5, 16, 32), 64, (3, 3, 3), (2, 2, 2), id="down-32x5x16x32"),
+    pytest.param((64, 3, 8, 16), 64, (3, 3, 3), (2, 2, 2), id="down-64x3x8x16"),
+    pytest.param((1, 51, 32, 64), 1, (1, 5, 5), (1, 2, 2), id="blur-51x32x64"),
+    pytest.param((1, 51, 16, 32), 1, (1, 5, 5), (1, 2, 2), id="blur-51x16x32"),
+    # kernels smaller than the stride: inputs in no phase's reach get zero gradient
+    pytest.param((16, 5, 8, 16), 32, (1, 1, 1), (2, 2, 2), id="k1x1x1-stride2"),
+    pytest.param((16, 5, 8, 16), 32, (1, 3, 3), (2, 2, 2), id="k1x3x3-stride2"),
+    # one frame: the odd temporal phase holds no input
+    pytest.param((16, 1, 8, 16), 32, (3, 3, 3), (2, 2, 2), id="one-frame-kt3"),
+    pytest.param((16, 7, 10, 14), 32, (3, 3, 3), (3, 3, 3), id="stride3"),
+])
+def test_conv_strided_matches_patch_reference(xshape, cout, ksize, stride):
     rng = np.random.default_rng(7)
-    x = rng.standard_normal((16, 9, 16, 32)).astype(np.float32)
-    w = (rng.standard_normal((32, 16, 3, 3, 3)) * 0.3).astype(np.float32)
+    x = rng.standard_normal(xshape).astype(np.float32)
+    w = (rng.standard_normal((cout, xshape[0]) + ksize) * 0.3).astype(np.float32)
     xt, wt = parameter(x), parameter(w)
     out = conv3d_causal(xt, wt, stride)
     g = rng.standard_normal(out.shape).astype(np.float32)
@@ -234,8 +295,13 @@ def test_conv_strided_one_channel_matches_patch_reference(cin, cout, kt, k):
     (out * Tensor(g)).sum().backward()
     ref_out, ref_gx, ref_gk = conv3d_strided_patch_reference(x, w, g, (1, 2, 2))
     assert np.array_equal(out.data, ref_out)
-    assert np.array_equal(xt.grad, ref_gx)
     assert np.array_equal(wt.grad, ref_gk)
+    if cin == 1 < cout:
+        # a one-column input gradient is a GEMV over the phase rows, not over
+        # the patch reference's n rows: pinned to the same GEMVs, near the patches
+        np.testing.assert_allclose(xt.grad, ref_gx, rtol=1e-5, atol=1e-5)
+        ref_gx = conv3d_phase_rows_input_grad(x, w, g, (1, 2, 2))
+    assert np.array_equal(xt.grad, ref_gx)
 
 
 @pytest.mark.parametrize("stride", [(1, 1, 1), (1, 2, 2)])
