@@ -72,8 +72,7 @@ def record_calls() -> list[tuple]:
         for injection in ("controlnet", cfg.injection):
             cond, _, _ = train_refdecoder(base, train_refs, data, cfg.vae, cfg.refdec, cur, opt,
                                           cfg.dropout, cfg.ref_policy, 0, injection)
-        fixed_seed_swap_compare(val_refs, data, cfg.vae, cfg.refdec, base, cond, 0,
-                                injection=cfg.injection)
+        fixed_seed_swap_compare(val_refs, data, cfg.vae, cfg.refdec, base, cond, 0)
     finally:
         for mod in CALLERS:
             mod.conv3d_causal = real

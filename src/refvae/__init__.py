@@ -2,6 +2,6 @@
 
 __version__ = "0.1.0"
 
-from .tensor import Tensor, backward, float64_mode, grad_check, parameter
+from .tensor import Tensor, backward, float64_mode, parameter
 
-__all__ = ["Tensor", "backward", "float64_mode", "grad_check", "parameter", "__version__"]
+__all__ = ["Tensor", "backward", "float64_mode", "parameter", "__version__"]

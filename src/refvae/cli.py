@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .checkpoint import (CheckpointError, encoder_fingerprint, load_checkpoint,
                          params_from_arrays, save_checkpoint)
-from .config import INJECTIONS, ConfigError, ExperimentConfig, Seeds
+from .config import ConfigError, ExperimentConfig, Seeds
 from .metrics import evaluate_params, fixed_seed_swap_compare, psnr
 from .refcond import RefCondConfig, decode_conditioned_t, init_ref_params, null_reference
 from .synthdata import CATEGORIES, build_dataset, gen_clip, realize, save_manifest, write_rdvc
@@ -44,7 +44,7 @@ EXIT_NUMERIC = 4
 
 DROPOUT_GRID = (0.0, 0.3, 0.7)
 BLOCKS_GRID = (3, 5, 7, 10)
-CKPT_KINDS = ("baseline", "refdec", "controlnet")
+CKPT_KINDS = {"baseline": None, "refdec": "attention", "controlnet": "controlnet"}  # kind -> injection
 
 
 def _parallelism_degree() -> int:
@@ -88,7 +88,6 @@ class Runner:
             "config_hash": self.cfg.config_hash(),
             "code_version": __version__,
             "parallelism_degree": _parallelism_degree(),
-            "workers": self.args.workers,
             "seeds": asdict(self.cfg.seeds),
             "outputs": outputs,
             "extra": self.extra,
@@ -103,21 +102,23 @@ def _ckpt_meta(cfg: ExperimentConfig, kind: str, opt_step: int) -> dict:
         "kind": kind,
         "config_hash": cfg.config_hash(),
         "code_version": __version__,
-        "injection": cfg.injection,
         "vae": asdict(cfg.vae),
         "refdec": asdict(cfg.refdec),
         "opt_step": opt_step,
     }
 
 
-def _load_model(path: str | Path) -> tuple[dict[str, Tensor], dict, VaeConfig, RefCondConfig]:
-    """Checkpoint -> parameters, metadata, and the model configs its metadata records.
+def _load_model(path: str | Path | None, kinds: tuple[str, ...] = tuple(CKPT_KINDS),
+                ) -> tuple[dict[str, Tensor], dict, VaeConfig, RefCondConfig | None]:
+    """Checkpoint of one of `kinds` -> parameters, metadata, VaeConfig, RefCondConfig or None.
 
     The parameters are exactly the tensors of the model the metadata records;
     other tensors (the optimiser moments older checkpoints carry) are dropped.
-    Missing or malformed `kind`, `vae` or `refdec` metadata, an unknown
-    `injection`, or a missing or misshapen model tensor is a CheckpointError.
+    No path, missing or malformed `kind`, `vae` or `refdec` metadata, a kind
+    not in `kinds`, or a missing or misshapen model tensor is a CheckpointError.
     """
+    if not path:
+        raise CheckpointError(f"no {' or '.join(kinds)} checkpoint given")
     p = Path(path)
     if not p.exists():
         raise CheckpointError(f"checkpoint not found: {p}")
@@ -125,35 +126,25 @@ def _load_model(path: str | Path) -> tuple[dict[str, Tensor], dict, VaeConfig, R
     try:
         if meta["kind"] not in CKPT_KINDS:
             raise ValueError(f"unknown kind {meta['kind']!r}")
-        if meta.get("injection", "attention") not in INJECTIONS:
-            raise ValueError(f"unknown injection {meta['injection']!r}")
         model = ExperimentConfig.from_dict({"vae": meta["vae"], "refdec": meta["refdec"]})
         model.vae.validate()
         model.refdec.validate()
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{p}: malformed checkpoint metadata ({exc!r})") from None
+    if meta["kind"] not in kinds:
+        raise CheckpointError(f"{p} is a {meta['kind']} checkpoint, not {' or '.join(kinds)}")
+    injection = CKPT_KINDS[meta["kind"]]
     rng = np.random.default_rng(0)  # only the names and shapes of these tensors are used
     model_params = init_vae_params(model.vae, rng)
-    if meta["kind"] != "baseline":
-        model_params.update(init_ref_params(model.vae, model.refdec, rng,
-                                            meta.get("injection", "attention")))
+    if injection:
+        model_params.update(init_ref_params(model.vae, model.refdec, rng, injection))
     for name, tensor in model_params.items():
         want, got = tensor.shape, arrays.get(name)
         dims = 2 if name == "ref.null" else len(want)  # the null map's grid is not recorded
         if got is None or got.ndim != len(want) or got.shape[:dims] != want[:dims]:
             raise CheckpointError(f"{p}: tensor {name} is missing or not of shape {want}")
     params = params_from_arrays({n: a for n, a in arrays.items() if n in model_params})
-    return params, meta, model.vae, model.refdec
-
-
-def _load_baseline(path: str | Path | None) -> tuple[dict[str, Tensor], dict]:
-    """`_load_model` for a checkpoint that must be a baseline."""
-    if not path:
-        raise CheckpointError("no baseline checkpoint given (flag --baseline or config)")
-    params, meta, _, _ = _load_model(path)
-    if meta["kind"] != "baseline":
-        raise CheckpointError(f"{path} is not a baseline checkpoint")
-    return params, meta
+    return params, meta, model.vae, model.refdec if injection else None
 
 
 def _save_trained(outdir: Path, cfg: ExperimentConfig, kind: str, params: dict[str, Tensor],
@@ -171,7 +162,7 @@ def _finetune_and_save(cfg: ExperimentConfig, baseline: dict[str, Tensor], train
     params, rows, _ = train_refdecoder(
         baseline, train_refs, cfg.dataset, cfg.vae, cfg.refdec, cfg.curriculum, cfg.optimizer,
         cfg.dropout, cfg.ref_policy, cfg.seeds.train_seed, cfg.injection, cfg.lambda_perc)
-    kind = "refdec" if cfg.injection == "attention" else "controlnet"
+    kind = next(k for k, injection in CKPT_KINDS.items() if injection == cfg.injection)
     _save_trained(outdir, cfg, kind, params, rows, **meta_extra)
     return params, rows
 
@@ -205,7 +196,7 @@ def cmd_pretrain(cfg: ExperimentConfig, args) -> Path:
 
 def cmd_train(cfg: ExperimentConfig, args) -> Path:
     baseline_path = args.baseline or cfg.baseline_checkpoint
-    baseline, base_meta = _load_baseline(baseline_path)
+    baseline, base_meta, _, _ = _load_model(baseline_path, ("baseline",))
     run = Runner("train", cfg, args)
     train, _ = build_dataset(cfg.dataset)
     _, rows = _finetune_and_save(cfg, baseline, train, run.outdir,
@@ -221,8 +212,7 @@ def cmd_eval(cfg: ExperimentConfig, args) -> Path:
     models = [_load_model(ckpt) for ckpt in args.ckpt]  # every checkpoint loads before any output
     run = Runner("eval", cfg, args)
     _, val = build_dataset(cfg.dataset)
-    decoders = [(params, None if meta["kind"] == "baseline" else ref_cfg, meta.get("injection", "attention"),
-                 cfg.eval_ref_policy) for params, meta, _, ref_cfg in models]
+    decoders = [(params, ref_cfg, cfg.eval_ref_policy) for params, _, _, ref_cfg in models]
     # checkpoints with one encoder and one VaeConfig share a pass: each clip is encoded once
     groups: dict[tuple[str, str], list[int]] = {}
     for i, (params, _, vae_cfg, _) in enumerate(models):
@@ -246,16 +236,13 @@ def cmd_eval(cfg: ExperimentConfig, args) -> Path:
 
 
 def cmd_swap_compare(cfg: ExperimentConfig, args) -> Path:
-    params_base, _ = _load_baseline(args.baseline)
-    params_cond, meta_cond, vae_cfg, ref_cfg = _load_model(args.refdec)
-    if meta_cond["kind"] == "baseline":
-        raise CheckpointError(f"{args.refdec} is a baseline checkpoint, not a conditioned one")
+    params_base = _load_model(args.baseline, ("baseline",))[0]
+    params_cond, _, vae_cfg, ref_cfg = _load_model(args.refdec, ("refdec", "controlnet"))
     run = Runner("swap-compare", cfg, args)
     _, val = build_dataset(cfg.dataset)
     result = fixed_seed_swap_compare(
         val, cfg.dataset, vae_cfg, ref_cfg, params_base, params_cond,
-        cfg.seeds.eval_seed, run.outdir, cfg.eval_ref_policy,
-        meta_cond.get("injection", "attention"))
+        cfg.seeds.eval_seed, run.outdir, cfg.eval_ref_policy)
     (run.outdir / "baseline_metrics.json").write_text(result.baseline.to_json())
     (run.outdir / "refdec_metrics.json").write_text(result.conditioned.to_json())
     _write_json(run.outdir / "seedlog.json", result.seed_log)
@@ -304,7 +291,7 @@ def _run_grid_point(payload: tuple) -> list[dict]:
     cfg.validate()
     point_dir = Path(point_dir)
     point_dir.mkdir(parents=True, exist_ok=True)
-    baseline = _load_baseline(baseline_path)[0]
+    baseline = _load_model(baseline_path, ("baseline",))[0]
     train, val = build_dataset(cfg.dataset)
     params, _ = _finetune_and_save(cfg, baseline, train, point_dir)
 
@@ -312,7 +299,7 @@ def _run_grid_point(payload: tuple) -> list[dict]:
                      if axis == "ref_policy" else [cfg.eval_ref_policy])
     # one pass scores every policy: each clip is encoded once
     reports = evaluate_params(val, cfg.dataset, cfg.vae,
-                              [(params, cfg.refdec, cfg.injection, policy) for policy in eval_policies],
+                              [(params, cfg.refdec, policy) for policy in eval_policies],
                               cfg.seeds.eval_seed)
     table_rows = []
     for policy, report in zip(eval_policies, reports):
@@ -331,7 +318,7 @@ def _run_grid_point(payload: tuple) -> list[dict]:
 
 def cmd_ablate(cfg: ExperimentConfig, args) -> Path:
     baseline_path = args.baseline or cfg.baseline_checkpoint
-    _load_baseline(baseline_path)  # fails before any output unless it is a sound baseline
+    _load_model(baseline_path, ("baseline",))  # fails before any output unless it is a sound baseline
     run = Runner(f"ablate-{args.axis}", cfg, args)
     points = _grid_points(cfg, args.axis)
     payloads = [(label, point_cfg.to_dict(), str(baseline_path),
@@ -348,6 +335,7 @@ def cmd_ablate(cfg: ExperimentConfig, args) -> Path:
                 "ssim_overall", "ssim_reference"])
     _write_json(run.outdir / "table.json", {"axis": args.axis, "rows": table})
     run.extra["points"] = [label for label, _ in points]
+    run.extra["workers"] = args.workers
     return run.finish()
 
 
@@ -363,7 +351,7 @@ def _load_npy(path: str, what: str) -> np.ndarray:
 
 
 def cmd_decode(cfg: ExperimentConfig, args) -> Path:
-    params, meta, vae_cfg, ref_cfg = _load_model(args.ckpt)
+    params, _, vae_cfg, ref_cfg = _load_model(args.ckpt)
 
     ground_truth = None
     ref_index = None
@@ -396,20 +384,19 @@ def cmd_decode(cfg: ExperimentConfig, args) -> Path:
             hw = [n * vae_cfg.spatial_compression for n in z.shape[2:]]
             if list(ref_image.shape) != [3, *hw]:
                 raise ConfigError(f"reference image must be {[3, *hw]}, got {list(ref_image.shape)}")
-    if meta["kind"] == "baseline" and ref_image is not None:
+    if ref_cfg is None and ref_image is not None:
         raise ConfigError("baseline checkpoints cannot take a reference image")
-    if meta["kind"] != "baseline" and ref_image is None:
+    if ref_cfg is not None and ref_image is None:
         try:
             null_reference(params, *z.shape[2:])
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
     run = Runner("decode", cfg, args)
-    if meta["kind"] == "baseline":
+    if ref_cfg is None:
         decoded = decode_baseline_t(Tensor(z), vae_cfg, params).data
     else:
-        decoded = decode_conditioned_t(Tensor(z), ref_image, vae_cfg, ref_cfg, params,
-                                       meta.get("injection", "attention")).data
+        decoded = decode_conditioned_t(Tensor(z), ref_image, vae_cfg, ref_cfg, params).data
     write_rdvc(run.outdir / "frames.rdvc", decoded)
 
     if ground_truth is not None:
@@ -433,7 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="experiment config JSON")
         p.add_argument("--out", default=None, help="output root (overrides config)")
         p.add_argument("--seed", type=int, default=None, help="override master seed")
-        p.add_argument("--workers", type=int, default=1, help="process parallelism (recorded)")
 
     p = sub.add_parser("gen-data", help="materialise the dataset manifest")
     common(p)
@@ -460,6 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--axis", required=True,
                    choices=["dropout", "blocks", "ref_policy", "curriculum", "injection"])
     p.add_argument("--baseline", default=None, help="baseline checkpoint path")
+    p.add_argument("--workers", type=int, default=1, help="grid points fine-tuned in parallel (recorded)")
 
     p = sub.add_parser("decode", help="decode a latent or synthetic clip to frames")
     common(p)

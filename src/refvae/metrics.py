@@ -199,14 +199,14 @@ def derive_clip_seeds(master_seed: int, count: int) -> list[int]:
     return [int(s) for s in rng.integers(0, 2 ** 32, size=count, dtype=np.uint64)]
 
 
-# (params, ref_cfg or None for baseline, injection, eval policy)
-Decoder = tuple[dict, RefCondConfig | None, str, RefPolicy]
+# (params, ref_cfg or None for baseline, eval policy)
+Decoder = tuple[dict, RefCondConfig | None, RefPolicy]
 
 
 def _eval_clips(val_refs: list[ClipRef], data_spec: DatasetSpec, vae_cfg: VaeConfig,
                 decoders: list[Decoder], master_seed: int,
                 ) -> tuple[list[MetricsReport], list[tuple[int, np.ndarray]]]:
-    """Score every clip with each `(params, ref_cfg, injection, policy)` decoder.
+    """Score every clip with each `(params, ref_cfg, policy)` decoder.
 
     Each clip is encoded once, by the first decoder's encoder, and every
     decoder gets the same latent.  Each policy draws the reference from its
@@ -224,10 +224,10 @@ def _eval_clips(val_refs: list[ClipRef], data_spec: DatasetSpec, vae_cfg: VaeCon
                                                 np.random.default_rng(np.random.PCG64(seed)))
                  for *_, policy in decoders}
         ref_distances = frame_distances(clip.frames)  # ground truth's share of the temporal proxy
-        for report, (params, ref_cfg, injection, policy) in zip(reports, decoders):
+        for report, (params, ref_cfg, policy) in zip(reports, decoders):
             ref_frame, ref_index = draws[policy]
             if ref_cfg is not None:
-                decoded = decode_conditioned_t(z, ref_frame, vae_cfg, ref_cfg, params, injection).data
+                decoded = decode_conditioned_t(z, ref_frame, vae_cfg, ref_cfg, params).data
             else:
                 decoded = decode_baseline_t(z, vae_cfg, params).data
             report.per_clip.append(clip_metrics(clip.frames, decoded, ref_index,
@@ -244,7 +244,7 @@ def evaluate_params(val_refs: list[ClipRef], data_spec: DatasetSpec, vae_cfg: Va
     first decoder's, and each report is the one that decoder gets alone.
     """
     reports, _ = _eval_clips(val_refs, data_spec, vae_cfg, decoders, master_seed)
-    for report, (_, ref_cfg, _, policy) in zip(reports, decoders):
+    for report, (_, ref_cfg, policy) in zip(reports, decoders):
         report.metadata.update({"eval_policy": policy.value, "master_seed": master_seed,
                                 "conditioned": ref_cfg is not None})
     return reports
@@ -273,8 +273,7 @@ def fixed_seed_swap_compare(val_refs: list[ClipRef], data_spec: DatasetSpec,
                             vae_cfg: VaeConfig, ref_cfg: RefCondConfig,
                             params_baseline: dict, params_conditioned: dict,
                             master_seed: int, out_dir: Path | None = None,
-                            eval_policy: RefPolicy = RefPolicy.first_frame,
-                            injection: str = "attention") -> SwapResult:
+                            eval_policy: RefPolicy = RefPolicy.first_frame) -> SwapResult:
     """Decode identical latents with both decoders and report paired deltas."""
     fp_base = encoder_fingerprint(params_baseline)
     if fp_base != encoder_fingerprint(params_conditioned):
@@ -282,8 +281,7 @@ def fixed_seed_swap_compare(val_refs: list[ClipRef], data_spec: DatasetSpec,
 
     (rep_base, rep_cond), latents = _eval_clips(
         val_refs, data_spec, vae_cfg,
-        [(params_baseline, None, injection, eval_policy),
-         (params_conditioned, ref_cfg, injection, eval_policy)], master_seed)
+        [(params_baseline, None, eval_policy), (params_conditioned, ref_cfg, eval_policy)], master_seed)
 
     if out_dir is not None:
         (Path(out_dir) / "latents").mkdir(parents=True, exist_ok=True)

@@ -13,10 +13,10 @@ per-stage strides, so the token grid stays at the latent resolution at
 every stage.  The out-projections are zero-initialised: at initialisation
 the conditioned decoder reproduces the baseline decoder exactly.
 
-`decode_conditioned_t(..., "controlnet")` is the residual-injection
-alternative: the same stage loop, where a parallel conv branch per stage
-adds reference features to the video path, broadcast identically over every
-frame, with no attention.
+Residual injection (ControlNet-style) is the alternative, which the decode
+runs when the parameters hold its `ctrl.*` tensors: the same stage loop,
+where a parallel conv branch per stage adds reference features to the video
+path, broadcast identically over every frame, with no attention.
 """
 from __future__ import annotations
 
@@ -226,19 +226,18 @@ def _controlnet_inject(ref: Tensor, s: int, params: dict[str, Tensor]) -> Tensor
 
 
 def decode_conditioned_t(z: Tensor, ref_image, vae_cfg: VaeConfig, cfg: RefCondConfig,
-                         params: dict[str, Tensor], injection: str = "attention") -> Tensor:
+                         params: dict[str, Tensor]) -> Tensor:
     """Three-stage conditioned decode; `ref_image` None uses the learned null map."""
-    if injection not in ("attention", "controlnet"):
-        raise ValueError(f"unknown injection kind {injection!r}")
+    controlnet = "ctrl.s0.branch.w" in params  # residual-injection tensors, else attention
     _, _, hz, wz = z.shape
     ref = _resolve_reference(ref_image, params, vae_cfg, hz, wz)
     x = dec_input(z, vae_cfg, params)
     for s in range(3):
         x = dec_stage_blocks(x, s, vae_cfg, params)
-        if injection == "attention":
-            x, ref = stage_forward(x, ref, s, vae_cfg, cfg, params)
-        else:
+        if controlnet:
             x = x + _controlnet_inject(ref, s, params)  # broadcasts over every frame
+        else:
+            x, ref = stage_forward(x, ref, s, vae_cfg, cfg, params)
         x = dec_stage_upsample(x, s, vae_cfg, params, temporal=True)
         ref = dec_stage_upsample(ref, s, vae_cfg, params, temporal=False)
     return dec_head(x, vae_cfg, params)

@@ -120,9 +120,6 @@ class Tensor:
     def abs(self):
         return tabs(self)
 
-    def exp(self):
-        return exp(self)
-
     def sqrt(self):
         return sqrt(self)
 
@@ -248,16 +245,6 @@ def tabs(a: Tensor) -> Tensor:
             _acc(a, g * np.sign(a.data))
 
     return _from_op(np.abs(a.data), (a,), bw)
-
-
-def exp(a: Tensor) -> Tensor:
-    out_data = np.exp(a.data)
-
-    def bw(g):
-        if a.requires_grad:
-            _acc(a, g * out_data)
-
-    return _from_op(out_data, (a,), bw)
 
 
 def sqrt(a: Tensor) -> Tensor:
@@ -421,31 +408,3 @@ def assert_finite(arr: np.ndarray, what: str) -> None:
     if not np.all(np.isfinite(arr)):
         raise NumericsError(f"non-finite values in {what}")
 
-
-# -- verification harness ----------------------------------------------------
-
-
-def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-3) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    Error per coordinate is |analytic - numeric| / max(1e-8, |analytic| + |numeric|).
-    `f` must be scalar-valued and deterministic.
-    """
-    out = f(x)
-    backward(out)
-    analytic = x.grad.copy()
-
-    numeric = np.zeros_like(x.data)
-    flat = x.data.reshape(-1)
-    nflat = numeric.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
-        fp = f(x).item()
-        flat[i] = orig - eps
-        fm = f(x).item()
-        flat[i] = orig
-        nflat[i] = (fp - fm) / (2.0 * eps)
-
-    rel = np.abs(analytic - numeric) / np.maximum(1e-8, np.abs(analytic) + np.abs(numeric))
-    return float(rel.max())

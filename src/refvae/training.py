@@ -388,7 +388,7 @@ def train_refdecoder(baseline: dict[str, Tensor], train_refs: list[ClipRef],
         if key not in latent_cache:  # encoder frozen: latents are reusable
             latent_cache[key] = encode_t(Tensor(window), vae_cfg, params).data
         z = apply_latent_dropout(Tensor(latent_cache[key]), r, rng, dropout.channel_joint)
-        return decode_conditioned_t(z, ref_frame, vae_cfg, ref_cfg, params, injection), r, ref_index
+        return decode_conditioned_t(z, ref_frame, vae_cfg, ref_cfg, params), r, ref_index
 
     rows, opt = _run_curriculum(forward, params, groups, train_refs, data_spec,
                                 vae_cfg.temporal_compression, curriculum, opt_spec, rng, lambda_perc)

@@ -1,4 +1,5 @@
 import struct
+from collections.abc import Callable
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from refvae.refcond import RefCondConfig, init_ref_params
 from refvae.synthdata import RDVC_MAGIC, RDVC_VERSION
+from refvae.tensor import Tensor, backward
 from refvae.vae import VaeConfig, init_vae_params
 
 
@@ -16,6 +18,32 @@ def read_rdvc(path: Path) -> np.ndarray:
     version, t, h, w = struct.unpack("<IIII", raw[4:20])
     assert version == RDVC_VERSION
     return np.frombuffer(raw[20:], dtype="<f4").reshape(t, 3, h, w)
+
+
+def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-3) -> float:
+    """Max relative error between analytic and central-difference gradients.
+
+    Error per coordinate is |analytic - numeric| / max(1e-8, |analytic| + |numeric|).
+    `f` must be scalar-valued and deterministic.
+    """
+    out = f(x)
+    backward(out)
+    analytic = x.grad.copy()
+
+    numeric = np.zeros_like(x.data)
+    flat = x.data.reshape(-1)
+    nflat = numeric.reshape(-1)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + eps
+        fp = f(x).item()
+        flat[i] = orig - eps
+        fm = f(x).item()
+        flat[i] = orig
+        nflat[i] = (fp - fm) / (2.0 * eps)
+
+    rel = np.abs(analytic - numeric) / np.maximum(1e-8, np.abs(analytic) + np.abs(numeric))
+    return float(rel.max())
 
 
 @pytest.fixture(scope="session")

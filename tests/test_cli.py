@@ -7,10 +7,15 @@ import numpy as np
 import pytest
 
 from conftest import read_rdvc
-from refvae.checkpoint import load_checkpoint, save_checkpoint
+from refvae.checkpoint import load_checkpoint, params_from_arrays, save_checkpoint
 from refvae.cli import main
 from refvae.config import ExperimentConfig, Seeds
-from refvae.training import CurriculumSpec, OptimizerSpec, StageSpec
+from refvae.metrics import clip_metrics, derive_clip_seeds, frame_distances
+from refvae.refcond import decode_conditioned_t
+from refvae.synthdata import build_dataset, gen_clip, realize
+from refvae.tensor import Tensor
+from refvae.training import CurriculumSpec, OptimizerSpec, StageSpec, select_reference_frame
+from refvae.vae import encode_t
 
 
 def tiny_config(out: Path, **overrides) -> ExperimentConfig:
@@ -110,17 +115,48 @@ def test_eval_encodes_each_clip_once_per_encoder(pipeline, tmp_path, monkeypatch
     assert sum(c["clips"] for c in per_cat.values()) == 3
 
 
-def test_ablate_ref_policy_encodes_each_clip_once_per_grid_point(pipeline, tmp_path, monkeypatch):
-    from refvae import metrics
+def ablate_ref_policy(pipeline, out: Path, *flags: str) -> Path:
     _, cfg_path, _, baseline, _ = pipeline
+    assert main(["ablate", "--config", str(cfg_path), "--out", str(out), "--axis", "ref_policy",
+                 "--baseline", str(baseline), *flags]) == 0
+    return only_run_dir(out, "ablate-")
+
+
+@pytest.fixture(scope="module")
+def serial_ablate(pipeline, tmp_path_factory):
+    """`ablate --axis ref_policy` in one process: (run directory, metrics.encode_t call count)."""
+    from refvae import metrics
     calls = []
     encode = metrics.encode_t
-    monkeypatch.setattr(metrics, "encode_t", lambda *a: calls.append(1) or encode(*a))
-    assert main(["ablate", "--config", str(cfg_path), "--out", str(tmp_path), "--axis", "ref_policy",
-                 "--baseline", str(baseline)]) == 0
-    assert len(calls) == 6  # 3 val clips x 2 grid points; both eval policies share each encode
-    rows = json.loads((only_run_dir(tmp_path, "ablate-") / "table.json").read_text())["rows"]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics, "encode_t", lambda *a: calls.append(1) or encode(*a))
+        outdir = ablate_ref_policy(pipeline, tmp_path_factory.mktemp("ablate"))
+    return outdir, len(calls)
+
+
+def test_ablate_ref_policy_encodes_each_clip_once_per_grid_point(serial_ablate):
+    outdir, encodes = serial_ablate
+    assert encodes == 6  # 3 val clips x 2 grid points; both eval policies share each encode
+    rows = json.loads((outdir / "table.json").read_text())["rows"]
     assert [r["eval_policy"] for r in rows] == ["first_frame", "random_frame"] * 2
+
+
+def test_ablate_workers_match_serial_bytes(pipeline, serial_ablate, tmp_path):
+    parallel = ablate_ref_policy(pipeline, tmp_path, "--workers", "2")
+    outputs = []
+    for outdir, workers in ((serial_ablate[0], 1), (parallel, 2)):
+        assert manifest_of(outdir)["extra"]["workers"] == workers
+        files = [outdir / "table.json", outdir / "table.csv",
+                 *sorted(outdir.glob("point-*/metrics-eval-*.json"))]
+        outputs.append({str(f.relative_to(outdir)): f.read_bytes() for f in files})
+    assert len(outputs[0]) == 6  # the tables, and 2 grid points x 2 eval policies
+    assert outputs[0] == outputs[1]
+
+
+def test_workers_is_an_ablate_flag_only(pipeline):
+    _, cfg_path, _, baseline, _ = pipeline
+    assert exit_code(["train", "--config", str(cfg_path), "--baseline", str(baseline),
+                      "--workers", "2"]) == 2
 
 
 def test_swap_compare_and_decode(pipeline):
@@ -187,7 +223,7 @@ BROKEN_CKPT = {  # case -> (pipeline index of the checkpoint it breaks, edit of 
     "no-vae": (3, lambda arrays, meta: meta.pop("vae")),
     "no-kind": (3, lambda arrays, meta: meta.pop("kind")),
     "bad-vae-field": (3, lambda arrays, meta: meta["vae"].update(bogus=1)),
-    "bad-injection": (3, lambda arrays, meta: meta.update(injection="residual")),
+    "kind-mismatch": (4, lambda arrays, meta: meta.update(kind="controlnet")),  # no ctrl.* tensors
     "no-ref-blk0": (4, _drop_block0),
     "bad-dec-in-shape": (4, lambda arrays, meta: arrays.update({"dec.in.w": arrays["dec.in.w"][:, :-1]})),
 }
@@ -206,19 +242,78 @@ def test_malformed_checkpoint_meta_exits_3(pipeline, tmp_path, broken, command):
     assert not any((tmp_path / "runs").glob(f"{command}-*"))
 
 
+def decoded_bytes(pipeline, ckpt: Path, out: Path) -> bytes:
+    """frames.rdvc of `decode --clip-seed 3 --ref frame:2` with the pipeline's config."""
+    assert main(["decode", "--config", str(pipeline[1]), "--ckpt", str(ckpt),
+                 "--clip-seed", "3", "--ref", "frame:2", "--out", str(out)]) == 0
+    return (only_run_dir(out, "decode-") / "frames.rdvc").read_bytes()
+
+
 def test_checkpoint_with_optimizer_moments_decodes_the_same(pipeline, tmp_path):
-    _, cfg_path, _, _, refdec = pipeline
+    refdec = pipeline[4]
     arrays, meta = load_checkpoint(refdec)
     moments = {f"opt.{k}.{n}": np.ones_like(a) for k in "mv" for n, a in arrays.items()}
     with_moments = tmp_path / "with-moments.ckpt"  # as checkpoints were written before
     save_checkpoint(with_moments, {**arrays, **moments}, meta)
-    frames = []
-    for ckpt in (refdec, with_moments):
-        out = tmp_path / ckpt.stem
-        assert main(["decode", "--config", str(cfg_path), "--ckpt", str(ckpt),
-                     "--clip-seed", "3", "--ref", "frame:2", "--out", str(out)]) == 0
-        frames.append((only_run_dir(out, "decode-") / "frames.rdvc").read_bytes())
-    assert frames[0] == frames[1]
+    original = decoded_bytes(pipeline, refdec, tmp_path / "original")
+    assert decoded_bytes(pipeline, with_moments, tmp_path / "with-moments") == original
+
+
+def test_checkpoint_with_injection_field_decodes_the_same(pipeline, tmp_path):
+    refdec = pipeline[4]
+    arrays, meta = load_checkpoint(refdec)
+    assert meta["kind"] == "refdec" and "injection" not in meta
+    with_field = tmp_path / "with-injection.ckpt"  # metadata as checkpoints were written before
+    save_checkpoint(with_field, arrays, {**meta, "injection": "attention"})
+    original = decoded_bytes(pipeline, refdec, tmp_path / "original")
+    assert decoded_bytes(pipeline, with_field, tmp_path / "with-injection") == original
+
+
+@pytest.fixture(scope="module")
+def controlnet(pipeline, tmp_path_factory):
+    """`train` with residual injection on the pipeline's baseline: (config, checkpoint)."""
+    tmp = tmp_path_factory.mktemp("controlnet")
+    cfg_path = write_config(tmp, injection="controlnet")
+    assert main(["train", "--config", str(cfg_path), "--baseline", str(pipeline[3])]) == 0
+    return cfg_path, only_run_dir(tmp / "runs", "train-") / "refdec.ckpt"
+
+
+def direct_decode(cfg: ExperimentConfig, ckpt: Path, frames: np.ndarray, ref_index: int) -> np.ndarray:
+    """`decode_conditioned_t` on the checkpoint's tensors, with frame `ref_index` as reference."""
+    params = params_from_arrays(load_checkpoint(ckpt)[0])
+    z = encode_t(Tensor(frames), cfg.vae, params)
+    return decode_conditioned_t(z, frames[ref_index], cfg.vae, cfg.refdec, params).data
+
+
+def test_controlnet_checkpoint_decodes_by_residual_injection(pipeline, controlnet, tmp_path):
+    cfg_path, ckpt = controlnet
+    cfg = ExperimentConfig.load(cfg_path)
+    arrays, meta = load_checkpoint(ckpt)
+    assert meta["kind"] == "controlnet" and "injection" not in meta
+    assert np.abs(arrays["ctrl.s0.inject.w"]).max() > 0  # the residual branch is live
+
+    _, val = build_dataset(cfg.dataset)
+    expected = []
+    for ref, seed in zip(val, derive_clip_seeds(cfg.seeds.eval_seed, len(val))):
+        frames = realize(ref, cfg.dataset).frames
+        _, ref_index = select_reference_frame(frames, cfg.eval_ref_policy,
+                                              np.random.default_rng(np.random.PCG64(seed)))
+        expected.append(clip_metrics(frames, direct_decode(cfg, ckpt, frames, ref_index), ref_index,
+                                     ref.clip_id, ref.category, frame_distances(frames)))
+    expected = json.loads(json.dumps(expected))
+    assert main(["eval", "--config", str(cfg_path), "--out", str(tmp_path), "--ckpt", str(ckpt)]) == 0
+    report = json.loads((only_run_dir(tmp_path, "eval-") / "metrics-0-controlnet.json").read_text())
+    assert report["per_clip"] == expected
+    assert main(["swap-compare", "--config", str(cfg_path), "--out", str(tmp_path),
+                 "--baseline", str(pipeline[3]), "--refdec", str(ckpt)]) == 0
+    report = json.loads((only_run_dir(tmp_path, "swap-compare-") / "refdec_metrics.json").read_text())
+    assert report["per_clip"] == expected
+
+    assert main(["decode", "--config", str(cfg_path), "--out", str(tmp_path), "--ckpt", str(ckpt),
+                 "--clip-seed", "77", "--ref", "frame:4"]) == 0
+    frames = gen_clip(77, "content_rich", cfg.dataset.frames, cfg.dataset.height, cfg.dataset.width).frames
+    decoded = read_rdvc(only_run_dir(tmp_path, "decode-") / "frames.rdvc")
+    assert np.array_equal(decoded, direct_decode(cfg, ckpt, frames, 4))
 
 
 WRONG_KIND = {  # command -> arguments naming a checkpoint of the wrong kind (pipeline index)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import grad_check
 from refvae import ops, vae
 from refvae.ops import (
     attention,
@@ -15,7 +16,7 @@ from refvae.ops import (
     upsample_causal,
     upsample_nearest,
 )
-from refvae.tensor import Tensor, float64_mode, grad_check, parameter
+from refvae.tensor import Tensor, float64_mode, parameter
 
 
 def conv3d_naive(x, w, stride):

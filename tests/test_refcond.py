@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import grad_check
 from refvae.ops import rope_apply
 from refvae.refcond import (
     RefCondConfig,
@@ -12,7 +13,7 @@ from refvae.refcond import (
     new_module_names,
     stage_forward,
 )
-from refvae.tensor import Tensor, concat, float64_mode, grad_check, parameter
+from refvae.tensor import Tensor, concat, float64_mode, parameter
 from refvae.vae import decode_baseline_t, dec_input, dec_stage_blocks, dec_stage_upsample, init_vae_params
 
 
@@ -201,8 +202,6 @@ def test_decode_rejects_incompatible_reference(desk_full, desk_ref_cfg):
     z = Tensor(np.zeros((8, 2, 4, 8), np.float32))
     with pytest.raises(ValueError):
         decode_conditioned_t(z, np.zeros((3, 16, 32), np.float32), cfg, desk_ref_cfg, params)
-    with pytest.raises(ValueError):
-        decode_conditioned_t(z, None, cfg, desk_ref_cfg, params, "residual")
 
 
 # -- controlnet-style variant --------------------------------------------------
@@ -225,7 +224,7 @@ def test_controlnet_zero_init_is_baseline(ctrl_full, desk_ref_cfg):
     z = Tensor(rng.standard_normal((8, 2, 4, 8)).astype(np.float32))
     ref = rng.random((3, 32, 64)).astype(np.float32)
     base = decode_baseline_t(z, cfg, params).data
-    out = decode_conditioned_t(z, ref, cfg, desk_ref_cfg, params, "controlnet").data
+    out = decode_conditioned_t(z, ref, cfg, desk_ref_cfg, params).data
     np.testing.assert_allclose(out, base, atol=1e-6)
 
 

@@ -7,7 +7,7 @@ import pytest
 from refvae import vae
 from refvae.refcond import RefCondConfig
 from refvae.synthdata import DatasetSpec, build_dataset, gen_clip
-from refvae.tensor import Tensor, backward, float64_mode, grad_check, parameter
+from refvae.tensor import Tensor, backward, float64_mode, parameter
 from refvae.training import (
     AdamW,
     CurriculumSpec,
