@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import multiprocessing
 import os
 import sys
 import time
@@ -325,7 +326,14 @@ def cmd_ablate(cfg: ExperimentConfig, args) -> Path:
                  str(run.outdir / f"point-{label}"), args.axis)
                 for label, point_cfg in points]
     if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+        from unittest import mock  # ~60 ms to import: only parallel runs pay it
+
+        # BLAS sizes its thread pool when numpy loads: spawned workers read one
+        # thread from the environment they start in (forked ones would inherit
+        # this process's pool and oversubscribe the cores)
+        one_thread = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+        with mock.patch.dict(os.environ, one_thread), ProcessPoolExecutor(
+                max_workers=args.workers, mp_context=multiprocessing.get_context("spawn")) as pool:
             results = list(pool.map(_run_grid_point, payloads))
     else:
         results = [_run_grid_point(p) for p in payloads]

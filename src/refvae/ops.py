@@ -171,6 +171,7 @@ def conv3d_causal(x: Tensor, kernel: Tensor, stride: tuple[int, int, int] = (1, 
                                                  dx // sw:dx // sw + w_out])
                     for dt in range(a, kt, st):
                         gk[:, :, dt, dy, dx] += gcl.T @ pt[dt // st:dt // st + t_out].reshape(n, cin)
+            del xq, pt  # freed before the input gradient's buffers are built
         if not x.requires_grad:
             return
         # phase row j gathers g row j - s from each offset of the phase, at
@@ -321,7 +322,7 @@ def rmsnorm(x: Tensor, gain: Tensor, axis: int = -1) -> Tensor:
     return x / (ms + EPS).sqrt() * gain
 
 
-def groupnorm(x: Tensor, groups: int, gain: Tensor, bias: Tensor) -> Tensor:
+def groupnorm(x: Tensor, groups: int, gain: Tensor, bias: Tensor, *, silu: bool = False) -> Tensor:
     """Group normalisation over [C, T, H, W] with per-channel affine.
 
     Statistics are taken per frame (over in-group channels and space, never
@@ -329,7 +330,10 @@ def groupnorm(x: Tensor, groups: int, gain: Tensor, bias: Tensor) -> Tensor:
     One fused node keeps only the input, the mean and the std; its backward
     recomputes the centred input and replays the engine's rules for the
     composed op (mean, sub, x*x, mean, +eps, sqrt, div, *gain, +bias) step by
-    step, so outputs and gradients have the composed op's bits.
+    step, so outputs and gradients have the composed op's bits.  With
+    `silu=True` the node returns silu(groupnorm(x)) and still keeps nothing
+    more: its backward also recomputes the normalised map and its sigmoid,
+    and applies `silu`'s rule first.
     """
     c, t, h, w = x.shape
     if groups < 1:
@@ -343,16 +347,25 @@ def groupnorm(x: Tensor, groups: int, gain: Tensor, bias: Tensor) -> Tensor:
     var = (xc * xc).mean(axis=axes, keepdims=True)
     std = np.sqrt(var + np.asarray(EPS, dtype=var.dtype))
     out = (xc / std).reshape(x.shape) * gain.data + bias.data
+    if silu:
+        out = out * _sigmoid(out)
 
     def bw(g):
         xc = xg - mu
+        y = (xc / std).reshape(x.shape)
+        if silu:
+            act = y * gain.data + bias.data
+            g = _silu_grad(g, act, _sigmoid(act))
+            del act
         if bias.requires_grad:
             _acc(bias, _unbroadcast(g, bias.shape))
         if gain.requires_grad:
-            _acc(gain, _unbroadcast(g * (xc / std).reshape(x.shape), gain.shape))
+            _acc(gain, _unbroadcast(g * y, gain.shape))
+        del y
         if not x.requires_grad:
             return
         gy = _unbroadcast(g * gain.data, x.shape).reshape(xg.shape)
+        del g
         g_xc = gy / std
         g_std = -_unbroadcast(gy * xc / (std * std), std.shape)
         g_sq = g_std / (2.0 * std) / n
@@ -385,13 +398,21 @@ def patch_embed(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return out if b is None else out + b
 
 
+def _sigmoid(v: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-v))
+
+
+def _silu_grad(g: np.ndarray, v: np.ndarray, sig: np.ndarray) -> np.ndarray:
+    return g * sig * (1.0 + v * (1.0 - sig))
+
+
 def silu(x: Tensor) -> Tensor:
-    sig = 1.0 / (1.0 + np.exp(-x.data))
+    sig = _sigmoid(x.data)
     out = x.data * sig
 
     def bw(g):
         if x.requires_grad:
-            _acc(x, g * sig * (1.0 + x.data * (1.0 - sig)))
+            _acc(x, _silu_grad(g, x.data, sig))
 
     return _from_op(out, (x,), bw)
 

@@ -239,5 +239,6 @@ def decode_conditioned_t(z: Tensor, ref_image, vae_cfg: VaeConfig, cfg: RefCondC
         else:
             x, ref = stage_forward(x, ref, s, vae_cfg, cfg, params)
         x = dec_stage_upsample(x, s, vae_cfg, params, temporal=True)
-        ref = dec_stage_upsample(ref, s, vae_cfg, params, temporal=False)
+        if s < 2:  # the last stage's reference map is never read
+            ref = dec_stage_upsample(ref, s, vae_cfg, params, temporal=False)
     return dec_head(x, vae_cfg, params)

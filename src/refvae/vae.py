@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ops import conv3d_causal, groupnorm, silu, upsample_causal, upsample_nearest
+# silu is unused here since groupnorm fuses it, but perfbench still wraps vae.silu by name
+from .ops import conv3d_causal, groupnorm, silu, upsample_causal, upsample_nearest  # noqa: F401
 from .tensor import Tensor, parameter
 
 
@@ -121,10 +122,10 @@ def init_vae_params(cfg: VaeConfig, rng: np.random.Generator) -> dict[str, Tenso
 
 
 def _resblock(x: Tensor, params: dict[str, Tensor], name: str, groups: int) -> Tensor:
-    h = groupnorm(x, groups, params[f"{name}.gn1.g"], params[f"{name}.gn1.b"])
-    h = conv3d_causal(silu(h), params[f"{name}.c1.w"]) + params[f"{name}.c1.b"]
-    h = groupnorm(h, groups, params[f"{name}.gn2.g"], params[f"{name}.gn2.b"])
-    h = conv3d_causal(silu(h), params[f"{name}.c2.w"]) + params[f"{name}.c2.b"]
+    h = groupnorm(x, groups, params[f"{name}.gn1.g"], params[f"{name}.gn1.b"], silu=True)
+    h = conv3d_causal(h, params[f"{name}.c1.w"]) + params[f"{name}.c1.b"]
+    h = groupnorm(h, groups, params[f"{name}.gn2.g"], params[f"{name}.gn2.b"], silu=True)
+    h = conv3d_causal(h, params[f"{name}.c2.w"]) + params[f"{name}.c2.b"]
     return x + h
 
 

@@ -498,7 +498,7 @@ def test_groupnorm_grad_and_errors():
         groupnorm(Tensor(np.zeros((4, 1, 1, 1))), 3, gain, bias)
 
 
-def _groupnorm_composed(x, groups, gain, bias):
+def _groupnorm_composed(x, groups, gain, bias, silu=False):
     """The engine-primitive composition that the fused groupnorm replaces: its oracle."""
     c, t, h, w = x.shape
     xg = x.reshape(groups, c // groups, t, h, w)
@@ -506,7 +506,8 @@ def _groupnorm_composed(x, groups, gain, bias):
     xc = xg - mu
     var = (xc * xc).mean(axis=(1, 3, 4), keepdims=True)
     y = xc / (var + ops.EPS).sqrt()
-    return y.reshape(x.shape) * gain + bias
+    out = y.reshape(x.shape) * gain + bias
+    return ops.silu(out) if silu else out
 
 
 @pytest.mark.parametrize("shape,groups", [((32, 17, 16, 32), 8), ((64, 9, 8, 16), 8),
@@ -518,27 +519,45 @@ def test_fused_groupnorm_matches_composed_bitwise(shape, groups):
     gain0 = (1.0 + 0.3 * rng.standard_normal((shape[0], 1, 1, 1))).astype(np.float32)
     bias0 = (0.2 * rng.standard_normal((shape[0], 1, 1, 1))).astype(np.float32)
     w = Tensor(rng.standard_normal(shape).astype(np.float32))
-    results = []
-    for norm in (groupnorm, _groupnorm_composed):
-        x, gain, bias = parameter(x0), parameter(gain0), parameter(bias0)
-        out = norm(x, groups, gain, bias)
-        # the resblock pattern: x feeds the norm and also the residual add
-        ((x + silu(out)) * w).sum().backward()
-        results.append((out.data, x.grad, gain.grad, bias.grad))
-    for fused, composed in zip(*results):
-        assert fused.dtype == composed.dtype == np.float32
-        assert fused.shape == composed.shape
-        assert fused.tobytes() == composed.tobytes()
+    for fuse_silu in (False, True):
+        act = (lambda t: t) if fuse_silu else silu
+        results = []
+        for norm in (groupnorm, _groupnorm_composed):
+            x, gain, bias = parameter(x0), parameter(gain0), parameter(bias0)
+            out = norm(x, groups, gain, bias, silu=fuse_silu)
+            # the resblock pattern: x feeds the norm and also the residual add
+            ((x + act(out)) * w).sum().backward()
+            results.append((out.data, x.grad, gain.grad, bias.grad))
+        for fused, composed in zip(*results):
+            assert fused.dtype == composed.dtype == np.float32
+            assert fused.shape == composed.shape
+            assert fused.tobytes() == composed.tobytes()
 
 
 def test_fused_groupnorm_is_one_node_over_its_inputs():
     rng = np.random.default_rng(18)
     x = parameter(rng.standard_normal((4, 2, 3, 3)))
     gain, bias = parameter(np.ones((4, 1, 1, 1))), parameter(np.zeros((4, 1, 1, 1)))
-    out = groupnorm(x, 2, gain, bias)
-    assert len(out._parents) == 3
-    assert all(p is q for p, q in zip(out._parents, (x, gain, bias)))
-    assert groupnorm(Tensor(x.data), 2, Tensor(gain.data), Tensor(bias.data))._parents == ()
+    for fuse_silu in (False, True):
+        out = groupnorm(x, 2, gain, bias, silu=fuse_silu)
+        assert len(out._parents) == 3
+        assert all(p is q for p, q in zip(out._parents, (x, gain, bias)))
+        assert groupnorm(Tensor(x.data), 2, Tensor(gain.data), Tensor(bias.data),
+                         silu=fuse_silu)._parents == ()
+
+
+def test_fused_groupnorm_keeps_only_input_and_frame_stats():
+    groups, shape = 4, (16, 5, 6, 8)
+    rng = np.random.default_rng(21)
+    x = parameter(rng.standard_normal(shape))
+    gain, bias = parameter(np.ones((16, 1, 1, 1))), parameter(np.zeros((16, 1, 1, 1)))
+    for fuse_silu in (False, True):
+        out = groupnorm(x, groups, gain, bias, silu=fuse_silu)
+        kept = [c.cell_contents for c in out._backward.__closure__
+                if isinstance(c.cell_contents, np.ndarray)]
+        assert len(kept) == 3  # x's grouped view, the mean and the std
+        for arr in kept:
+            assert np.shares_memory(arr, x.data) or arr.size <= groups * shape[1]
 
 
 def test_model_grads_match_composed_groupnorm(desk_cfg, desk_params, monkeypatch):
@@ -554,6 +573,21 @@ def test_model_grads_match_composed_groupnorm(desk_cfg, desk_params, monkeypatch
     for p in desk_params.values():
         p.grad = None
     assert grads[0] == grads[1]
+
+
+def test_fused_groupnorm_silu_grads():
+    with float64_mode():
+        rng = np.random.default_rng(22)
+        x = parameter(rng.standard_normal((4, 2, 3, 3)))
+        gain = parameter(1.0 + 0.3 * rng.standard_normal((4, 1, 1, 1)))
+        bias = parameter(0.2 * rng.standard_normal((4, 1, 1, 1)))
+
+        def loss(t, g, b):
+            return groupnorm(t, 2, g, b, silu=True).abs().mean()
+
+        assert grad_check(lambda t: loss(t, gain, bias), x) < 1e-4
+        assert grad_check(lambda g: loss(x, g, bias), gain) < 1e-4
+        assert grad_check(lambda b: loss(x, gain, b), bias) < 1e-4
 
 
 def test_groupnorm_gain_and_bias_grads():

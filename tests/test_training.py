@@ -402,19 +402,19 @@ def _pretrain_step_loss() -> tuple[dict[str, Tensor], Tensor]:
 
 
 def test_backward_frees_activations_and_keeps_leaf_grads(monkeypatch):
-    silu_outputs = []
+    norm_outputs = []
 
-    def recording_silu(x):
-        out = vae_silu(x)
-        silu_outputs.append(weakref.ref(out.data))
+    def recording_groupnorm(*args, **kwargs):
+        out = vae_groupnorm(*args, **kwargs)
+        norm_outputs.append(weakref.ref(out.data))
         return out
 
-    vae_silu = vae.silu
-    monkeypatch.setattr(vae, "silu", recording_silu)
+    vae_groupnorm = vae.groupnorm
+    monkeypatch.setattr(vae, "groupnorm", recording_groupnorm)
     params, loss = _pretrain_step_loss()
-    assert silu_outputs and all(ref() is not None for ref in silu_outputs)
+    assert norm_outputs and all(ref() is not None for ref in norm_outputs)
     backward(loss)
-    assert all(ref() is None for ref in silu_outputs)  # resblock activations are gone
+    assert all(ref() is None for ref in norm_outputs)  # resblock activations are gone
     assert all(p.grad is not None for p in params.values())
     grads = {n: p.grad for n, p in params.items()}
     with pytest.raises(ValueError, match="released"):
