@@ -491,7 +491,8 @@ def test_groupnorm_grad_and_errors():
         x = parameter(rng.standard_normal((4, 2, 3, 3)))
         gain = Tensor(np.ones((4, 1, 1, 1)))
         bias = Tensor(np.zeros((4, 1, 1, 1)))
-        assert grad_check(lambda t: groupnorm(t, 2, gain, bias).abs().mean(), x) < 1e-4
+        for fuse_silu in (False, True):
+            assert grad_check(lambda t: groupnorm(t, 2, gain, bias, silu=fuse_silu).abs().mean(), x) < 1e-4
     with pytest.raises(ValueError):
         groupnorm(Tensor(np.zeros((4, 1, 1, 1))), 0, gain, bias)
     with pytest.raises(ValueError):
@@ -575,21 +576,6 @@ def test_model_grads_match_composed_groupnorm(desk_cfg, desk_params, monkeypatch
     assert grads[0] == grads[1]
 
 
-def test_fused_groupnorm_silu_grads():
-    with float64_mode():
-        rng = np.random.default_rng(22)
-        x = parameter(rng.standard_normal((4, 2, 3, 3)))
-        gain = parameter(1.0 + 0.3 * rng.standard_normal((4, 1, 1, 1)))
-        bias = parameter(0.2 * rng.standard_normal((4, 1, 1, 1)))
-
-        def loss(t, g, b):
-            return groupnorm(t, 2, g, b, silu=True).abs().mean()
-
-        assert grad_check(lambda t: loss(t, gain, bias), x) < 1e-4
-        assert grad_check(lambda g: loss(x, g, bias), gain) < 1e-4
-        assert grad_check(lambda b: loss(x, gain, b), bias) < 1e-4
-
-
 def test_groupnorm_gain_and_bias_grads():
     with float64_mode():
         rng = np.random.default_rng(20)
@@ -602,8 +588,9 @@ def test_groupnorm_gain_and_bias_grads():
             d = out - target
             return (d * d).mean()
 
-        assert grad_check(lambda g: loss(groupnorm(x, 2, g, bias)), gain) < 1e-6
-        assert grad_check(lambda b: loss(groupnorm(x, 2, gain, b)), bias) < 1e-6
+        for fuse_silu in (False, True):
+            assert grad_check(lambda g: loss(groupnorm(x, 2, g, bias, silu=fuse_silu)), gain) < 1e-6
+            assert grad_check(lambda b: loss(groupnorm(x, 2, gain, b, silu=fuse_silu)), bias) < 1e-6
 
 
 def test_activation_grads():
