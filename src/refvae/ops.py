@@ -322,18 +322,16 @@ def rmsnorm(x: Tensor, gain: Tensor, axis: int = -1) -> Tensor:
     return x / (ms + EPS).sqrt() * gain
 
 
-def groupnorm(x: Tensor, groups: int, gain: Tensor, bias: Tensor, *, silu: bool = False) -> Tensor:
-    """Group normalisation over [C, T, H, W] with per-channel affine.
+def groupnorm_silu(x: Tensor, groups: int, gain: Tensor, bias: Tensor) -> Tensor:
+    """silu(group normalisation) over [C, T, H, W] with per-channel affine.
 
     Statistics are taken per frame (over in-group channels and space, never
     over time), so normalisation cannot leak future frames into past ones.
     One fused node keeps only the input, the mean and the std; its backward
-    recomputes the centred input and replays the engine's rules for the
-    composed op (mean, sub, x*x, mean, +eps, sqrt, div, *gain, +bias) step by
-    step, so outputs and gradients have the composed op's bits.  With
-    `silu=True` the node returns silu(groupnorm(x)) and still keeps nothing
-    more: its backward also recomputes the normalised map and its sigmoid,
-    and applies `silu`'s rule first.
+    recomputes the normalised map and its sigmoid, applies `silu`'s rule, and
+    replays the engine's rules for the composed norm (mean, sub, x*x, mean,
+    +eps, sqrt, div, *gain, +bias) step by step, so outputs and gradients
+    have the composed ops' bits.
     """
     c, t, h, w = x.shape
     if groups < 1:
@@ -346,17 +344,15 @@ def groupnorm(x: Tensor, groups: int, gain: Tensor, bias: Tensor, *, silu: bool 
     xc = xg - mu
     var = (xc * xc).mean(axis=axes, keepdims=True)
     std = np.sqrt(var + np.asarray(EPS, dtype=var.dtype))
-    out = (xc / std).reshape(x.shape) * gain.data + bias.data
-    if silu:
-        out = out * _sigmoid(out)
+    act = (xc / std).reshape(x.shape) * gain.data + bias.data
+    out = act * _sigmoid(act)
 
     def bw(g):
         xc = xg - mu
         y = (xc / std).reshape(x.shape)
-        if silu:
-            act = y * gain.data + bias.data
-            g = _silu_grad(g, act, _sigmoid(act))
-            del act
+        act = y * gain.data + bias.data
+        g = _silu_grad(g, act, _sigmoid(act))
+        del act
         if bias.requires_grad:
             _acc(bias, _unbroadcast(g, bias.shape))
         if gain.requires_grad:

@@ -233,12 +233,12 @@ def decode_conditioned_t(z: Tensor, ref_image, vae_cfg: VaeConfig, cfg: RefCondC
     ref = _resolve_reference(ref_image, params, vae_cfg, hz, wz)
     x = dec_input(z, vae_cfg, params)
     for s in range(3):
+        if s:  # the reference map follows x up to this stage's grid
+            ref = dec_stage_upsample(ref, s - 1, vae_cfg, params, temporal=False)
         x = dec_stage_blocks(x, s, vae_cfg, params)
         if controlnet:
             x = x + _controlnet_inject(ref, s, params)  # broadcasts over every frame
         else:
             x, ref = stage_forward(x, ref, s, vae_cfg, cfg, params)
         x = dec_stage_upsample(x, s, vae_cfg, params, temporal=True)
-        if s < 2:  # the last stage's reference map is never read
-            ref = dec_stage_upsample(ref, s, vae_cfg, params, temporal=False)
     return dec_head(x, vae_cfg, params)

@@ -9,7 +9,7 @@ from refvae.ops import (
     attention,
     conv3d_causal,
     gelu,
-    groupnorm,
+    groupnorm_silu,
     rmsnorm,
     rope_apply,
     silu,
@@ -491,24 +491,22 @@ def test_groupnorm_grad_and_errors():
         x = parameter(rng.standard_normal((4, 2, 3, 3)))
         gain = Tensor(np.ones((4, 1, 1, 1)))
         bias = Tensor(np.zeros((4, 1, 1, 1)))
-        for fuse_silu in (False, True):
-            assert grad_check(lambda t: groupnorm(t, 2, gain, bias, silu=fuse_silu).abs().mean(), x) < 1e-4
+        assert grad_check(lambda t: groupnorm_silu(t, 2, gain, bias).abs().mean(), x) < 1e-4
     with pytest.raises(ValueError):
-        groupnorm(Tensor(np.zeros((4, 1, 1, 1))), 0, gain, bias)
+        groupnorm_silu(Tensor(np.zeros((4, 1, 1, 1))), 0, gain, bias)
     with pytest.raises(ValueError):
-        groupnorm(Tensor(np.zeros((4, 1, 1, 1))), 3, gain, bias)
+        groupnorm_silu(Tensor(np.zeros((4, 1, 1, 1))), 3, gain, bias)
 
 
-def _groupnorm_composed(x, groups, gain, bias, silu=False):
-    """The engine-primitive composition that the fused groupnorm replaces: its oracle."""
+def _groupnorm_silu_composed(x, groups, gain, bias):
+    """The engine-primitive composition that the fused op replaces: its oracle."""
     c, t, h, w = x.shape
     xg = x.reshape(groups, c // groups, t, h, w)
     mu = xg.mean(axis=(1, 3, 4), keepdims=True)
     xc = xg - mu
     var = (xc * xc).mean(axis=(1, 3, 4), keepdims=True)
     y = xc / (var + ops.EPS).sqrt()
-    out = y.reshape(x.shape) * gain + bias
-    return ops.silu(out) if silu else out
+    return silu(y.reshape(x.shape) * gain + bias)
 
 
 @pytest.mark.parametrize("shape,groups", [((32, 17, 16, 32), 8), ((64, 9, 8, 16), 8),
@@ -520,31 +518,27 @@ def test_fused_groupnorm_matches_composed_bitwise(shape, groups):
     gain0 = (1.0 + 0.3 * rng.standard_normal((shape[0], 1, 1, 1))).astype(np.float32)
     bias0 = (0.2 * rng.standard_normal((shape[0], 1, 1, 1))).astype(np.float32)
     w = Tensor(rng.standard_normal(shape).astype(np.float32))
-    for fuse_silu in (False, True):
-        act = (lambda t: t) if fuse_silu else silu
-        results = []
-        for norm in (groupnorm, _groupnorm_composed):
-            x, gain, bias = parameter(x0), parameter(gain0), parameter(bias0)
-            out = norm(x, groups, gain, bias, silu=fuse_silu)
-            # the resblock pattern: x feeds the norm and also the residual add
-            ((x + act(out)) * w).sum().backward()
-            results.append((out.data, x.grad, gain.grad, bias.grad))
-        for fused, composed in zip(*results):
-            assert fused.dtype == composed.dtype == np.float32
-            assert fused.shape == composed.shape
-            assert fused.tobytes() == composed.tobytes()
+    results = []
+    for norm in (groupnorm_silu, _groupnorm_silu_composed):
+        x, gain, bias = parameter(x0), parameter(gain0), parameter(bias0)
+        out = norm(x, groups, gain, bias)
+        # the resblock pattern: x feeds the norm and also the residual add
+        ((x + out) * w).sum().backward()
+        results.append((out.data, x.grad, gain.grad, bias.grad))
+    for fused, composed in zip(*results):
+        assert fused.dtype == composed.dtype == np.float32
+        assert fused.shape == composed.shape
+        assert fused.tobytes() == composed.tobytes()
 
 
 def test_fused_groupnorm_is_one_node_over_its_inputs():
     rng = np.random.default_rng(18)
     x = parameter(rng.standard_normal((4, 2, 3, 3)))
     gain, bias = parameter(np.ones((4, 1, 1, 1))), parameter(np.zeros((4, 1, 1, 1)))
-    for fuse_silu in (False, True):
-        out = groupnorm(x, 2, gain, bias, silu=fuse_silu)
-        assert len(out._parents) == 3
-        assert all(p is q for p, q in zip(out._parents, (x, gain, bias)))
-        assert groupnorm(Tensor(x.data), 2, Tensor(gain.data), Tensor(bias.data),
-                         silu=fuse_silu)._parents == ()
+    out = groupnorm_silu(x, 2, gain, bias)
+    assert len(out._parents) == 3
+    assert all(p is q for p, q in zip(out._parents, (x, gain, bias)))
+    assert groupnorm_silu(Tensor(x.data), 2, Tensor(gain.data), Tensor(bias.data))._parents == ()
 
 
 def test_fused_groupnorm_keeps_only_input_and_frame_stats():
@@ -552,19 +546,18 @@ def test_fused_groupnorm_keeps_only_input_and_frame_stats():
     rng = np.random.default_rng(21)
     x = parameter(rng.standard_normal(shape))
     gain, bias = parameter(np.ones((16, 1, 1, 1))), parameter(np.zeros((16, 1, 1, 1)))
-    for fuse_silu in (False, True):
-        out = groupnorm(x, groups, gain, bias, silu=fuse_silu)
-        kept = [c.cell_contents for c in out._backward.__closure__
-                if isinstance(c.cell_contents, np.ndarray)]
-        assert len(kept) == 3  # x's grouped view, the mean and the std
-        for arr in kept:
-            assert np.shares_memory(arr, x.data) or arr.size <= groups * shape[1]
+    out = groupnorm_silu(x, groups, gain, bias)
+    kept = [c.cell_contents for c in out._backward.__closure__
+            if isinstance(c.cell_contents, np.ndarray)]
+    assert len(kept) == 3  # x's grouped view, the mean and the std
+    for arr in kept:
+        assert np.shares_memory(arr, x.data) or arr.size <= groups * shape[1]
 
 
 def test_model_grads_match_composed_groupnorm(desk_cfg, desk_params, monkeypatch):
     frames = Tensor(np.random.default_rng(19).random((5, 3, 16, 32), dtype=np.float32))
     grads = []
-    for norm in (groupnorm, _groupnorm_composed):
+    for norm in (groupnorm_silu, _groupnorm_silu_composed):
         monkeypatch.setattr(vae, "groupnorm", norm)
         for p in desk_params.values():
             p.grad = None
@@ -588,9 +581,8 @@ def test_groupnorm_gain_and_bias_grads():
             d = out - target
             return (d * d).mean()
 
-        for fuse_silu in (False, True):
-            assert grad_check(lambda g: loss(groupnorm(x, 2, g, bias, silu=fuse_silu)), gain) < 1e-6
-            assert grad_check(lambda b: loss(groupnorm(x, 2, gain, b, silu=fuse_silu)), bias) < 1e-6
+        assert grad_check(lambda g: loss(groupnorm_silu(x, 2, g, bias)), gain) < 1e-6
+        assert grad_check(lambda b: loss(groupnorm_silu(x, 2, gain, b)), bias) < 1e-6
 
 
 def test_activation_grads():

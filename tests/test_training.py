@@ -404,8 +404,8 @@ def _pretrain_step_loss() -> tuple[dict[str, Tensor], Tensor]:
 def test_backward_frees_activations_and_keeps_leaf_grads(monkeypatch):
     norm_outputs = []
 
-    def recording_groupnorm(*args, **kwargs):
-        out = vae_groupnorm(*args, **kwargs)
+    def recording_groupnorm(*args):
+        out = vae_groupnorm(*args)
         norm_outputs.append(weakref.ref(out.data))
         return out
 
