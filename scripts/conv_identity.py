@@ -1,16 +1,21 @@
 #!/usr/bin/env python3
-"""Check that conv3d_causal here and in another source tree agree bit for bit.
+"""Check that this source tree and another one train and score bit for bit alike.
 
     python3 scripts/conv_identity.py OTHER_SRC
 
 OTHER_SRC is a directory that holds a `refvae` package, such as the `src/`
-of another checkout.  The script records the conv3d_causal call shapes of
-one default-config pretrain step per curriculum stage, one fine-tune step
-per stage (each injection) and one swap clip, on a small dataset.  For each
+of another checkout.  The script runs a short sequence with each tree's own
+code: one default-config pretrain step per curriculum stage, one fine-tune
+step per stage for each injection, and one swap clip, on a small dataset.
+One line per run says whether its loss rows and its parameters are
+bit-equal across the trees, and one whether the swap reports are.
+
+It also records the conv3d_causal call shapes of the sequence.  For each
 distinct call it draws SEEDS sets of seeded inputs, kernel and output
 gradient, and runs the op of both trees: one line per shape says whether the
 output, the input gradient (gx) and the kernel gradient (gk) are bit-equal.
-It exits 1 if any differs.  BLAS runs on one thread, as in perfbench.
+It exits 1 if any shape or any part of the run differs.  BLAS runs on one
+thread, as in perfbench.
 """
 from __future__ import annotations
 
@@ -21,6 +26,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse  # noqa: E402
 import importlib.util  # noqa: E402
+import json  # noqa: E402
 import sys  # noqa: E402
 from dataclasses import replace  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -30,10 +36,6 @@ import numpy as np  # noqa: E402
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from refvae import ops, refcond, tensor, training, vae  # noqa: E402
-from refvae.config import ExperimentConfig  # noqa: E402
-from refvae.metrics import fixed_seed_swap_compare  # noqa: E402
-from refvae.synthdata import build_dataset  # noqa: E402
-from refvae.training import CurriculumSpec, pretrain_baseline, train_refdecoder  # noqa: E402
 
 CALLERS = (vae, refcond, training)  # every module that calls conv3d_causal
 SEEDS = 3  # input draws per call shape
@@ -51,8 +53,38 @@ def load_other(src: Path):
     return importlib.import_module("refvae_other.ops"), importlib.import_module("refvae_other.tensor")
 
 
-def record_calls() -> list[tuple]:
-    """(x shape, kernel shape, stride, x dtype, kernel dtype) of each distinct call."""
+def run_sequence(pkg: str) -> dict[str, object]:
+    """The short pretrain, both fine-tunes and the swap, run with package `pkg`.
+
+    Returns what is compared across trees: each run's loss rows and
+    parameter arrays, and the swap reports.
+    """
+    config, metrics, synthdata, train = (importlib.import_module(f"{pkg}.{m}")
+                                         for m in ("config", "metrics", "synthdata", "training"))
+    cfg = config.ExperimentConfig()
+    data = replace(cfg.dataset, n_train=2, n_val=1)
+    train_refs, val_refs = synthdata.build_dataset(data)
+    cur = train.CurriculumSpec(tuple(replace(s, steps=1) for s in cfg.curriculum.stages))
+    opt = replace(cfg.optimizer, warmup_steps=0, total_steps=cur.total_steps)
+    base, rows, _ = train.pretrain_baseline(train_refs, data, cfg.vae, cur, opt, seed=0)
+    runs = {"pretrain": (base, rows)}
+    for injection in ("controlnet", cfg.injection):
+        runs[injection] = train.train_refdecoder(base, train_refs, data, cfg.vae, cfg.refdec, cur, opt,
+                                                 cfg.dropout, cfg.ref_policy, 0, injection)[:2]
+    swap = metrics.fixed_seed_swap_compare(val_refs, data, cfg.vae, cfg.refdec, base,
+                                           runs[cfg.injection][0], 0)
+    out: dict[str, object] = {}
+    for name, (params, rows) in runs.items():
+        out[f"{name} loss rows"] = repr(rows)  # repr round-trips every float exactly
+        out[f"{name} parameters"] = {n: (t.data.dtype.str, t.data.shape, t.data.tobytes())
+                                     for n, t in params.items()}
+    out["swap reports"] = (swap.baseline.to_json(), swap.conditioned.to_json(),
+                           json.dumps([swap.deltas, swap.seed_log]))
+    return out
+
+
+def record_calls() -> tuple[list[tuple], dict[str, object]]:
+    """(x shape, kernel shape, stride, x dtype, kernel dtype) of each distinct call, and the run's outputs."""
     seen: dict[tuple, None] = {}
     real = ops.conv3d_causal
 
@@ -60,23 +92,14 @@ def record_calls() -> list[tuple]:
         seen[(x.shape, kernel.shape, tuple(stride), x.dtype.str, kernel.dtype.str)] = None
         return real(x, kernel, stride)
 
-    cfg = ExperimentConfig()
-    data = replace(cfg.dataset, n_train=2, n_val=1)
-    train_refs, val_refs = build_dataset(data)
-    cur = CurriculumSpec(tuple(replace(s, steps=1) for s in cfg.curriculum.stages))
-    opt = replace(cfg.optimizer, warmup_steps=0, total_steps=cur.total_steps)
     for mod in CALLERS:
         mod.conv3d_causal = spy
     try:
-        base, _, _ = pretrain_baseline(train_refs, data, cfg.vae, cur, opt, seed=0)
-        for injection in ("controlnet", cfg.injection):
-            cond, _, _ = train_refdecoder(base, train_refs, data, cfg.vae, cfg.refdec, cur, opt,
-                                          cfg.dropout, cfg.ref_policy, 0, injection)
-        fixed_seed_swap_compare(val_refs, data, cfg.vae, cfg.refdec, base, cond, 0)
+        outputs = run_sequence("refvae")
     finally:
         for mod in CALLERS:
             mod.conv3d_causal = real
-    return list(seen)
+    return list(seen), outputs
 
 
 def run_conv(conv, tensor_mod, x, w, g, stride):
@@ -93,7 +116,14 @@ def main(argv=None) -> int:
     parser.add_argument("other_src", type=Path, help="directory holding the other refvae package")
     args = parser.parse_args(argv)
     other_ops, other_tensor = load_other(args.other_src.resolve())
-    calls = record_calls()
+    calls, outputs = record_calls()
+    other_outputs = run_sequence("refvae_other")
+    run_bad = 0
+    for part, value in outputs.items():
+        same = other_outputs.get(part) == value
+        run_bad += not same
+        print(f"{part}: {'equal' if same else 'DIFFERS'}")
+    print(f"whole run {'bit-equal' if not run_bad else 'DIFFERS'}")
     bad = 0
     print(f"{len(calls)} conv3d_causal call shapes, {SEEDS} seeds each")
     for xs, ks, stride, xd, kd in calls:
@@ -111,7 +141,7 @@ def main(argv=None) -> int:
         flags = " ".join(f"{k}={'equal' if v else 'DIFFERS'}" for k, v in zip(("out", "gx", "gk"), same))
         print(f"x{list(xs)} k{list(ks)} stride{list(stride)} {np.dtype(xd).name}: {flags}")
     print(f"{len(calls) - bad}/{len(calls)} shapes bit-equal")
-    return 1 if bad else 0
+    return 1 if bad or run_bad else 0
 
 
 if __name__ == "__main__":

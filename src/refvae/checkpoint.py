@@ -72,7 +72,10 @@ def save_checkpoint(path: Path, params: dict, meta: dict | None = None) -> None:
 
 
 def load_checkpoint(path: Path) -> tuple[dict[str, np.ndarray], dict]:
-    raw = Path(path).read_bytes()
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:  # missing, a directory, unreadable
+        raise CheckpointError(f"{path}: cannot read checkpoint ({exc.strerror or exc})") from None
     if raw[:4] != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint (bad magic)")
     body = 4 + HEADER.size

@@ -75,7 +75,10 @@ class Runner:
         self.args = args
         root = Path(args.out) if args.out else Path(cfg.output_dir)
         self.outdir = root / f"{command}-{cfg.hash12}"
-        self.outdir.mkdir(parents=True, exist_ok=True)
+        try:
+            self.outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # the output root names a file
+            raise ConfigError(f"cannot make run directory {self.outdir}: {exc.strerror or exc}") from None
         self.started = time.perf_counter()
         self.extra: dict = {}
 
@@ -121,8 +124,6 @@ def _load_model(path: str | Path | None, kinds: tuple[str, ...] = tuple(CKPT_KIN
     if not path:
         raise CheckpointError(f"no {' or '.join(kinds)} checkpoint given")
     p = Path(path)
-    if not p.exists():
-        raise CheckpointError(f"checkpoint not found: {p}")
     arrays, meta = load_checkpoint(p)
     try:
         if meta["kind"] not in CKPT_KINDS:
@@ -318,6 +319,8 @@ def _run_grid_point(payload: tuple) -> list[dict]:
 
 
 def cmd_ablate(cfg: ExperimentConfig, args) -> Path:
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be at least 1, got {args.workers}")
     baseline_path = args.baseline or cfg.baseline_checkpoint
     _load_model(baseline_path, ("baseline",))  # fails before any output unless it is a sound baseline
     run = Runner(f"ablate-{args.axis}", cfg, args)

@@ -10,12 +10,15 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+import types
+import typing
+from dataclasses import asdict, dataclass, field, is_dataclass
+from enum import Enum
 from pathlib import Path
 
 from .refcond import RefCondConfig
 from .synthdata import DatasetSpec
-from .training import CurriculumSpec, DropoutSpec, OptimizerSpec, RefPolicy, StageSpec
+from .training import CurriculumSpec, DropoutSpec, OptimizerSpec, RefPolicy
 from .vae import VaeConfig
 
 INJECTIONS = ("attention", "controlnet")
@@ -23,6 +26,38 @@ INJECTIONS = ("attention", "controlnet")
 
 class ConfigError(ValueError):
     pass
+
+
+_SCALARS = {float: (int, float), int: (int,), bool: (bool,), str: (str,)}  # JSON types each field takes
+
+
+def _typed(tp, value, name: str):
+    """`value` as a field of type `tp`, checked and never coerced.
+
+    An object builds a dataclass from the fields it names (the others keep
+    their defaults) and a list builds a tuple; a value of another type raises
+    TypeError.  An int passes as a float (and keeps its config hash), a bool
+    as neither.
+    """
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is types.UnionType:  # X | None
+        return None if value is None else _typed(args[0], value, name)
+    if isinstance(tp, type) and issubclass(tp, Enum) and value in [m.value for m in tp]:
+        return tp(value)
+    if is_dataclass(tp) and isinstance(value, dict):
+        hints = typing.get_type_hints(tp)  # an unknown field fails in the constructor
+        return tp(**{k: _typed(hints[k], v, f"{name}.{k}") if k in hints else v
+                     for k, v in value.items()})
+    if origin is dict and isinstance(value, dict):
+        return {k: _typed(args[1], v, f"{name}.{k}") for k, v in value.items()}
+    if origin is tuple and isinstance(value, (list, tuple)):
+        kinds = args[:1] * len(value) if args[1:] == (...,) else args
+        if len(kinds) == len(value):
+            return tuple(_typed(t, v, f"{name}[{i}]") for i, (t, v) in enumerate(zip(kinds, value)))
+    elif type(value) in _SCALARS.get(tp, ()):
+        return value
+    want = "an object" if is_dataclass(tp) else tp.__name__ if isinstance(tp, type) else tp
+    raise TypeError(f"{name} must be {want}, got {value!r}")
 
 
 @dataclass
@@ -94,34 +129,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        def build(klass, payload, tuple_fields=()):
-            payload = dict(payload)
-            for name in tuple_fields:
-                if name in payload:
-                    payload[name] = tuple(payload[name])
-            return klass(**payload)
-
         try:
-            cfg = cls(
-                vae=build(VaeConfig, d.get("vae", {}), ("stage_channels", "stage_kernels")),
-                refdec=build(RefCondConfig, d.get("refdec", {}), ("token_strides",)),
-                dropout=build(DropoutSpec, d.get("dropout", {})),
-                curriculum=CurriculumSpec(tuple(
-                    StageSpec(**s) for s in d.get("curriculum", {}).get(
-                        "stages", [asdict(s) for s in CurriculumSpec().stages]))),
-                optimizer=build(OptimizerSpec, d.get("optimizer", {}), ("betas",)),
-                ref_policy=RefPolicy(d.get("ref_policy", "random_frame")),
-                eval_ref_policy=RefPolicy(d.get("eval_ref_policy", "first_frame")),
-                dataset=build(DatasetSpec, d.get("dataset", {})),
-                seeds=build(Seeds, d.get("seeds", {})),
-                injection=d.get("injection", "attention"),
-                lambda_perc=d.get("lambda_perc", 1.0),
-                output_dir=d.get("output_dir", "runs"),
-                baseline_checkpoint=d.get("baseline_checkpoint"),
-            )
-        except (TypeError, ValueError, KeyError) as exc:
+            return _typed(cls, d, "config")
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"malformed config: {exc}") from exc
-        return cfg
 
     @classmethod
     def load(cls, path: Path) -> "ExperimentConfig":

@@ -217,12 +217,8 @@ def upsample_nearest(x: Tensor, factors: tuple[int, int, int]) -> Tensor:
         if f > 1:
             y = np.repeat(y, f, axis=ax)
 
-    def bw(g):
-        if x.requires_grad:
-            gg = g.reshape(c, t_in, ft, h_in, fh, w_in, fw)
-            _acc(x, gg.sum(axis=(2, 4, 6)))
-
-    return _from_op(y, (x,), bw)
+    return _from_op(y, (x,), lambda g: _acc(
+        x, g.reshape(c, t_in, ft, h_in, fh, w_in, fw).sum(axis=(2, 4, 6))))
 
 
 def upsample_causal(x: Tensor, factors: tuple[int, int, int]) -> Tensor:
@@ -305,13 +301,12 @@ def rope_apply(x: Tensor, positions, base: float = 10000.0) -> Tensor:
     y[..., 1] = x1 * sin + x2 * cos
 
     def bw(g):
-        if x.requires_grad:
-            gv = g.reshape(seq, 3, pairs, 2)
-            g1, g2 = gv[..., 0], gv[..., 1]
-            gx = np.empty_like(gv)
-            gx[..., 0] = g1 * cos + g2 * sin
-            gx[..., 1] = -g1 * sin + g2 * cos
-            _acc(x, gx.reshape(seq, d))
+        gv = g.reshape(seq, 3, pairs, 2)
+        g1, g2 = gv[..., 0], gv[..., 1]
+        gx = np.empty_like(gv)
+        gx[..., 0] = g1 * cos + g2 * sin
+        gx[..., 1] = -g1 * sin + g2 * cos
+        _acc(x, gx.reshape(seq, d))
 
     return _from_op(y.reshape(seq, d), (x,), bw)
 
@@ -404,13 +399,7 @@ def _silu_grad(g: np.ndarray, v: np.ndarray, sig: np.ndarray) -> np.ndarray:
 
 def silu(x: Tensor) -> Tensor:
     sig = _sigmoid(x.data)
-    out = x.data * sig
-
-    def bw(g):
-        if x.requires_grad:
-            _acc(x, _silu_grad(g, x.data, sig))
-
-    return _from_op(out, (x,), bw)
+    return _from_op(x.data * sig, (x,), lambda g: _acc(x, _silu_grad(g, x.data, sig)))
 
 
 _GELU_C = float(np.sqrt(2.0 / np.pi))
@@ -425,9 +414,8 @@ def gelu(x: Tensor) -> Tensor:
     out = 0.5 * xd * (1.0 + th)
 
     def bw(g):
-        if x.requires_grad:
-            dinner = _GELU_C * (1.0 + 3.0 * _GELU_A * xd * xd)
-            _acc(x, g * (0.5 * (1.0 + th) + 0.5 * xd * (1.0 - th * th) * dinner))
+        dinner = _GELU_C * (1.0 + 3.0 * _GELU_A * xd * xd)
+        _acc(x, g * (0.5 * (1.0 + th) + 0.5 * xd * (1.0 - th * th) * dinner))
 
     return _from_op(out, (x,), bw)
 

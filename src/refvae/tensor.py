@@ -9,6 +9,11 @@ an interior node's closure has run, the node drops its gradient, closure
 and parents, so activations and interior gradients are freed as soon as
 nothing upstream needs them.  Only leaves keep `.grad`.
 
+One backward rule per node shape: a one-input op's closure accumulates
+unconditionally (`_from_op` attaches it only when the input requires grad);
+the broadcasting binary ops share `_binary`'s closure; `tsum` and `tmean`
+share `_unreduce`.
+
 Training runs in float32; `float64_mode` switches tensor creation to
 float64 so finite-difference checks are meaningful.
 """
@@ -163,8 +168,6 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
-
-
 def _acc(t: Tensor, g: np.ndarray) -> None:
     """Accumulate a full-shape gradient; first touch copies, later adds."""
     if t.grad is None:
@@ -183,145 +186,89 @@ def _grad_buffer(t: Tensor) -> np.ndarray:
 # -- primitive operations ---------------------------------------------------
 
 
+def _binary(out: np.ndarray, a: Tensor, b: Tensor, grad_a: Callable, grad_b: Callable) -> Tensor:
+    """Node of a broadcasting binary op.  `grad_a(g)` and `grad_b(g)` give an
+    operand's gradient at the output's shape; each runs only for an operand
+    that requires grad, and is summed down to that operand's shape."""
+    def bw(g):
+        for t, grad in ((a, grad_a), (b, grad_b)):
+            if t.requires_grad:
+                _acc(t, _unbroadcast(grad(g), t.data.shape))
+
+    return _from_op(out, (a, b), bw)
+
+
 def add(a: Tensor, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b, like=a)
-
-    def bw(g):
-        if a.requires_grad:
-            _acc(a, _unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            _acc(b, _unbroadcast(g, b.data.shape))
-
-    return _from_op(a.data + b.data, (a, b), bw)
+    return _binary(a.data + b.data, a, b, lambda g: g, lambda g: g)
 
 
 def sub(a: Tensor, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b, like=a)
-
-    def bw(g):
-        if a.requires_grad:
-            _acc(a, _unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            _acc(b, -_unbroadcast(g, b.data.shape))
-
-    return _from_op(a.data - b.data, (a, b), bw)
+    return _binary(a.data - b.data, a, b, lambda g: g, lambda g: -g)
 
 
 def mul(a: Tensor, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b, like=a)
-
-    def bw(g):
-        if a.requires_grad:
-            _acc(a, _unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            _acc(b, _unbroadcast(g * a.data, b.data.shape))
-
-    return _from_op(a.data * b.data, (a, b), bw)
+    return _binary(a.data * b.data, a, b, lambda g: g * b.data, lambda g: g * a.data)
 
 
 def div(a: Tensor, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b, like=a)
-
-    def bw(g):
-        if a.requires_grad:
-            _acc(a, _unbroadcast(g / b.data, a.data.shape))
-        if b.requires_grad:
-            _acc(b, -_unbroadcast(g * a.data / (b.data * b.data), b.data.shape))
-
-    return _from_op(a.data / b.data, (a, b), bw)
+    # IEEE negation is exact: negating the b-shaped divisor gives the bits of
+    # negating the quotient
+    return _binary(a.data / b.data, a, b, lambda g: g / b.data,
+                   lambda g: g * a.data / -(b.data * b.data))
 
 
 def neg(a: Tensor) -> Tensor:
-    def bw(g):
-        if a.requires_grad:
-            _acc(a, -g)
-
-    return _from_op(-a.data, (a,), bw)
+    return _from_op(-a.data, (a,), lambda g: _acc(a, -g))
 
 
 def tabs(a: Tensor) -> Tensor:
-    def bw(g):
-        if a.requires_grad:
-            _acc(a, g * np.sign(a.data))
-
-    return _from_op(np.abs(a.data), (a,), bw)
+    return _from_op(np.abs(a.data), (a,), lambda g: _acc(a, g * np.sign(a.data)))
 
 
 def sqrt(a: Tensor) -> Tensor:
     out_data = np.sqrt(a.data)
-
-    def bw(g):
-        if a.requires_grad:
-            _acc(a, g / (2.0 * out_data))
-
-    return _from_op(out_data, (a,), bw)
+    return _from_op(out_data, (a,), lambda g: _acc(a, g / (2.0 * out_data)))
 
 
 def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
-    def bw(g):
-        if a.requires_grad:
-            _acc(a, g * ((a.data >= lo) & (a.data <= hi)))
+    return _from_op(np.clip(a.data, lo, hi), (a,), lambda g: _acc(a, g * ((a.data >= lo) & (a.data <= hi))))
 
-    return _from_op(np.clip(a.data, lo, hi), (a,), bw)
+
+def _unreduce(g: np.ndarray, shape: tuple[int, ...], axis, keepdims: bool) -> np.ndarray:
+    """Broadcast a reduction's output gradient back over the reduced axes."""
+    if not (keepdims or axis is None):
+        g = np.expand_dims(g, axis)
+    return np.broadcast_to(g, shape)
 
 
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    def bw(g):
-        if not a.requires_grad:
-            return
-        if axis is None:
-            _acc(a, np.broadcast_to(g, a.data.shape))
-        else:
-            gg = g if keepdims else np.expand_dims(g, axis)
-            _acc(a, np.broadcast_to(gg, a.data.shape))
-
-    return _from_op(a.data.sum(axis=axis, keepdims=keepdims), (a,), bw)
+    return _from_op(a.data.sum(axis=axis, keepdims=keepdims), (a,),
+                    lambda g: _acc(a, _unreduce(g, a.data.shape, axis, keepdims)))
 
 
 def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    if axis is None:
-        n = a.data.size
-    else:
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        n = int(np.prod([a.data.shape[ax] for ax in axes]))
-
-    def bw(g):
-        if not a.requires_grad:
-            return
-        if axis is None:
-            _acc(a, np.broadcast_to(g / n, a.data.shape))
-        else:
-            gg = (g if keepdims else np.expand_dims(g, axis)) / n
-            _acc(a, np.broadcast_to(gg, a.data.shape))
-
-    return _from_op(a.data.mean(axis=axis, keepdims=keepdims), (a,), bw)
+    out = a.data.mean(axis=axis, keepdims=keepdims)
+    n = a.data.size // max(out.size, 1)  # elements per mean
+    return _from_op(out, (a,), lambda g: _acc(a, _unreduce(g / n, a.data.shape, axis, keepdims)))
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    shape = tuple(shape)
-
-    def bw(g):
-        if a.requires_grad:
-            _acc(a, g.reshape(a.data.shape))
-
-    return _from_op(a.data.reshape(shape), (a,), bw)
+    return _from_op(a.data.reshape(tuple(shape)), (a,), lambda g: _acc(a, g.reshape(a.data.shape)))
 
 
 def transpose(a: Tensor, axes) -> Tensor:
     axes = tuple(axes)
     inv = tuple(np.argsort(axes))
-
-    def bw(g):
-        if a.requires_grad:
-            _acc(a, g.transpose(inv))
-
-    return _from_op(a.data.transpose(axes), (a,), bw)
+    return _from_op(a.data.transpose(axes), (a,), lambda g: _acc(a, g.transpose(inv)))
 
 
 def getitem(a: Tensor, key) -> Tensor:
     def bw(g):
-        if a.requires_grad:
-            _grad_buffer(a)[key] += g
+        _grad_buffer(a)[key] += g
 
     return _from_op(a.data[key], (a,), bw)
 
@@ -349,13 +296,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != b.data.ndim or a.data.shape[:-2] != b.data.shape[:-2]:
         raise ValueError("matmul batch dimensions must match exactly")
 
-    def bw(g):
-        if a.requires_grad:
-            _acc(a, np.matmul(g, b.data.swapaxes(-1, -2)))
-        if b.requires_grad:
-            _acc(b, np.matmul(a.data.swapaxes(-1, -2), g))
-
-    return _from_op(np.matmul(a.data, b.data), (a, b), bw)
+    # the gradients have the operands' shapes: _unbroadcast passes them through
+    return _binary(np.matmul(a.data, b.data), a, b, lambda g: np.matmul(g, b.data.swapaxes(-1, -2)),
+                   lambda g: np.matmul(a.data.swapaxes(-1, -2), g))
 
 
 # -- backward pass -----------------------------------------------------------

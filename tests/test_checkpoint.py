@@ -172,3 +172,12 @@ def test_failed_save_keeps_previous_checkpoint(params, tmp_path, monkeypatch):
     assert meta["kind"] == "baseline"
     assert np.array_equal(arrays["dec.in.w"], params["dec.in.w"].data)
     assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("kind", ["directory", "missing"])
+def test_unreadable_path_raises_checkpoint_error(tmp_path, kind):
+    path = tmp_path / "x.ckpt"
+    if kind == "directory":
+        path.mkdir()
+    with pytest.raises(CheckpointError, match="cannot read"):
+        load_checkpoint(path)

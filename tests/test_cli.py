@@ -9,7 +9,7 @@ import pytest
 from conftest import read_rdvc
 from refvae.checkpoint import load_checkpoint, params_from_arrays, save_checkpoint
 from refvae.cli import main
-from refvae.config import ExperimentConfig, Seeds
+from refvae.config import ConfigError, ExperimentConfig, Seeds
 from refvae.metrics import clip_metrics, derive_clip_seeds, frame_distances
 from refvae.refcond import decode_conditioned_t
 from refvae.synthdata import build_dataset, gen_clip, realize
@@ -450,3 +450,58 @@ def test_config_roundtrip_and_hash_stability(tmp_path):
     assert back.config_hash() == cfg.config_hash()
     moved = ExperimentConfig.from_dict({**d, "output_dir": "elsewhere"})
     assert moved.config_hash() == cfg.config_hash()  # location does not change identity
+
+
+MALFORMED_CONFIGS = {  # case -> config JSON whose value types do not match the fields
+    "not-an-object": [],
+    "curriculum-list": {"curriculum": []},
+    "frames-string": {"dataset": {"frames": "17"}},
+    "lambda-perc-string": {"lambda_perc": "1"},
+    "base-lr-null": {"optimizer": {"base_lr": None}},
+    "r-max-string": {"dropout": {"r_max": "0.5"}},
+    "latent-channels-string": {"vae": {"latent_channels": "8"}},
+    "stage-kernels-two": {"vae": {"stage_kernels": [3, 3]}},
+    "seed-bool": {"seeds": {"master": True}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CONFIGS))
+def test_malformed_config_exits_2_before_any_output(tmp_path, case):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(MALFORMED_CONFIGS[case]))
+    assert main(["gen-data", "--config", str(cfg_path), "--out", str(tmp_path / "runs")]) == 2
+    assert not (tmp_path / "runs").exists()
+
+
+def test_config_types_are_checked_never_coerced(tmp_path):
+    d = tiny_config(tmp_path).to_dict()
+    with pytest.raises(ConfigError, match="lambda_perc"):
+        ExperimentConfig.from_dict({**d, "lambda_perc": "1"})
+    as_int = ExperimentConfig.from_dict({**d, "lambda_perc": 1})  # an int is a float, kept as given
+    assert type(as_int.lambda_perc) is int
+    assert as_int.config_hash() != ExperimentConfig.from_dict(d).config_hash()  # 1 hashes as 1, not 1.0
+
+
+@pytest.mark.parametrize("command", ["eval", "train", "ablate", "swap-compare", "decode"])
+def test_checkpoint_path_that_is_a_directory_exits_3(tmp_path, command):
+    ckpt_dir = tmp_path / "dir.ckpt"
+    ckpt_dir.mkdir()
+    args = {"eval": ["--ckpt"], "train": ["--baseline"], "ablate": ["--axis", "dropout", "--baseline"],
+            "swap-compare": ["--refdec", str(ckpt_dir), "--baseline"],
+            "decode": ["--clip-seed", "3", "--ckpt"]}[command]
+    assert main([command, "--config", str(write_config(tmp_path)), *args, str(ckpt_dir)]) == 3
+    assert not (tmp_path / "runs").exists()
+
+
+def test_out_naming_a_file_exits_2(tmp_path):
+    out = tmp_path / "out.txt"
+    out.write_text("not a directory\n")
+    assert main(["gen-data", "--config", str(write_config(tmp_path)), "--out", str(out)]) == 2
+    assert out.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_ablate_workers_below_1_exits_2_before_any_output(pipeline, tmp_path, workers):
+    assert main(["ablate", "--config", str(write_config(tmp_path)), "--axis", "ref_policy",
+                 "--baseline", str(pipeline[3]), "--workers", workers]) == 2
+    assert not (tmp_path / "runs").exists()

@@ -205,3 +205,49 @@ def test_determinism_bitwise():
     b = run()
     for u, v in zip(a, b):
         assert np.array_equal(u, v)
+
+
+BINARY_OPS = {
+    "add": lambda a, b: a + b,
+    "sub": lambda a, b: a - b,
+    "mul": lambda a, b: a * b,
+    "div": lambda a, b: a / b,
+    "matmul": lambda a, b: a @ b,
+}
+# (left shape, right shape): elementwise ops broadcast either operand, matmul's batch dims match
+BINARY_SHAPES = {"matmul": [((2, 3, 4), (2, 4, 5))]}
+BROADCAST_SHAPES = [((2, 3, 4), (3, 1)), ((1, 4), (2, 3, 4)), ((2, 1, 4), (1, 3, 1))]
+
+
+@pytest.mark.parametrize("side", [0, 1])
+@pytest.mark.parametrize("op", sorted(BINARY_OPS))
+def test_binary_op_grads_with_broadcast_operand(op, side):
+    fn = BINARY_OPS[op]
+    for k, shapes in enumerate(BINARY_SHAPES.get(op, BROADCAST_SHAPES)):
+        with float64_mode():
+            rng = np.random.default_rng(10 * k + side)
+            arrays = [rng.standard_normal(s) for s in shapes]
+            arrays[1] = np.sign(arrays[1]) * (1.0 + np.abs(arrays[1]))  # divisors away from 0
+            x, const = parameter(arrays[side]), Tensor(arrays[1 - side])
+            weights = Tensor(rng.standard_normal(fn(*arrays).shape))  # every output element counts
+
+            def f(t):
+                return (fn(*((t, const) if side == 0 else (const, t))) * weights).sum()
+
+            assert grad_check(f, x, eps=1e-4) < 1e-6
+        assert x.grad.shape == shapes[side]
+        assert const.grad is None  # the constant operand's gradient is never computed
+
+
+@pytest.mark.parametrize("axis,keepdims", [(None, False), (None, True), ((0, 2), False), ((0, 2), True),
+                                           (1, True), (-1, False)])
+@pytest.mark.parametrize("reduce", ["sum", "mean"])
+def test_reduction_grads_over_axes(reduce, axis, keepdims):
+    with float64_mode():
+        rng = np.random.default_rng(8)
+        x = parameter(rng.standard_normal((2, 3, 4)))
+        out = getattr(x, reduce)(axis=axis, keepdims=keepdims)
+        np.testing.assert_array_equal(out.data, getattr(x.data, reduce)(axis=axis, keepdims=keepdims))
+        weights = Tensor(rng.standard_normal(out.shape))
+        assert grad_check(lambda t: (getattr(t, reduce)(axis=axis, keepdims=keepdims) * weights).sum(), x,
+                          eps=1e-4) < 1e-8
