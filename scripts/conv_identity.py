@@ -14,8 +14,16 @@ It also records the conv3d_causal call shapes of the sequence.  For each
 distinct call it draws SEEDS sets of seeded inputs, kernel and output
 gradient, and runs the op of both trees: one line per shape says whether the
 output, the input gradient (gx) and the kernel gradient (gk) are bit-equal.
-It exits 1 if any shape or any part of the run differs.  BLAS runs on one
-thread, as in perfbench.
+
+Last, each tree's CLI runs a command sequence on a tiny config (TINY):
+gen-data --dump, pretrain, attention and controlnet train, a three-checkpoint
+eval, swap-compare for both injections, ablate on every axis, and five
+decodes.  It compares every output file across the trees byte for byte,
+after writing each run root as `<root>` and dropping each manifest's
+`wall_time_s`, and prints the files that differ or exist in one tree only.
+
+It exits 1 if any shape, any part of the run or any CLI output differs.
+BLAS runs on one thread, as in perfbench.
 """
 from __future__ import annotations
 
@@ -25,9 +33,12 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"  # before numpy loads BLAS
 
 import argparse  # noqa: E402
+import contextlib  # noqa: E402
 import importlib.util  # noqa: E402
+import io  # noqa: E402
 import json  # noqa: E402
 import sys  # noqa: E402
+import tempfile  # noqa: E402
 from dataclasses import replace  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -36,9 +47,18 @@ import numpy as np  # noqa: E402
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from refvae import ops, refcond, tensor, training, vae  # noqa: E402
+from refvae.cli import ABLATIONS  # noqa: E402
 
 CALLERS = (vae, refcond, training)  # every module that calls conv3d_causal
 SEEDS = 3  # input draws per call shape
+TINY = {  # the CLI sequence's config: 4 train and 3 val clips of 9x16x32, 10 steps
+    "curriculum": {"stages": [{"frames": 5, "height": 16, "width": 32, "steps": 6},
+                              {"frames": 9, "height": 16, "width": 32, "steps": 4}]},
+    "optimizer": {"total_steps": 10, "warmup_steps": 2},
+    "seeds": {"master": 5},
+    "dataset": {"n_train": 4, "n_val": 3, "frames": 9, "height": 16, "width": 32},
+    "refdec": {"n_blocks": 1},
+}
 
 
 def load_other(src: Path):
@@ -81,6 +101,56 @@ def run_sequence(pkg: str) -> dict[str, object]:
     out["swap reports"] = (swap.baseline.to_json(), swap.conditioned.to_json(),
                            json.dumps([swap.deltas, swap.seed_log]))
     return out
+
+
+def cli_outputs(pkg: str, root: Path) -> dict[str, bytes]:
+    """Every file the TINY command sequence writes under `root` with package `pkg`'s CLI.
+
+    Keys are paths relative to `root`.  In each file `root` reads `<root>`,
+    and each manifest is re-serialised without its `wall_time_s`.
+    """
+    main = importlib.import_module(f"{pkg}.cli").main
+    configs = {}
+    for injection in ("attention", "controlnet"):
+        configs[injection] = root / f"{injection}.json"
+        configs[injection].write_text(json.dumps({**TINY, "injection": injection}))
+
+    def run(out: str, command: str, *args, injection: str = "attention") -> Path:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main([command, "--config", str(configs[injection]), "--out", str(root / out),
+                         *map(str, args)])
+        if code:
+            raise SystemExit(f"{pkg}: {command} {' '.join(map(str, args))} exited {code}")
+        (outdir,) = (root / out).iterdir()
+        return outdir
+
+    run("gen-data", "gen-data", "--dump")
+    base = run("pretrain", "pretrain") / "baseline.ckpt"
+    ckpts = {injection: run(f"train-{injection}", "train", "--baseline", base, injection=injection)
+             / "refdec.ckpt" for injection in configs}
+    run("eval", "eval", "--ckpt", base, *(a for c in ckpts.values() for a in ("--ckpt", c)))
+    swaps = {injection: run(f"swap-{injection}", "swap-compare", "--baseline", base, "--refdec", ckpt,
+                            injection=injection) for injection, ckpt in ckpts.items()}
+    for axis in ABLATIONS:  # this tree's axes, run by each tree's CLI
+        run(f"ablate-{axis}", "ablate", "--axis", axis, "--baseline", base)
+    np.save(root / "ref.npy", np.full((3, 16, 32), 0.5, np.float32))
+    run("decode-baseline", "decode", "--ckpt", base, "--clip-seed", 77)
+    run("decode-frame", "decode", "--ckpt", ckpts["attention"], "--clip-seed", 77, "--ref", "frame:2")
+    run("decode-null", "decode", "--ckpt", ckpts["attention"], "--clip-seed", 3)
+    run("decode-controlnet", "decode", "--ckpt", ckpts["controlnet"], "--clip-seed", 77,
+        "--ref", "frame:4", injection="controlnet")
+    run("decode-latent", "decode", "--ckpt", ckpts["attention"], "--latent",
+        swaps["attention"] / "latents" / "val-0000.npy", "--ref", root / "ref.npy")
+
+    files = {}
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        raw = path.read_bytes().replace(str(root).encode(), b"<root>")
+        if path.name == "manifest.json":
+            manifest = json.loads(raw)
+            manifest.pop("wall_time_s")
+            raw = json.dumps(manifest, sort_keys=True).encode()
+        files[str(path.relative_to(root))] = raw
+    return files
 
 
 def record_calls() -> tuple[list[tuple], dict[str, object]]:
@@ -141,7 +211,16 @@ def main(argv=None) -> int:
         flags = " ".join(f"{k}={'equal' if v else 'DIFFERS'}" for k, v in zip(("out", "gx", "gk"), same))
         print(f"x{list(xs)} k{list(ks)} stride{list(stride)} {np.dtype(xd).name}: {flags}")
     print(f"{len(calls) - bad}/{len(calls)} shapes bit-equal")
-    return 1 if bad or run_bad else 0
+    with tempfile.TemporaryDirectory() as mine, tempfile.TemporaryDirectory() as theirs:
+        files, other_files = cli_outputs("refvae", Path(mine)), cli_outputs("refvae_other", Path(theirs))
+    names = files.keys() | other_files.keys()
+    cli_bad = sorted(n for n in names if files.get(n) != other_files.get(n))
+    for name in cli_bad:
+        both = name in files and name in other_files
+        print(f"CLI output {name}: {'DIFFERS' if both else 'in one tree only'}")
+    print(f"{len(names) - len(cli_bad)}/{len(names)} CLI output files "
+          f"byte-equal apart from run paths and wall_time_s")
+    return 1 if bad or run_bad or cli_bad else 0
 
 
 if __name__ == "__main__":

@@ -22,18 +22,16 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .checkpoint import (CheckpointError, encoder_fingerprint, load_checkpoint,
-                         params_from_arrays, save_checkpoint)
-from .config import ConfigError, ExperimentConfig, Seeds
+from .checkpoint import CheckpointError, load_checkpoint, params_from_arrays, save_checkpoint
+from .config import INJECTIONS, ConfigError, ExperimentConfig, Seeds
 from .metrics import evaluate_params, fixed_seed_swap_compare, psnr
-from .refcond import RefCondConfig, decode_conditioned_t, init_ref_params, null_reference
+from .refcond import RefCondConfig, decode_conditioned_t, init_ref_params
 from .synthdata import CATEGORIES, build_dataset, gen_clip, realize, save_manifest, write_rdvc
 from .tensor import NumericsError, Tensor
 from .training import (
     LOG_COLUMNS,
     CurriculumSpec,
     RefPolicy,
-    StageSpec,
     pretrain_baseline,
     train_refdecoder,
 )
@@ -43,8 +41,6 @@ EXIT_CONFIG = 2
 EXIT_CHECKPOINT = 3
 EXIT_NUMERIC = 4
 
-DROPOUT_GRID = (0.0, 0.3, 0.7)
-BLOCKS_GRID = (3, 5, 7, 10)
 CKPT_KINDS = {"baseline": None, "refdec": "attention", "controlnet": "controlnet"}  # kind -> injection
 
 
@@ -72,7 +68,6 @@ class Runner:
     def __init__(self, command: str, cfg: ExperimentConfig, args):
         self.command = command
         self.cfg = cfg
-        self.args = args
         root = Path(args.out) if args.out else Path(cfg.output_dir)
         self.outdir = root / f"{command}-{cfg.hash12}"
         try:
@@ -101,17 +96,6 @@ class Runner:
         return self.outdir
 
 
-def _ckpt_meta(cfg: ExperimentConfig, kind: str, opt_step: int) -> dict:
-    return {
-        "kind": kind,
-        "config_hash": cfg.config_hash(),
-        "code_version": __version__,
-        "vae": asdict(cfg.vae),
-        "refdec": asdict(cfg.refdec),
-        "opt_step": opt_step,
-    }
-
-
 def _load_model(path: str | Path | None, kinds: tuple[str, ...] = tuple(CKPT_KINDS),
                 ) -> tuple[dict[str, Tensor], dict, VaeConfig, RefCondConfig | None]:
     """Checkpoint of one of `kinds` -> parameters, metadata, VaeConfig, RefCondConfig or None.
@@ -119,7 +103,8 @@ def _load_model(path: str | Path | None, kinds: tuple[str, ...] = tuple(CKPT_KIN
     The parameters are exactly the tensors of the model the metadata records;
     other tensors (the optimiser moments older checkpoints carry) are dropped.
     No path, missing or malformed `kind`, `vae` or `refdec` metadata, a kind
-    not in `kinds`, or a missing or misshapen model tensor is a CheckpointError.
+    not in `kinds`, or a missing, misshapen or non-finite model tensor is a
+    CheckpointError.
     """
     if not path:
         raise CheckpointError(f"no {' or '.join(kinds)} checkpoint given")
@@ -145,6 +130,8 @@ def _load_model(path: str | Path | None, kinds: tuple[str, ...] = tuple(CKPT_KIN
         dims = 2 if name == "ref.null" else len(want)  # the null map's grid is not recorded
         if got is None or got.ndim != len(want) or got.shape[:dims] != want[:dims]:
             raise CheckpointError(f"{p}: tensor {name} is missing or not of shape {want}")
+        if not np.isfinite(got).all():
+            raise CheckpointError(f"{p}: tensor {name} holds NaN or Inf")
     params = params_from_arrays({n: a for n, a in arrays.items() if n in model_params})
     return params, meta, model.vae, model.refdec if injection else None
 
@@ -152,8 +139,8 @@ def _load_model(path: str | Path | None, kinds: tuple[str, ...] = tuple(CKPT_KIN
 def _save_trained(outdir: Path, cfg: ExperimentConfig, kind: str, params: dict[str, Tensor],
                   rows: list[dict], **meta_extra) -> None:
     """Checkpoint (parameters and metadata) plus loss.csv of one training run."""
-    meta = _ckpt_meta(cfg, kind, len(rows))
-    meta.update(meta_extra)
+    meta = {"kind": kind, "config_hash": cfg.config_hash(), "code_version": __version__,
+            "vae": asdict(cfg.vae), "refdec": asdict(cfg.refdec), "opt_step": len(rows), **meta_extra}
     save_checkpoint(outdir / ("baseline.ckpt" if kind == "baseline" else "refdec.ckpt"), params, meta)
     _write_csv(outdir / "loss.csv", rows, LOG_COLUMNS)
 
@@ -214,18 +201,10 @@ def cmd_eval(cfg: ExperimentConfig, args) -> Path:
     models = [_load_model(ckpt) for ckpt in args.ckpt]  # every checkpoint loads before any output
     run = Runner("eval", cfg, args)
     _, val = build_dataset(cfg.dataset)
-    decoders = [(params, ref_cfg, cfg.eval_ref_policy) for params, _, _, ref_cfg in models]
-    # checkpoints with one encoder and one VaeConfig share a pass: each clip is encoded once
-    groups: dict[tuple[str, str], list[int]] = {}
-    for i, (params, _, vae_cfg, _) in enumerate(models):
-        key = (encoder_fingerprint(params), repr(vae_cfg))
-        groups.setdefault(key, []).append(i)
-    reports = {}
-    for members in groups.values():
-        reports.update(zip(members, evaluate_params(
-            val, cfg.dataset, models[members[0]][2], [decoders[i] for i in members], cfg.seeds.eval_seed)))
-    for i, (ckpt, (_, meta, _, _)) in enumerate(zip(args.ckpt, models)):
-        report = reports[i]
+    reports = evaluate_params(val, cfg.dataset, [(params, vae_cfg, ref_cfg, cfg.eval_ref_policy)
+                                                 for params, _, vae_cfg, ref_cfg in models],
+                              cfg.seeds.eval_seed)
+    for i, (ckpt, (_, meta, _, _), report) in enumerate(zip(args.ckpt, models, reports)):
         report.metadata.update({"checkpoint": str(ckpt), "checkpoint_kind": meta["kind"],
                                 "config_hash": cfg.config_hash(), "code_version": __version__,
                                 "parallelism_degree": _parallelism_degree()})
@@ -258,33 +237,17 @@ def cmd_swap_compare(cfg: ExperimentConfig, args) -> Path:
 
 # -- ablation grids -------------------------------------------------------------
 
-
-def _one_stage_curriculum(cur: CurriculumSpec) -> CurriculumSpec:
-    first = cur.stages[0]
-    return CurriculumSpec((StageSpec(first.frames, first.height, first.width,
-                                     cur.total_steps),))
-
-
-def _grid_points(cfg: ExperimentConfig, axis: str) -> list[tuple[str, ExperimentConfig]]:
-    points = []
-    if axis == "dropout":
-        for r in DROPOUT_GRID:
-            points.append((f"rmax-{r}", replace(cfg, dropout=replace(cfg.dropout, r_max=r))))
-    elif axis == "blocks":
-        for n in BLOCKS_GRID:
-            points.append((f"blocks-{n}", replace(cfg, refdec=replace(cfg.refdec, n_blocks=n))))
-    elif axis == "ref_policy":
-        for policy in (RefPolicy.first_frame, RefPolicy.random_frame):
-            points.append((f"train-{policy.value}", replace(cfg, ref_policy=policy)))
-    elif axis == "curriculum":
-        points.append(("one-stage", replace(cfg, curriculum=_one_stage_curriculum(cfg.curriculum))))
-        points.append(("two-stage", cfg))
-    elif axis == "injection":
-        points.append(("attention", replace(cfg, injection="attention")))
-        points.append(("controlnet", replace(cfg, injection="controlnet")))
-    else:
-        raise ConfigError(f"unknown ablation axis {axis!r}")
-    return points
+ABLATIONS = {  # axis -> the grid points of a config: (label, point config) pairs, in run order
+    "dropout": lambda cfg: [(f"rmax-{r}", replace(cfg, dropout=replace(cfg.dropout, r_max=r)))
+                            for r in (0.0, 0.3, 0.7)],
+    "blocks": lambda cfg: [(f"blocks-{n}", replace(cfg, refdec=replace(cfg.refdec, n_blocks=n)))
+                           for n in (3, 5, 7, 10)],
+    "ref_policy": lambda cfg: [(f"train-{policy.value}", replace(cfg, ref_policy=policy))
+                               for policy in RefPolicy],
+    "curriculum": lambda cfg: [("one-stage", replace(cfg, curriculum=CurriculumSpec(
+        (replace(cfg.curriculum.stages[0], steps=cfg.curriculum.total_steps),)))), ("two-stage", cfg)],
+    "injection": lambda cfg: [(name, replace(cfg, injection=name)) for name in INJECTIONS],
+}
 
 
 def _run_grid_point(payload: tuple) -> list[dict]:
@@ -300,8 +263,8 @@ def _run_grid_point(payload: tuple) -> list[dict]:
     eval_policies = ([RefPolicy.first_frame, RefPolicy.random_frame]
                      if axis == "ref_policy" else [cfg.eval_ref_policy])
     # one pass scores every policy: each clip is encoded once
-    reports = evaluate_params(val, cfg.dataset, cfg.vae,
-                              [(params, cfg.refdec, policy) for policy in eval_policies],
+    reports = evaluate_params(val, cfg.dataset,
+                              [(params, cfg.vae, cfg.refdec, policy) for policy in eval_policies],
                               cfg.seeds.eval_seed)
     table_rows = []
     for policy, report in zip(eval_policies, reports):
@@ -324,7 +287,7 @@ def cmd_ablate(cfg: ExperimentConfig, args) -> Path:
     baseline_path = args.baseline or cfg.baseline_checkpoint
     _load_model(baseline_path, ("baseline",))  # fails before any output unless it is a sound baseline
     run = Runner(f"ablate-{args.axis}", cfg, args)
-    points = _grid_points(cfg, args.axis)
+    points = ABLATIONS[args.axis](cfg)
     payloads = [(label, point_cfg.to_dict(), str(baseline_path),
                  str(run.outdir / f"point-{label}"), args.axis)
                 for label, point_cfg in points]
@@ -377,8 +340,6 @@ def cmd_decode(cfg: ExperimentConfig, args) -> Path:
         z = encode_t(Tensor(clip.frames), vae_cfg, params).data
     else:
         raise ConfigError("decode needs --latent FILE or --clip-seed N")
-    if z.ndim != 4 or z.shape[0] != vae_cfg.latent_channels:
-        raise ConfigError(f"latent must be [{vae_cfg.latent_channels}, T, H, W], got {list(z.shape)}")
 
     ref_image = None
     if args.ref and args.ref != "none":
@@ -392,22 +353,17 @@ def cmd_decode(cfg: ExperimentConfig, args) -> Path:
             ref_image = ground_truth[ref_index]
         else:
             ref_image = _load_npy(args.ref, "--ref")
-            hw = [n * vae_cfg.spatial_compression for n in z.shape[2:]]
-            if list(ref_image.shape) != [3, *hw]:
-                raise ConfigError(f"reference image must be {[3, *hw]}, got {list(ref_image.shape)}")
     if ref_cfg is None and ref_image is not None:
         raise ConfigError("baseline checkpoints cannot take a reference image")
-    if ref_cfg is not None and ref_image is None:
-        try:
-            null_reference(params, *z.shape[2:])
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+    try:  # the decoders check the latent and the reference against the checkpoint's shapes
+        if ref_cfg is None:
+            decoded = decode_baseline_t(Tensor(z), vae_cfg, params).data
+        else:
+            decoded = decode_conditioned_t(Tensor(z), ref_image, vae_cfg, ref_cfg, params).data
+    except ValueError as exc:
+        raise ConfigError(f"cannot decode: {exc}") from exc
 
     run = Runner("decode", cfg, args)
-    if ref_cfg is None:
-        decoded = decode_baseline_t(Tensor(z), vae_cfg, params).data
-    else:
-        decoded = decode_conditioned_t(Tensor(z), ref_image, vae_cfg, ref_cfg, params).data
     write_rdvc(run.outdir / "frames.rdvc", decoded)
 
     if ground_truth is not None:
@@ -454,8 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ablate", help="run an ablation grid")
     common(p)
-    p.add_argument("--axis", required=True,
-                   choices=["dropout", "blocks", "ref_policy", "curriculum", "injection"])
+    p.add_argument("--axis", required=True, choices=ABLATIONS)
     p.add_argument("--baseline", default=None, help="baseline checkpoint path")
     p.add_argument("--workers", type=int, default=1, help="grid points fine-tuned in parallel (recorded)")
 

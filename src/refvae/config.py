@@ -96,15 +96,13 @@ class ExperimentConfig:
             self.vae.validate()
             self.refdec.validate()
             self.dropout.validate()
-            self.curriculum.validate(self.vae.temporal_compression)
             self.optimizer.validate()
             self.dataset.validate()
+            self.curriculum.validate(self.vae, self.dataset, self.optimizer.total_steps)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if self.injection not in INJECTIONS:
             raise ConfigError(f"injection must be one of {INJECTIONS}")
-        if self.optimizer.total_steps != self.curriculum.total_steps:
-            raise ConfigError("optimizer.total_steps must equal the curriculum step total")
         if self.lambda_perc < 0:
             raise ConfigError("lambda_perc must be non-negative")
         seeds = {f"seeds.{k}": v for k, v in asdict(self.seeds).items()}
@@ -112,12 +110,6 @@ class ExperimentConfig:
         for name, seed in seeds.items():
             if seed is not None and not (isinstance(seed, int) and seed >= 0):
                 raise ConfigError(f"{name} must be a non-negative integer, got {seed!r}")
-        for stage in self.curriculum.stages:
-            if (stage.height, stage.width) != (self.dataset.height, self.dataset.width):
-                raise ConfigError("curriculum stage resolution must match the dataset")
-            if stage.frames > self.dataset.frames:
-                raise ConfigError("curriculum stage frames exceed dataset clip length")
-        self.vae.latent_shape(self.dataset.frames, self.dataset.height, self.dataset.width)
 
     # -- serialisation ---------------------------------------------------------
 

@@ -199,52 +199,54 @@ def derive_clip_seeds(master_seed: int, count: int) -> list[int]:
     return [int(s) for s in rng.integers(0, 2 ** 32, size=count, dtype=np.uint64)]
 
 
-# (params, ref_cfg or None for baseline, eval policy)
-Decoder = tuple[dict, RefCondConfig | None, RefPolicy]
+# (params, backbone config, ref_cfg or None for baseline, eval policy)
+Decoder = tuple[dict, VaeConfig, RefCondConfig | None, RefPolicy]
 
 
-def _eval_clips(val_refs: list[ClipRef], data_spec: DatasetSpec, vae_cfg: VaeConfig,
-                decoders: list[Decoder], master_seed: int,
-                ) -> tuple[list[MetricsReport], list[tuple[int, np.ndarray]]]:
-    """Score every clip with each `(params, ref_cfg, policy)` decoder.
+def _eval_clips(val_refs: list[ClipRef], data_spec: DatasetSpec, decoders: list[Decoder],
+                master_seed: int) -> tuple[list[MetricsReport], list[tuple[int, np.ndarray]]]:
+    """Score every clip with each `(params, vae_cfg, ref_cfg, policy)` decoder.
 
-    Each clip is encoded once, by the first decoder's encoder, and every
-    decoder gets the same latent.  Each policy draws the reference from its
-    own generator on the clip seed, so decoders that share a policy share
-    the draw; a decoder whose `ref_cfg` is None decodes without the reference.
-    Returns one report per decoder and each clip's `(seed, latent)`.
+    Each clip is encoded once per distinct encoder (by fingerprint) and
+    backbone config, and decoders that share both share the latent.  Each
+    policy draws the reference from its own generator on the clip seed, so
+    decoders that share a policy share the draw; a decoder whose `ref_cfg` is
+    None decodes without the reference.  Returns one report per decoder and
+    each clip's `(seed, latent of the first decoder's encoder)`.
     """
     seeds = derive_clip_seeds(master_seed, len(val_refs))
+    keys = [(encoder_fingerprint(params), repr(vae_cfg)) for params, vae_cfg, *_ in decoders]
     reports = [MetricsReport() for _ in decoders]
     latents = []
     for ref, seed in zip(val_refs, seeds):
         clip = realize(ref, data_spec)
-        z = encode_t(Tensor(clip.frames), vae_cfg, decoders[0][0])
         draws = {policy: select_reference_frame(clip.frames, policy,
                                                 np.random.default_rng(np.random.PCG64(seed)))
                  for *_, policy in decoders}
         ref_distances = frame_distances(clip.frames)  # ground truth's share of the temporal proxy
-        for report, (params, ref_cfg, policy) in zip(reports, decoders):
+        zs: dict[tuple[str, str], Tensor] = {}
+        for report, key, (params, vae_cfg, ref_cfg, policy) in zip(reports, keys, decoders):
+            if key not in zs:  # the first decoder of each key encodes for all of them
+                zs[key] = encode_t(Tensor(clip.frames), vae_cfg, params)
             ref_frame, ref_index = draws[policy]
             if ref_cfg is not None:
-                decoded = decode_conditioned_t(z, ref_frame, vae_cfg, ref_cfg, params).data
+                decoded = decode_conditioned_t(zs[key], ref_frame, vae_cfg, ref_cfg, params).data
             else:
-                decoded = decode_baseline_t(z, vae_cfg, params).data
+                decoded = decode_baseline_t(zs[key], vae_cfg, params).data
             report.per_clip.append(clip_metrics(clip.frames, decoded, ref_index,
                                                 ref.clip_id, ref.category, ref_distances))
-        latents.append((seed, z.data))
+        latents.append((seed, zs[keys[0]].data))
     return [report.finalize() for report in reports], latents
 
 
-def evaluate_params(val_refs: list[ClipRef], data_spec: DatasetSpec, vae_cfg: VaeConfig,
-                    decoders: list[Decoder], master_seed: int) -> list[MetricsReport]:
+def evaluate_params(val_refs: list[ClipRef], data_spec: DatasetSpec, decoders: list[Decoder],
+                    master_seed: int) -> list[MetricsReport]:
     """Reconstruction metrics over a validation set, one report per decoder.
 
-    The decoders must share one encoder: each clip is encoded once, by the
-    first decoder's, and each report is the one that decoder gets alone.
+    Each report is the one that decoder gets when it is scored alone.
     """
-    reports, _ = _eval_clips(val_refs, data_spec, vae_cfg, decoders, master_seed)
-    for report, (_, ref_cfg, policy) in zip(reports, decoders):
+    reports, _ = _eval_clips(val_refs, data_spec, decoders, master_seed)
+    for report, (*_, ref_cfg, policy) in zip(reports, decoders):
         report.metadata.update({"eval_policy": policy.value, "master_seed": master_seed,
                                 "conditioned": ref_cfg is not None})
     return reports
@@ -280,8 +282,8 @@ def fixed_seed_swap_compare(val_refs: list[ClipRef], data_spec: DatasetSpec,
         raise ValueError("encoder fingerprint mismatch between checkpoints")
 
     (rep_base, rep_cond), latents = _eval_clips(
-        val_refs, data_spec, vae_cfg,
-        [(params_baseline, None, eval_policy), (params_conditioned, ref_cfg, eval_policy)], master_seed)
+        val_refs, data_spec, [(params_baseline, vae_cfg, None, eval_policy),
+                              (params_conditioned, vae_cfg, ref_cfg, eval_policy)], master_seed)
 
     if out_dir is not None:
         (Path(out_dir) / "latents").mkdir(parents=True, exist_ok=True)

@@ -78,7 +78,7 @@ def init_ref_params(vae_cfg: VaeConfig, cfg: RefCondConfig, rng: np.random.Gener
     params["ref.patch.w"] = parameter(_xavier(rng, fan, c1, (c1, 3, 1, p_comp, p_comp)))
     params["ref.patch.b"] = parameter(np.zeros((c1, 1, 1, 1)))
     params["ref.norm.g"] = parameter(np.ones((c1, 1, 1, 1)))
-    params["ref.null"] = parameter(rng.standard_normal((c1, 1) + null_hw) * 0.02)
+    params["ref.null"] = parameter(rng.standard_normal((c1, 1) + null_hw) * 0.02)  # never trained
 
     if injection == "attention":
         for s, ch in enumerate(vae_cfg.stage_channels):
@@ -227,7 +227,11 @@ def _controlnet_inject(ref: Tensor, s: int, params: dict[str, Tensor]) -> Tensor
 
 def decode_conditioned_t(z: Tensor, ref_image, vae_cfg: VaeConfig, cfg: RefCondConfig,
                          params: dict[str, Tensor]) -> Tensor:
-    """Three-stage conditioned decode; `ref_image` None uses the learned null map."""
+    """Three-stage conditioned decode; `ref_image` None uses the null map `ref.null`.
+
+    The null map is never trained: every training step passes a reference
+    frame, so it keeps its N(0, 0.02^2) initial draw.
+    """
     controlnet = "ctrl.s0.branch.w" in params  # residual-injection tensors, else attention
     _, _, hz, wz = z.shape
     ref = _resolve_reference(ref_image, params, vae_cfg, hz, wz)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +63,8 @@ class DatasetSpec:
             raise ValueError("dataset sizes must be positive")
         if set(self.mix) - set(CATEGORIES):
             raise ValueError(f"unknown categories in mix: {set(self.mix) - set(CATEGORIES)}")
+        if not all(f >= 0 for f in self.mix.values()):  # NaN fails this too
+            raise ValueError(f"category fractions must be non-negative numbers, got {self.mix}")
         if abs(sum(self.mix.values()) - 1.0) > 1e-9:
             raise ValueError("category fractions must sum to 1")
         if self.frames < 1 or self.height < 8 or self.width < 8:
@@ -128,7 +130,7 @@ def _glyph(rng: np.random.Generator) -> np.ndarray:
     patch = np.concatenate([bits, bits[:, ::-1]], axis=1).astype(np.float64)
     bright = rng.random() < 0.5
     tex = np.where(patch[None], 0.95 if bright else 0.05, 0.05 if bright else 0.95)
-    return np.repeat(tex, 3, axis=0) if tex.shape[0] == 1 else np.broadcast_to(tex, (3,) + patch.shape).copy()
+    return np.repeat(tex, 3, axis=0)
 
 
 def _background(rng: np.random.Generator, ys: np.ndarray, xs: np.ndarray,
@@ -253,22 +255,10 @@ def realize(ref: ClipRef, spec: DatasetSpec) -> VideoClip:
     return gen_clip(ref.seed, ref.category, spec.frames, spec.height, spec.width)
 
 
-def manifest_dict(spec: DatasetSpec, train: list[ClipRef], val: list[ClipRef]) -> dict:
-    return {
-        "spec": {
-            "n_train": spec.n_train, "n_val": spec.n_val, "mix": spec.mix,
-            "frames": spec.frames, "height": spec.height, "width": spec.width,
-            "master_seed": spec.master_seed,
-        },
-        "clips": [
-            {"id": r.clip_id, "seed": r.seed, "category": r.category, "split": r.split}
-            for r in list(train) + list(val)
-        ],
-    }
-
-
 def save_manifest(path: Path, spec: DatasetSpec, train: list[ClipRef], val: list[ClipRef]) -> None:
-    path.write_text(json.dumps(manifest_dict(spec, train, val), indent=1, sort_keys=True))
+    clips = [{"id": r.clip_id, "seed": r.seed, "category": r.category, "split": r.split}
+             for r in train + val]
+    path.write_text(json.dumps({"spec": asdict(spec), "clips": clips}, indent=1, sort_keys=True))
 
 
 # -- raw frame dump -----------------------------------------------------------

@@ -52,17 +52,25 @@ class CurriculumSpec:
         StageSpec(17, 32, 64, 200),
     )
 
-    def validate(self, temporal_compression: int) -> None:
+    def validate(self, vae_cfg: VaeConfig, data_spec: DatasetSpec, total_steps: int) -> None:
+        """The stages, and their fit to the backbone, the clips and the optimiser's step total."""
         if not self.stages:
             raise ValueError("curriculum needs at least one stage")
         frames = [s.frames for s in self.stages]
         if frames != sorted(frames):
             raise ValueError("stage frame counts must be non-decreasing")
         for s in self.stages:
-            if s.frames % temporal_compression != 1:
-                raise ValueError(f"stage frames {s.frames} must be 1 mod {temporal_compression}")
+            if s.frames % vae_cfg.temporal_compression != 1:
+                raise ValueError(f"stage frames {s.frames} must be 1 mod {vae_cfg.temporal_compression}")
             if s.steps < 1:
                 raise ValueError("every stage needs at least one step")
+            if (s.height, s.width) != (data_spec.height, data_spec.width):
+                raise ValueError("curriculum stage resolution must match the dataset")
+            if s.frames > data_spec.frames:
+                raise ValueError("curriculum stage frames exceed dataset clip length")
+        if total_steps != self.total_steps:
+            raise ValueError("optimizer.total_steps must equal the curriculum step total")
+        vae_cfg.latent_shape(data_spec.frames, data_spec.height, data_spec.width)
 
     @property
     def total_steps(self) -> int:
@@ -286,7 +294,7 @@ LOG_COLUMNS = ("step", "stage", "lr_new", "lr_dec", "r", "ref_index",
 
 
 def _run_curriculum(forward, params: dict[str, Tensor], groups: list, train_refs: list[ClipRef],
-                    data_spec: DatasetSpec, temporal_compression: int, curriculum: CurriculumSpec,
+                    data_spec: DatasetSpec, vae_cfg: VaeConfig, curriculum: CurriculumSpec,
                     opt_spec: OptimizerSpec, rng: np.random.Generator, lambda_perc: float,
                     ) -> tuple[list[dict], AdamW]:
     """The curriculum loop shared by pretraining and fine-tuning.
@@ -295,16 +303,12 @@ def _run_curriculum(forward, params: dict[str, Tensor], groups: list, train_refs
     `forward(idx, t0, window) -> (x_hat, r, ref_index)`, and takes one
     optimiser step on the reconstruction loss of that window.
     """
-    curriculum.validate(temporal_compression)
-    if opt_spec.total_steps != curriculum.total_steps:
-        raise ValueError("optimizer total_steps must equal the curriculum step total")
+    curriculum.validate(vae_cfg, data_spec, opt_spec.total_steps)
     opt = AdamW(groups, opt_spec)
     clips = [realize(r, data_spec).frames for r in train_refs]
     rows: list[dict] = []
     step = 0
     for stage_idx, stage in enumerate(curriculum.stages):
-        if (stage.height, stage.width) != (data_spec.height, data_spec.width):
-            raise ValueError("stage resolution must match the dataset resolution")
         for _ in range(stage.steps):
             idx = int(rng.integers(len(clips)))
             t0 = int(rng.integers(0, data_spec.frames - stage.frames + 1))
@@ -333,7 +337,6 @@ def pretrain_baseline(train_refs: list[ClipRef], data_spec: DatasetSpec, cfg: Va
                       lambda_perc: float = 1.0,
                       ) -> tuple[dict[str, Tensor], list[dict], AdamW]:
     """Joint encoder+decoder training on reconstruction; emits the frozen backbone."""
-    cfg.validate()
     rng = np.random.default_rng(np.random.PCG64(seed))
     params = init_vae_params(cfg, rng)
 
@@ -342,7 +345,7 @@ def pretrain_baseline(train_refs: list[ClipRef], data_spec: DatasetSpec, cfg: Va
         return x_hat, 0.0, -1
 
     rows, opt = _run_curriculum(forward, params, [(params, 1.0)], train_refs, data_spec,
-                                cfg.temporal_compression, curriculum, opt_spec, rng, lambda_perc)
+                                cfg, curriculum, opt_spec, rng, lambda_perc)
     return params, rows, opt
 
 
@@ -365,7 +368,6 @@ def train_refdecoder(baseline: dict[str, Tensor], train_refs: list[ClipRef],
                      ) -> tuple[dict[str, Tensor], list[dict], AdamW]:
     """Fine-tune the decoder with reference conditioning on a frozen encoder."""
     vae_cfg.validate()
-    ref_cfg.validate()
     dropout.validate()
     if not any(n.startswith("dec.") for n in baseline):
         raise ValueError("baseline checkpoint is missing decoder parameters")
@@ -391,5 +393,5 @@ def train_refdecoder(baseline: dict[str, Tensor], train_refs: list[ClipRef],
         return decode_conditioned_t(z, ref_frame, vae_cfg, ref_cfg, params), r, ref_index
 
     rows, opt = _run_curriculum(forward, params, groups, train_refs, data_spec,
-                                vae_cfg.temporal_compression, curriculum, opt_spec, rng, lambda_perc)
+                                vae_cfg, curriculum, opt_spec, rng, lambda_perc)
     return params, rows, opt

@@ -226,6 +226,7 @@ BROKEN_CKPT = {  # case -> (pipeline index of the checkpoint it breaks, edit of 
     "kind-mismatch": (4, lambda arrays, meta: meta.update(kind="controlnet")),  # no ctrl.* tensors
     "no-ref-blk0": (4, _drop_block0),
     "bad-dec-in-shape": (4, lambda arrays, meta: arrays.update({"dec.in.w": arrays["dec.in.w"][:, :-1]})),
+    "nan-tensor": (3, lambda arrays, meta: arrays.update({"dec.head.b": np.full((3, 1, 1, 1), np.nan)})),
 }
 
 
@@ -364,6 +365,7 @@ BAD_DECODE = {  # case -> decode arguments; files name arrays written by the tes
     "frame-negative": ["--clip-seed", "3", "--ref", "frame:-1"],
     "latent-3-channels": ["--latent", "z3ch.npy"],
     "latent-3d": ["--latent", "z3d.npy"],
+    "latent-no-frames": ["--latent", "z0t.npy"],
     "ref-image-wrong-size": ["--clip-seed", "3", "--ref", "ref8x8.npy"],
     "ref-image-2d": ["--clip-seed", "3", "--ref", "ref2d.npy"],
     "ref-none-untileable-latent": ["--latent", "z3x5.npy", "--ref", "none"],
@@ -381,6 +383,7 @@ def test_decode_rejects_malformed_input_with_exit_2(pipeline, tmp_path, case):
     refdec = pipeline[4]
     np.save(tmp_path / "z3ch.npy", np.zeros((3, 3, 2, 4), np.float32))
     np.save(tmp_path / "z3d.npy", np.zeros((8, 2, 4), np.float32))
+    np.save(tmp_path / "z0t.npy", np.zeros((8, 0, 2, 4), np.float32))
     np.save(tmp_path / "ref8x8.npy", np.zeros((3, 8, 8), np.float32))
     np.save(tmp_path / "ref2d.npy", np.zeros((16, 32), np.float32))
     np.save(tmp_path / "z3x5.npy", np.zeros((8, 3, 3, 5), np.float32))  # null map is 2x4
@@ -452,7 +455,8 @@ def test_config_roundtrip_and_hash_stability(tmp_path):
     assert moved.config_hash() == cfg.config_hash()  # location does not change identity
 
 
-MALFORMED_CONFIGS = {  # case -> config JSON whose value types do not match the fields
+STAGE = {"frames": 5, "height": 32, "width": 64, "steps": 400}
+MALFORMED_CONFIGS = {  # case -> config JSON with a value of the wrong type, or data the model cannot use
     "not-an-object": [],
     "curriculum-list": {"curriculum": []},
     "frames-string": {"dataset": {"frames": "17"}},
@@ -462,6 +466,14 @@ MALFORMED_CONFIGS = {  # case -> config JSON whose value types do not match the 
     "latent-channels-string": {"vae": {"latent_channels": "8"}},
     "stage-kernels-two": {"vae": {"stage_kernels": [3, 3]}},
     "seed-bool": {"seeds": {"master": True}},
+    "frames-not-1-mod-4": {"dataset": {"frames": 16}, "curriculum": {"stages": [STAGE]},
+                           "optimizer": {"total_steps": 400}},
+    "height-not-divisible": {"dataset": {"height": 36}, "curriculum": {"stages": [
+        {**STAGE, "height": 36}, {**STAGE, "frames": 17, "height": 36, "steps": 200}]}},
+    "mix-negative": {"dataset": {"mix": {"content_rich": 1.5, "content_sparse": -0.5,
+                                         "large_motion": 0}}},
+    "mix-nan": {"dataset": {"mix": {"content_rich": float("nan"), "content_sparse": 0.5,
+                                    "large_motion": 0.5}}},
 }
 
 

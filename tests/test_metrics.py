@@ -281,8 +281,8 @@ def test_eval_matches_swap_per_clip(swap_setup):
     swap = fixed_seed_swap_compare(val, spec, cfg, rcfg, base, live, 12, eval_policy=policy)
     assert all(d["delta_psnr"] != 0.0 for d in swap.deltas)
     assert len({c["ref_index"] for c in swap.baseline.per_clip}) > 1
-    (rep_base,) = evaluate_params(val, spec, cfg, [(base, None, policy)], 12)
-    (rep_cond,) = evaluate_params(val, spec, cfg, [(live, rcfg, policy)], 12)
+    (rep_base,) = evaluate_params(val, spec, [(base, cfg, None, policy)], 12)
+    (rep_cond,) = evaluate_params(val, spec, [(live, cfg, rcfg, policy)], 12)
     assert rep_base.per_clip == swap.baseline.per_clip
     assert rep_cond.per_clip == swap.conditioned.per_clip
 
@@ -301,6 +301,21 @@ def test_evaluate_params_deterministic(swap_setup):
     cfg, rcfg, base, cond, spec, val = swap_setup
     from refvae.training import RefPolicy
 
-    (a,) = evaluate_params(val, spec, cfg, [(cond, rcfg, RefPolicy.random_frame)], 21)
-    (b,) = evaluate_params(val, spec, cfg, [(cond, rcfg, RefPolicy.random_frame)], 21)
+    (a,) = evaluate_params(val, spec, [(cond, cfg, rcfg, RefPolicy.random_frame)], 21)
+    (b,) = evaluate_params(val, spec, [(cond, cfg, rcfg, RefPolicy.random_frame)], 21)
     assert a.per_clip == b.per_clip and a.aggregate == b.aggregate
+
+
+def test_evaluate_params_encodes_with_each_decoders_own_encoder(swap_setup):
+    from refvae.training import RefPolicy
+
+    cfg, rcfg, base, cond, spec, val = swap_setup
+    other = dict(cond)  # a second encoder: the two decoders' latents differ
+    other["enc.out.b"] = Tensor(cond["enc.out.b"].data + 0.5)
+    policy = RefPolicy.first_frame
+    decoders = [(base, cfg, None, policy), (other, cfg, rcfg, policy)]
+    together = evaluate_params(val, spec, decoders, 14)
+    for decoder, report in zip(decoders, together):
+        (alone,) = evaluate_params(val, spec, [decoder], 14)
+        assert report.per_clip == alone.per_clip and report.aggregate == alone.aggregate
+    assert together[0].per_clip != together[1].per_clip

@@ -272,11 +272,18 @@ def test_adamw_rejects_nan_gradient():
 
 
 def test_curriculum_validation():
-    CurriculumSpec().validate(4)
+    vae, data = VaeConfig(), DatasetSpec()
+    CurriculumSpec().validate(vae, data, 600)
     with pytest.raises(ValueError):
-        CurriculumSpec((StageSpec(17, 32, 64, 10), StageSpec(5, 32, 64, 10))).validate(4)
+        CurriculumSpec((StageSpec(17, 32, 64, 10), StageSpec(5, 32, 64, 10))).validate(vae, data, 20)
     with pytest.raises(ValueError):
-        CurriculumSpec((StageSpec(6, 32, 64, 10),)).validate(4)
+        CurriculumSpec((StageSpec(6, 32, 64, 10),)).validate(vae, data, 10)
+    with pytest.raises(ValueError, match="exceed dataset clip length"):
+        CurriculumSpec((StageSpec(5, 32, 64, 10), StageSpec(21, 32, 64, 10))).validate(vae, data, 20)
+    with pytest.raises(ValueError, match="step total"):
+        CurriculumSpec().validate(vae, data, 601)
+    with pytest.raises(ValueError, match="resolution must match"):
+        CurriculumSpec((StageSpec(5, 16, 32, 10),)).validate(vae, data, 10)
 
 
 def test_dropout_spec_validation():
