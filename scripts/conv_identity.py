@@ -17,10 +17,12 @@ output, the input gradient (gx) and the kernel gradient (gk) are bit-equal.
 
 Last, each tree's CLI runs a command sequence on a tiny config (TINY):
 gen-data --dump, pretrain, attention and controlnet train, a three-checkpoint
-eval, swap-compare for both injections, ablate on every axis, and five
-decodes.  It compares every output file across the trees byte for byte,
-after writing each run root as `<root>` and dropping each manifest's
-`wall_time_s`, and prints the files that differ or exist in one tree only.
+eval, swap-compare for both injections, ablate on every axis, and six
+decodes (the last one of a latent on twice the null map's grid with no
+reference, so the tiled null map is checked).  It compares every output file
+across the trees byte for byte, after writing each run root as `<root>` and
+dropping each manifest's `wall_time_s`, and prints the files that differ or
+exist in one tree only.
 
 It exits 1 if any shape, any part of the run or any CLI output differs.
 BLAS runs on one thread, as in perfbench.
@@ -139,8 +141,12 @@ def cli_outputs(pkg: str, root: Path) -> dict[str, bytes]:
     run("decode-null", "decode", "--ckpt", ckpts["attention"], "--clip-seed", 3)
     run("decode-controlnet", "decode", "--ckpt", ckpts["controlnet"], "--clip-seed", 77,
         "--ref", "frame:4", injection="controlnet")
-    run("decode-latent", "decode", "--ckpt", ckpts["attention"], "--latent",
-        swaps["attention"] / "latents" / "val-0000.npy", "--ref", root / "ref.npy")
+    latent = swaps["attention"] / "latents" / "val-0000.npy"
+    run("decode-latent", "decode", "--ckpt", ckpts["attention"], "--latent", latent,
+        "--ref", root / "ref.npy")
+    np.save(root / "latent-2x.npy", np.tile(np.load(latent), (1, 1, 2, 2)))  # the null map is 2x4
+    run("decode-null-2x", "decode", "--ckpt", ckpts["attention"], "--latent", root / "latent-2x.npy",
+        "--ref", "none")
 
     files = {}
     for path in sorted(p for p in root.rglob("*") if p.is_file()):

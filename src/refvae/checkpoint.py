@@ -93,7 +93,7 @@ def load_checkpoint(path: Path) -> tuple[dict[str, np.ndarray], dict]:
         raise CheckpointError(f"{path}: unreadable manifest ({exc!r})") from None
     if not isinstance(tensors, dict) or not isinstance(meta, dict):
         raise CheckpointError(f"{path}: manifest tensors and meta must be objects")
-    payload = raw[body + manifest_len:]
+    base = body + manifest_len  # payload offsets count from here
     arrays: dict[str, np.ndarray] = {}
     spans = []
     for name, entry in tensors.items():
@@ -102,12 +102,12 @@ def load_checkpoint(path: Path) -> tuple[dict[str, np.ndarray], dict]:
                 and all(type(n) is int and n >= 0 for n in entry["shape"])):
             raise CheckpointError(f"{path}: malformed manifest entry for tensor {name}")
         shape = tuple(entry["shape"])
-        start = entry["offset"]
-        end = start + math.prod(shape) * 4
-        if start < 0 or end > len(payload):
+        start, count = entry["offset"], math.prod(shape)
+        end = start + count * 4
+        if start < 0 or base + end > len(raw):
             raise CheckpointError(f"{path}: tensor {name} payload out of bounds")
         spans.append((start, end, name))
-        arrays[name] = np.frombuffer(payload[start:end], dtype="<f4").reshape(shape).copy()
+        arrays[name] = np.frombuffer(raw, "<f4", count, base + start).reshape(shape).copy()
     spans.sort()
     for (s0, e0, n0), (s1, e1, n1) in zip(spans, spans[1:]):
         if s1 < e0:

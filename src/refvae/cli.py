@@ -28,13 +28,7 @@ from .metrics import evaluate_params, fixed_seed_swap_compare, psnr
 from .refcond import RefCondConfig, decode_conditioned_t, init_ref_params
 from .synthdata import CATEGORIES, build_dataset, gen_clip, realize, save_manifest, write_rdvc
 from .tensor import NumericsError, Tensor
-from .training import (
-    LOG_COLUMNS,
-    CurriculumSpec,
-    RefPolicy,
-    pretrain_baseline,
-    train_refdecoder,
-)
+from .training import CurriculumSpec, RefPolicy, pretrain_baseline, train_refdecoder
 from .vae import VaeConfig, decode_baseline_t, encode_t, init_vae_params
 
 EXIT_CONFIG = 2
@@ -55,9 +49,10 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=1, sort_keys=True))
 
 
-def _write_csv(path: Path, rows: list[dict], columns: list[str]) -> None:
+def _write_csv(path: Path, rows: list[dict]) -> None:
+    """`rows` as CSV; the first row's keys, in order, are the header."""
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=columns)
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
 
@@ -142,7 +137,7 @@ def _save_trained(outdir: Path, cfg: ExperimentConfig, kind: str, params: dict[s
     meta = {"kind": kind, "config_hash": cfg.config_hash(), "code_version": __version__,
             "vae": asdict(cfg.vae), "refdec": asdict(cfg.refdec), "opt_step": len(rows), **meta_extra}
     save_checkpoint(outdir / ("baseline.ckpt" if kind == "baseline" else "refdec.ckpt"), params, meta)
-    _write_csv(outdir / "loss.csv", rows, LOG_COLUMNS)
+    _write_csv(outdir / "loss.csv", rows)
 
 
 def _finetune_and_save(cfg: ExperimentConfig, baseline: dict[str, Tensor], train_refs,
@@ -210,8 +205,7 @@ def cmd_eval(cfg: ExperimentConfig, args) -> Path:
                                 "parallelism_degree": _parallelism_degree()})
         stem = f"metrics-{i}-{meta['kind']}"
         (run.outdir / f"{stem}.json").write_text(report.to_json())
-        _write_csv(run.outdir / f"{stem}.csv", report.csv_rows(),
-                   ["clip_id", "metric", "split", "value"])
+        _write_csv(run.outdir / f"{stem}.csv", report.csv_rows())
         run.extra[stem] = report.aggregate["psnr"]["overall"]
     return run.finish()
 
@@ -227,8 +221,7 @@ def cmd_swap_compare(cfg: ExperimentConfig, args) -> Path:
     (run.outdir / "baseline_metrics.json").write_text(result.baseline.to_json())
     (run.outdir / "refdec_metrics.json").write_text(result.conditioned.to_json())
     _write_json(run.outdir / "seedlog.json", result.seed_log)
-    _write_csv(run.outdir / "deltas.csv", result.deltas,
-               ["clip_id", "category", "delta_psnr", "delta_psnr_reference", "delta_ssim"])
+    _write_csv(run.outdir / "deltas.csv", result.deltas)
     run.extra["mean_delta_psnr"] = result.mean_delta_psnr
     run.extra["fraction_improved"] = result.fraction_improved
     run.extra["checkpoints"] = {"baseline": str(args.baseline), "refdec": str(args.refdec)}
@@ -251,10 +244,7 @@ ABLATIONS = {  # axis -> the grid points of a config: (label, point config) pair
 
 
 def _run_grid_point(payload: tuple) -> list[dict]:
-    label, cfg_dict, baseline_path, point_dir, axis = payload
-    cfg = ExperimentConfig.from_dict(cfg_dict)
-    cfg.validate()
-    point_dir = Path(point_dir)
+    label, cfg, baseline_path, point_dir, axis = payload
     point_dir.mkdir(parents=True, exist_ok=True)
     baseline = _load_model(baseline_path, ("baseline",))[0]
     train, val = build_dataset(cfg.dataset)
@@ -288,8 +278,7 @@ def cmd_ablate(cfg: ExperimentConfig, args) -> Path:
     _load_model(baseline_path, ("baseline",))  # fails before any output unless it is a sound baseline
     run = Runner(f"ablate-{args.axis}", cfg, args)
     points = ABLATIONS[args.axis](cfg)
-    payloads = [(label, point_cfg.to_dict(), str(baseline_path),
-                 str(run.outdir / f"point-{label}"), args.axis)
+    payloads = [(label, point_cfg, baseline_path, run.outdir / f"point-{label}", args.axis)
                 for label, point_cfg in points]
     if args.workers > 1:
         from unittest import mock  # ~60 ms to import: only parallel runs pay it
@@ -304,9 +293,7 @@ def cmd_ablate(cfg: ExperimentConfig, args) -> Path:
     else:
         results = [_run_grid_point(p) for p in payloads]
     table = [row for rows in results for row in rows]
-    _write_csv(run.outdir / "table.csv", table,
-               ["axis", "setting", "eval_policy", "psnr_overall", "psnr_reference",
-                "ssim_overall", "ssim_reference"])
+    _write_csv(run.outdir / "table.csv", table)
     _write_json(run.outdir / "table.json", {"axis": args.axis, "rows": table})
     run.extra["points"] = [label for label, _ in points]
     run.extra["workers"] = args.workers
@@ -330,14 +317,12 @@ def cmd_decode(cfg: ExperimentConfig, args) -> Path:
     ground_truth = None
     ref_index = None
     if args.latent:
-        z = _load_npy(args.latent, "--latent")
+        z = Tensor(_load_npy(args.latent, "--latent"))
     elif args.clip_seed is not None:
         if args.clip_seed < 0:
             raise ConfigError(f"--clip-seed must be a non-negative integer, got {args.clip_seed}")
-        clip = gen_clip(args.clip_seed, args.category, cfg.dataset.frames,
-                        cfg.dataset.height, cfg.dataset.width)
-        ground_truth = clip.frames
-        z = encode_t(Tensor(clip.frames), vae_cfg, params).data
+        ground_truth = gen_clip(args.clip_seed, args.category, cfg.dataset.frames,
+                                cfg.dataset.height, cfg.dataset.width).frames
     else:
         raise ConfigError("decode needs --latent FILE or --clip-seed N")
 
@@ -355,11 +340,13 @@ def cmd_decode(cfg: ExperimentConfig, args) -> Path:
             ref_image = _load_npy(args.ref, "--ref")
     if ref_cfg is None and ref_image is not None:
         raise ConfigError("baseline checkpoints cannot take a reference image")
-    try:  # the decoders check the latent and the reference against the checkpoint's shapes
+    try:  # the encoder checks the clip, the decoders the latent and the reference, against the checkpoint
+        if ground_truth is not None:
+            z = encode_t(Tensor(ground_truth), vae_cfg, params)
         if ref_cfg is None:
-            decoded = decode_baseline_t(Tensor(z), vae_cfg, params).data
+            decoded = decode_baseline_t(z, vae_cfg, params).data
         else:
-            decoded = decode_conditioned_t(Tensor(z), ref_image, vae_cfg, ref_cfg, params).data
+            decoded = decode_conditioned_t(z, ref_image, vae_cfg, ref_cfg, params).data
     except ValueError as exc:
         raise ConfigError(f"cannot decode: {exc}") from exc
 
@@ -383,56 +370,46 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="reference-conditioned video autoencoder experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, command):
+        p.set_defaults(command_fn=command)
         p.add_argument("--config", required=True, help="experiment config JSON")
         p.add_argument("--out", default=None, help="output root (overrides config)")
         p.add_argument("--seed", type=int, default=None, help="override master seed")
 
     p = sub.add_parser("gen-data", help="materialise the dataset manifest")
-    common(p)
+    common(p, cmd_gen_data)
     p.add_argument("--dump", action="store_true", help="also write raw clip dumps")
 
     p = sub.add_parser("pretrain", help="train the baseline autoencoder")
-    common(p)
+    common(p, cmd_pretrain)
 
     p = sub.add_parser("train", help="fine-tune the reference-conditioned decoder")
-    common(p)
+    common(p, cmd_train)
     p.add_argument("--baseline", default=None, help="baseline checkpoint path")
 
     p = sub.add_parser("eval", help="reconstruction metrics for checkpoints")
-    common(p)
+    common(p, cmd_eval)
     p.add_argument("--ckpt", action="append", default=[], help="checkpoint (repeatable)")
 
     p = sub.add_parser("swap-compare", help="paired fixed-seed decoder comparison")
-    common(p)
+    common(p, cmd_swap_compare)
     p.add_argument("--baseline", required=True)
     p.add_argument("--refdec", required=True)
 
     p = sub.add_parser("ablate", help="run an ablation grid")
-    common(p)
+    common(p, cmd_ablate)
     p.add_argument("--axis", required=True, choices=ABLATIONS)
     p.add_argument("--baseline", default=None, help="baseline checkpoint path")
     p.add_argument("--workers", type=int, default=1, help="grid points fine-tuned in parallel (recorded)")
 
     p = sub.add_parser("decode", help="decode a latent or synthetic clip to frames")
-    common(p)
+    common(p, cmd_decode)
     p.add_argument("--ckpt", required=True)
     p.add_argument("--latent", default=None, help="latent .npy file")
     p.add_argument("--clip-seed", type=int, default=None, dest="clip_seed")
     p.add_argument("--category", default="content_rich", choices=CATEGORIES)
     p.add_argument("--ref", default="none", help="'none', 'frame:K', or an image .npy")
     return parser
-
-
-COMMANDS = {
-    "gen-data": cmd_gen_data,
-    "pretrain": cmd_pretrain,
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "swap-compare": cmd_swap_compare,
-    "ablate": cmd_ablate,
-    "decode": cmd_decode,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -442,7 +419,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.seed is not None:
             cfg.seeds = Seeds(master=args.seed)
             cfg.validate()
-        outdir = COMMANDS[args.command](cfg, args)
+        outdir = args.command_fn(cfg, args)
     except ConfigError as exc:
         print(f"error code={EXIT_CONFIG} command={args.command}: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -204,10 +204,12 @@ Decoder = tuple[dict, VaeConfig, RefCondConfig | None, RefPolicy]
 
 
 def _eval_clips(val_refs: list[ClipRef], data_spec: DatasetSpec, decoders: list[Decoder],
-                master_seed: int) -> tuple[list[MetricsReport], list[tuple[int, np.ndarray]]]:
+                fingerprints: list[str], master_seed: int,
+                ) -> tuple[list[MetricsReport], list[tuple[int, np.ndarray]]]:
     """Score every clip with each `(params, vae_cfg, ref_cfg, policy)` decoder.
 
-    Each clip is encoded once per distinct encoder (by fingerprint) and
+    Each clip is encoded once per distinct encoder (by its entry in
+    `fingerprints`, the caller's `encoder_fingerprint` of each decoder) and
     backbone config, and decoders that share both share the latent.  Each
     policy draws the reference from its own generator on the clip seed, so
     decoders that share a policy share the draw; a decoder whose `ref_cfg` is
@@ -215,7 +217,7 @@ def _eval_clips(val_refs: list[ClipRef], data_spec: DatasetSpec, decoders: list[
     each clip's `(seed, latent of the first decoder's encoder)`.
     """
     seeds = derive_clip_seeds(master_seed, len(val_refs))
-    keys = [(encoder_fingerprint(params), repr(vae_cfg)) for params, vae_cfg, *_ in decoders]
+    keys = [(fp, repr(vae_cfg)) for fp, (_, vae_cfg, *_) in zip(fingerprints, decoders)]
     reports = [MetricsReport() for _ in decoders]
     latents = []
     for ref, seed in zip(val_refs, seeds):
@@ -245,7 +247,8 @@ def evaluate_params(val_refs: list[ClipRef], data_spec: DatasetSpec, decoders: l
 
     Each report is the one that decoder gets when it is scored alone.
     """
-    reports, _ = _eval_clips(val_refs, data_spec, decoders, master_seed)
+    reports, _ = _eval_clips(val_refs, data_spec, decoders,
+                             [encoder_fingerprint(params) for params, *_ in decoders], master_seed)
     for report, (*_, ref_cfg, policy) in zip(reports, decoders):
         report.metadata.update({"eval_policy": policy.value, "master_seed": master_seed,
                                 "conditioned": ref_cfg is not None})
@@ -281,9 +284,9 @@ def fixed_seed_swap_compare(val_refs: list[ClipRef], data_spec: DatasetSpec,
     if fp_base != encoder_fingerprint(params_conditioned):
         raise ValueError("encoder fingerprint mismatch between checkpoints")
 
-    (rep_base, rep_cond), latents = _eval_clips(
-        val_refs, data_spec, [(params_baseline, vae_cfg, None, eval_policy),
-                              (params_conditioned, vae_cfg, ref_cfg, eval_policy)], master_seed)
+    decoders = [(params_baseline, vae_cfg, None, eval_policy),
+                (params_conditioned, vae_cfg, ref_cfg, eval_policy)]
+    (rep_base, rep_cond), latents = _eval_clips(val_refs, data_spec, decoders, [fp_base] * 2, master_seed)
 
     if out_dir is not None:
         (Path(out_dir) / "latents").mkdir(parents=True, exist_ok=True)

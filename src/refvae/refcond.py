@@ -130,22 +130,16 @@ def encode_reference(image: Tensor, params: dict[str, Tensor], vae_cfg: VaeConfi
     return rmsnorm(x, params["ref.norm.g"], axis=0)
 
 
-def null_reference(params: dict[str, Tensor], hz: int, wz: int) -> Tensor:
-    null = params["ref.null"]
-    _, _, h0, w0 = null.shape
-    if (h0, w0) == (hz, wz):
-        return null
-    if hz % h0 == 0 and wz % w0 == 0:
-        return upsample_nearest(null, (1, hz // h0, wz // w0))
-    raise ValueError(f"null reference map {h0}x{w0} cannot tile latent grid {hz}x{wz}")
-
-
 def _resolve_reference(ref_image, params, vae_cfg, hz, wz) -> Tensor:
+    """The reference image's tokens, or the null map `ref.null` tiled onto the hz x wz grid."""
     if ref_image is None:
-        return null_reference(params, hz, wz)
-    img = ref_image if isinstance(ref_image, Tensor) else Tensor(np.asarray(ref_image, dtype=np.float32))
-    tokens = encode_reference(img, params, vae_cfg)
-    if tokens.shape[2] != hz or tokens.shape[3] != wz:
+        null = params["ref.null"]
+        _, _, h0, w0 = null.shape
+        if hz % h0 or wz % w0:
+            raise ValueError(f"null reference map {h0}x{w0} cannot tile latent grid {hz}x{wz}")
+        return upsample_nearest(null, (1, hz // h0, wz // w0))  # factor 1 keeps the map's data
+    tokens = encode_reference(Tensor(np.asarray(ref_image, dtype=np.float32)), params, vae_cfg)
+    if tokens.shape[2:] != (hz, wz):
         raise ValueError(
             f"reference implies a {tokens.shape[2]}x{tokens.shape[3]} latent grid, decoder got {hz}x{wz}")
     return tokens
@@ -181,8 +175,8 @@ def _token_positions(t_len: int, h: int, w: int) -> np.ndarray:
     return np.stack([tt.ravel(), yy.ravel(), xx.ravel()], axis=1)
 
 
-def stage_forward(video: Tensor, ref: Tensor, s: int, vae_cfg: VaeConfig,
-                  cfg: RefCondConfig, params: dict[str, Tensor]) -> tuple[Tensor, Tensor]:
+def stage_forward(video: Tensor, ref: Tensor, s: int, cfg: RefCondConfig,
+                  params: dict[str, Tensor]) -> tuple[Tensor, Tensor]:
     """Joint attention over temporally concatenated reference + video tokens.
 
     Returns the residual-updated (video', ref') feature maps, still at
@@ -233,9 +227,9 @@ def decode_conditioned_t(z: Tensor, ref_image, vae_cfg: VaeConfig, cfg: RefCondC
     frame, so it keeps its N(0, 0.02^2) initial draw.
     """
     controlnet = "ctrl.s0.branch.w" in params  # residual-injection tensors, else attention
+    x = dec_input(z, vae_cfg, params)  # checks the latent's rank and channels
     _, _, hz, wz = z.shape
     ref = _resolve_reference(ref_image, params, vae_cfg, hz, wz)
-    x = dec_input(z, vae_cfg, params)
     for s in range(3):
         if s:  # the reference map follows x up to this stage's grid
             ref = dec_stage_upsample(ref, s - 1, vae_cfg, params, temporal=False)
@@ -243,6 +237,6 @@ def decode_conditioned_t(z: Tensor, ref_image, vae_cfg: VaeConfig, cfg: RefCondC
         if controlnet:
             x = x + _controlnet_inject(ref, s, params)  # broadcasts over every frame
         else:
-            x, ref = stage_forward(x, ref, s, vae_cfg, cfg, params)
+            x, ref = stage_forward(x, ref, s, cfg, params)
         x = dec_stage_upsample(x, s, vae_cfg, params, temporal=True)
     return dec_head(x, vae_cfg, params)

@@ -154,10 +154,10 @@ def _blur_down(x: Tensor) -> Tensor:
 _LEVEL_WEIGHTS = (1.0, 2.0, 4.0)  # coarse scales, where noise washes out, count more
 
 
-def feature_pyramid(x: Tensor, levels: int = 3) -> list[Tensor]:
-    """[1, N, H, W] frame-channels followed by `levels - 1` blurred 2x decimations."""
+def feature_pyramid(x: Tensor) -> list[Tensor]:
+    """[1, N, H, W] frame-channels followed by blurred 2x decimations, one level per level weight."""
     pyramid = [x]
-    for _ in range(levels - 1):
+    for _ in _LEVEL_WEIGHTS[1:]:
         pyramid.append(_blur_down(pyramid[-1]))
     return pyramid
 
@@ -171,8 +171,7 @@ def pyramid_distance(pa: list[Tensor], pb: list[Tensor]) -> Tensor:
     """
     total = None
     norm = 0.0
-    for lvl, (a, b) in enumerate(zip(pa, pb)):
-        weight = _LEVEL_WEIGHTS[min(lvl, len(_LEVEL_WEIGHTS) - 1)]
+    for lvl, (weight, a, b) in enumerate(zip(_LEVEL_WEIGHTS, pa, pb)):
         terms = [] if lvl == 0 else [(a - b).abs().mean()]
         for ga, gb in zip(_grad_maps(a), _grad_maps(b)):
             terms.append((ga - gb).abs().mean())
@@ -182,7 +181,7 @@ def pyramid_distance(pa: list[Tensor], pb: list[Tensor]) -> Tensor:
     return total * (1.0 / norm)
 
 
-def perceptual_proxy(x: Tensor, x_hat: Tensor, levels: int = 3) -> Tensor:
+def perceptual_proxy(x: Tensor, x_hat: Tensor) -> Tensor:
     """L1 gap between fixed features over a Gaussian pyramid.
 
     Deterministic, non-learned, symmetric, and it penalises losing
@@ -193,8 +192,8 @@ def perceptual_proxy(x: Tensor, x_hat: Tensor, levels: int = 3) -> Tensor:
     if x.shape != x_hat.shape:
         raise ValueError(f"shape mismatch {x.shape} vs {x_hat.shape}")
     t, c, h, w = x.shape
-    return pyramid_distance(feature_pyramid(x.reshape(1, t * c, h, w), levels),
-                            feature_pyramid(x_hat.reshape(1, t * c, h, w), levels))
+    return pyramid_distance(feature_pyramid(x.reshape(1, t * c, h, w)),
+                            feature_pyramid(x_hat.reshape(1, t * c, h, w)))
 
 
 def loss_recon(x: Tensor, x_hat: Tensor, lambda_perc: float = 1.0) -> tuple[Tensor, float, float]:
@@ -289,10 +288,6 @@ class AdamW:
 
 # -- training loops -----------------------------------------------------------------
 
-LOG_COLUMNS = ("step", "stage", "lr_new", "lr_dec", "r", "ref_index",
-               "loss_l1", "loss_perc", "loss_total", "grad_norm", "clip_scale")
-
-
 def _run_curriculum(forward, params: dict[str, Tensor], groups: list, train_refs: list[ClipRef],
                     data_spec: DatasetSpec, vae_cfg: VaeConfig, curriculum: CurriculumSpec,
                     opt_spec: OptimizerSpec, rng: np.random.Generator, lambda_perc: float,
@@ -349,17 +344,6 @@ def pretrain_baseline(train_refs: list[ClipRef], data_spec: DatasetSpec, cfg: Va
     return params, rows, opt
 
 
-def clone_backbone(params: dict[str, Tensor]) -> dict[str, Tensor]:
-    """Copy a pretrained backbone: decoder trainable, encoder frozen."""
-    out: dict[str, Tensor] = {}
-    for name, p in params.items():
-        if name.startswith("enc."):
-            out[name] = Tensor(p.data.copy())  # frozen: no grad, never optimised
-        else:
-            out[name] = parameter(p.data.copy())
-    return out
-
-
 def train_refdecoder(baseline: dict[str, Tensor], train_refs: list[ClipRef],
                      data_spec: DatasetSpec, vae_cfg: VaeConfig, ref_cfg: RefCondConfig,
                      curriculum: CurriculumSpec, opt_spec: OptimizerSpec,
@@ -373,7 +357,9 @@ def train_refdecoder(baseline: dict[str, Tensor], train_refs: list[ClipRef],
         raise ValueError("baseline checkpoint is missing decoder parameters")
 
     rng = np.random.default_rng(np.random.PCG64(seed))
-    params = clone_backbone(baseline)
+    # a copy of the backbone: the encoder frozen (no grad, never optimised), the decoder trainable
+    params = {name: Tensor(p.data.copy()) if name.startswith("enc.") else parameter(p.data)
+              for name, p in baseline.items()}
     hz, wz = vae_cfg.latent_shape(data_spec.frames, data_spec.height, data_spec.width)[2:]
     params.update(init_ref_params(vae_cfg, ref_cfg, rng, injection, null_hw=(hz, wz)))
 

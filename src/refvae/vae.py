@@ -70,16 +70,11 @@ class VaeConfig:
 # -- parameters ---------------------------------------------------------------
 
 
-def _conv_init(rng: np.random.Generator, cout: int, cin: int,
-               kt: int, kh: int, kw: int, gain: float = 1.0) -> np.ndarray:
-    fan_in = cin * kt * kh * kw
-    return rng.standard_normal((cout, cin, kt, kh, kw)) * gain * np.sqrt(2.0 / fan_in)
-
-
 def _add_conv(params: dict[str, Tensor], rng, name: str, cout: int, cin: int,
-              k: int, kt: int | None = None, gain: float = 1.0) -> None:
-    kt = k if kt is None else kt
-    params[f"{name}.w"] = parameter(_conv_init(rng, cout, cin, kt, k, k, gain))
+              k: int, gain: float = 1.0) -> None:
+    """A k x k x k conv: He-normal weights scaled by `gain`, zero bias."""
+    w = rng.standard_normal((cout, cin, k, k, k)) * gain * np.sqrt(2.0 / (cin * k ** 3))
+    params[f"{name}.w"] = parameter(w)
     params[f"{name}.b"] = parameter(np.zeros((cout, 1, 1, 1)))
 
 
@@ -146,8 +141,8 @@ def encode_t(frames: Tensor, cfg: VaeConfig, params: dict[str, Tensor]) -> Tenso
 
 
 def dec_input(z: Tensor, cfg: VaeConfig, params: dict[str, Tensor]) -> Tensor:
-    if z.shape[0] != cfg.latent_channels:
-        raise ValueError(f"latent has {z.shape[0]} channels, config expects {cfg.latent_channels}")
+    if len(z.shape) != 4 or z.shape[0] != cfg.latent_channels:
+        raise ValueError(f"latent {z.shape} is not [{cfg.latent_channels}, T, H, W]")
     return conv3d_causal(z, params["dec.in.w"]) + params["dec.in.b"]
 
 

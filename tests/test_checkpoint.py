@@ -26,12 +26,15 @@ def params():
 
 def test_roundtrip_bit_exact(params, tmp_path):
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, params, {"kind": "baseline", "config_hash": "abc"})
+    empty = {"zz.empty": np.zeros((0, 3), np.float32)}  # sorts last: its offset is the payload's end
+    save_checkpoint(path, {**params, **empty}, {"kind": "baseline", "config_hash": "abc"})
     arrays, meta = load_checkpoint(path)
     assert meta["kind"] == "baseline"
-    assert sorted(arrays) == sorted(params)
+    assert sorted(arrays) == sorted(params) + ["zz.empty"]
+    assert arrays["zz.empty"].shape == (0, 3)
     for name in params:
         assert np.array_equal(arrays[name], params[name].data)
+        assert arrays[name].flags.writeable  # loaded arrays are owned copies, not views of the file
 
 
 def test_save_is_byte_deterministic(params, tmp_path):

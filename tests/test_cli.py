@@ -378,9 +378,15 @@ BAD_DECODE = {  # case -> decode arguments; files name arrays written by the tes
 }
 
 
+DECODE_STDERR = {  # case -> what stderr says for a baseline and a refdec checkpoint alike
+    "latent-3-channels": "latent (3, 3, 2, 4) is not [8, T, H, W]",
+    "latent-3d": "latent (8, 2, 4) is not [8, T, H, W]",
+}
+
+
 @pytest.mark.parametrize("case", sorted(BAD_DECODE))
-def test_decode_rejects_malformed_input_with_exit_2(pipeline, tmp_path, case):
-    refdec = pipeline[4]
+def test_decode_rejects_malformed_input_with_exit_2(pipeline, tmp_path, case, capsys):
+    _, _, _, baseline, refdec = pipeline
     np.save(tmp_path / "z3ch.npy", np.zeros((3, 3, 2, 4), np.float32))
     np.save(tmp_path / "z3d.npy", np.zeros((8, 2, 4), np.float32))
     np.save(tmp_path / "z0t.npy", np.zeros((8, 0, 2, 4), np.float32))
@@ -389,8 +395,24 @@ def test_decode_rejects_malformed_input_with_exit_2(pipeline, tmp_path, case):
     np.save(tmp_path / "z3x5.npy", np.zeros((8, 3, 3, 5), np.float32))  # null map is 2x4
     (tmp_path / "junk.npy").write_text("not an array\n")
     args = [str(tmp_path / a) if a.endswith(".npy") else a for a in BAD_DECODE[case]]
-    assert exit_code(["decode", "--config", str(write_config(tmp_path)), "--ckpt", str(refdec),
-                      *args]) == 2
+    for ckpt in (refdec, baseline) if case in DECODE_STDERR else (refdec,):
+        assert exit_code(["decode", "--config", str(write_config(tmp_path)), "--ckpt", str(ckpt),
+                          *args]) == 2
+        assert DECODE_STDERR.get(case, "") in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_decode_of_a_clip_the_backbone_cannot_encode_exits_2(pipeline, tmp_path):
+    arrays, meta = load_checkpoint(pipeline[3])
+    meta["vae"]["spatial_compression"] = 16  # same tensors; 24-pixel frames no longer divide
+    ckpt = tmp_path / "p16.ckpt"
+    save_checkpoint(ckpt, arrays, meta)
+    cfg = tiny_config(tmp_path / "runs", curriculum=CurriculumSpec(
+        (StageSpec(5, 24, 32, 6), StageSpec(9, 24, 32, 4))))
+    cfg.dataset.height = 24
+    cfg.save(tmp_path / "config.json")
+    assert main(["decode", "--config", str(tmp_path / "config.json"), "--ckpt", str(ckpt),
+                 "--clip-seed", "3"]) == 2
     assert not (tmp_path / "runs").exists()
 
 

@@ -297,6 +297,16 @@ def test_swap_rejects_encoder_mismatch(swap_setup):
         fixed_seed_swap_compare(val, spec, cfg, rcfg, base, tampered, master_seed=13)
 
 
+def test_swap_fingerprints_each_encoder_once(swap_setup, monkeypatch):
+    from refvae import metrics
+
+    cfg, rcfg, base, cond, spec, val = swap_setup
+    real, calls = metrics.encoder_fingerprint, []
+    monkeypatch.setattr(metrics, "encoder_fingerprint", lambda params: calls.append(1) or real(params))
+    fixed_seed_swap_compare(val[:1], spec, cfg, rcfg, base, cond, master_seed=15)
+    assert len(calls) == 2  # the paired-protocol check's two serve the latent sharing too
+
+
 def test_evaluate_params_deterministic(swap_setup):
     cfg, rcfg, base, cond, spec, val = swap_setup
     from refvae.training import RefPolicy

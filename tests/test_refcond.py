@@ -92,7 +92,7 @@ def test_stage_forward_shapes_and_split(desk_full, desk_ref_cfg):
     rng = np.random.default_rng(1)
     video = Tensor(rng.standard_normal((64, 2, 4, 8)).astype(np.float32))
     ref = Tensor(rng.standard_normal((64, 1, 4, 8)).astype(np.float32))
-    v2, r2 = stage_forward(video, ref, 0, cfg, desk_ref_cfg, params)
+    v2, r2 = stage_forward(video, ref, 0, desk_ref_cfg, params)
     assert v2.shape == video.shape
     assert r2.shape == ref.shape
     assert r2.shape[1] == 1
@@ -103,7 +103,7 @@ def test_stage_forward_zeroed_blocks_is_baseline_stage(desk_full, desk_ref_cfg):
     rng = np.random.default_rng(2)
     video = Tensor(rng.standard_normal((64, 2, 4, 8)).astype(np.float32))
     ref = Tensor(rng.standard_normal((64, 1, 4, 8)).astype(np.float32))
-    v2, _ = stage_forward(video, ref, 0, cfg, desk_ref_cfg, params)
+    v2, _ = stage_forward(video, ref, 0, desk_ref_cfg, params)
     # out-projections are zero-initialised, so the video path is untouched
     np.testing.assert_allclose(v2.data, video.data, atol=1e-6)
 
@@ -113,9 +113,9 @@ def test_stage_forward_rejects_mismatch(desk_full, desk_ref_cfg):
     video = Tensor(np.zeros((64, 2, 4, 8), np.float32))
     ref = Tensor(np.zeros((64, 1, 4, 4), np.float32))
     with pytest.raises(ValueError):
-        stage_forward(video, ref, 0, cfg, desk_ref_cfg, params)
+        stage_forward(video, ref, 0, desk_ref_cfg, params)
     with pytest.raises(ValueError):
-        stage_forward(video, Tensor(np.zeros((64, 1, 4, 8), np.float32)), 5, cfg, desk_ref_cfg, params)
+        stage_forward(video, Tensor(np.zeros((64, 1, 4, 8), np.float32)), 5, desk_ref_cfg, params)
 
 
 def test_compatibility_at_init_bitwise(desk_full, desk_ref_cfg):
@@ -147,7 +147,7 @@ def test_ref_temporal_extent_stays_one(desk_full, desk_ref_cfg):
     x = dec_input(video, cfg, params)
     for s in range(3):
         x = dec_stage_blocks(x, s, cfg, params)
-        x, ref = stage_forward(x, ref, s, cfg, desk_ref_cfg, params)
+        x, ref = stage_forward(x, ref, s, desk_ref_cfg, params)
         x = dec_stage_upsample(x, s, cfg, params, temporal=True)
         ref = dec_stage_upsample(ref, s, cfg, params, temporal=False)
         assert ref.shape[1] == 1
@@ -165,7 +165,7 @@ def test_weight_sharing_zeroing_degrades_every_stage(desk_full, desk_ref_cfg):
     def stage_out(s, ch, t_len, h, w):
         video = Tensor(rng_fixed[s][0])
         ref = Tensor(rng_fixed[s][1])
-        return stage_forward(video, ref, s, cfg, desk_ref_cfg, params)[0].data
+        return stage_forward(video, ref, s, desk_ref_cfg, params)[0].data
 
     shapes = [(64, 2, 4, 8), (32, 3, 8, 16), (32, 5, 16, 32)]
     rng_fixed = [(rng.standard_normal(sh).astype(np.float32),
@@ -279,7 +279,7 @@ def test_full_stage_grad_check(tiny_cfg, tiny_ref_cfg, tiny_params):
         ref = Tensor(rng.standard_normal((4, 1, 2, 2)))
 
         def f(t):
-            v2, r2 = stage_forward(t, ref, 0, tiny_cfg, tiny_ref_cfg, params)
+            v2, r2 = stage_forward(t, ref, 0, tiny_ref_cfg, params)
             return (v2 * v2).sum() + r2.sum()
 
         assert grad_check(f, video, eps=1e-3) < 1e-3
@@ -288,7 +288,7 @@ def test_full_stage_grad_check(tiny_cfg, tiny_ref_cfg, tiny_params):
 
         def g(t):
             params["ref.blk0.wq"] = t
-            v2, _ = stage_forward(Tensor(video.data), ref, 0, tiny_cfg, tiny_ref_cfg, params)
+            v2, _ = stage_forward(Tensor(video.data), ref, 0, tiny_ref_cfg, params)
             return (v2 * v2).mean()
 
         try:
