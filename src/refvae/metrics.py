@@ -247,8 +247,10 @@ def evaluate_params(val_refs: list[ClipRef], data_spec: DatasetSpec, decoders: l
 
     Each report is the one that decoder gets when it is scored alone.
     """
+    distinct = {id(params): params for params, *_ in decoders}  # one hash per parameter dict
+    fps = {key: encoder_fingerprint(params) for key, params in distinct.items()}
     reports, _ = _eval_clips(val_refs, data_spec, decoders,
-                             [encoder_fingerprint(params) for params, *_ in decoders], master_seed)
+                             [fps[id(params)] for params, *_ in decoders], master_seed)
     for report, (*_, ref_cfg, policy) in zip(reports, decoders):
         report.metadata.update({"eval_policy": policy.value, "master_seed": master_seed,
                                 "conditioned": ref_cfg is not None})

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, _acc, _from_op, _grad_buffer, _unbroadcast, concat
+from .tensor import Tensor, _acc, _from_op, _grad_buffer, _released, _unbroadcast, concat
 
 EPS = 1e-6
 # accumulator floats per row tile of _shifted_gemm: with its operand rows and
@@ -204,6 +204,37 @@ def conv3d_causal(x: Tensor, kernel: Tensor, stride: tuple[int, int, int] = (1, 
         _acc(x, gx.transpose(3, 0, 1, 2).astype(x.dtype, copy=False))
 
     return _from_op(out, (x, kernel), bw)
+
+
+def add_bias(h: Tensor, bias: Tensor, residual: Tensor | None = None) -> Tensor:
+    """h + bias (+ residual) as one node, added in place into h's buffer.
+
+    `h` must be the fresh output of an op whose backward never reads it, such
+    as conv3d_causal.  The node takes over h's closure and parents, leaves h
+    released and hands its gradient to that closure uncopied.  IEEE addition
+    commutes, so the bits are those of `residual + (h + bias)`; adding in place
+    never promotes, so an operand of another dtype than h is an error.
+    """
+    adds = [bias] if residual is None else [bias, residual]
+    if any(t.dtype != h.dtype for t in adds):
+        raise ValueError(f"add_bias of {[t.dtype.name for t in adds]} into {h.dtype.name}: would cast")
+    if h._backward is _released or (h.requires_grad and h._backward is None):
+        raise ValueError("add_bias takes over a fresh op output, not a leaf or an absorbed tensor")
+    out = h.data
+    for t in adds:
+        out += t.data
+    h_bw, h_parents = h._backward, h._parents
+    h._backward, h._parents = _released, ()
+
+    def bw(g):
+        for t in adds:
+            if t.requires_grad:
+                _acc(t, _unbroadcast(g, t.data.shape))
+        if h_bw is not None:
+            h_bw(g)
+
+    # parents in the order `residual + (h + bias)` puts them on the tape
+    return _from_op(out, (*adds[1:], *h_parents, bias), bw)
 
 
 def upsample_nearest(x: Tensor, factors: tuple[int, int, int]) -> Tensor:

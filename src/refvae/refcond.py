@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ops import (
+    add_bias,
     attention,
     conv3d_causal,
     gelu,
@@ -215,8 +216,8 @@ def stage_forward(video: Tensor, ref: Tensor, s: int, cfg: RefCondConfig,
 
 def _controlnet_inject(ref: Tensor, s: int, params: dict[str, Tensor]) -> Tensor:
     """Residual injection: a per-stage conv branch of the reference map, [C, 1, H, W]."""
-    feat = silu(conv3d_causal(ref, params[f"ctrl.s{s}.branch.w"]) + params[f"ctrl.s{s}.branch.b"])
-    return conv3d_causal(feat, params[f"ctrl.s{s}.inject.w"]) + params[f"ctrl.s{s}.inject.b"]
+    feat = silu(add_bias(conv3d_causal(ref, params[f"ctrl.s{s}.branch.w"]), params[f"ctrl.s{s}.branch.b"]))
+    return add_bias(conv3d_causal(feat, params[f"ctrl.s{s}.inject.w"]), params[f"ctrl.s{s}.inject.b"])
 
 
 def decode_conditioned_t(z: Tensor, ref_image, vae_cfg: VaeConfig, cfg: RefCondConfig,

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 # perfbench times the resblock ops by the names they are called through here, so
-# the fused op keeps the name `groupnorm`; silu is unused, but perfbench wraps vae.silu
-from .ops import conv3d_causal, silu, upsample_causal, upsample_nearest  # noqa: F401
+# the fused op keeps the name `groupnorm`; silu is unused, but perfbench wraps vae.silu.
+# conv3d_causal takes no bias, as perfbench counts its flops from its arguments: add_bias adds it
+from .ops import add_bias, conv3d_causal, silu, upsample_causal, upsample_nearest  # noqa: F401
 from .ops import groupnorm_silu as groupnorm
 from .tensor import Tensor, parameter
 
@@ -120,10 +121,9 @@ def init_vae_params(cfg: VaeConfig, rng: np.random.Generator) -> dict[str, Tenso
 
 def _resblock(x: Tensor, params: dict[str, Tensor], name: str, groups: int) -> Tensor:
     h = groupnorm(x, groups, params[f"{name}.gn1.g"], params[f"{name}.gn1.b"])  # ops.groupnorm_silu
-    h = conv3d_causal(h, params[f"{name}.c1.w"]) + params[f"{name}.c1.b"]
+    h = add_bias(conv3d_causal(h, params[f"{name}.c1.w"]), params[f"{name}.c1.b"])
     h = groupnorm(h, groups, params[f"{name}.gn2.g"], params[f"{name}.gn2.b"])
-    h = conv3d_causal(h, params[f"{name}.c2.w"]) + params[f"{name}.c2.b"]
-    return x + h
+    return add_bias(conv3d_causal(h, params[f"{name}.c2.w"]), params[f"{name}.c2.b"], residual=x)
 
 
 def encode_t(frames: Tensor, cfg: VaeConfig, params: dict[str, Tensor]) -> Tensor:
@@ -131,19 +131,19 @@ def encode_t(frames: Tensor, cfg: VaeConfig, params: dict[str, Tensor]) -> Tenso
     t, c, h, w = frames.shape
     cfg.latent_shape(t, h, w)  # shape validation
     x = frames.transpose(1, 0, 2, 3)
-    x = conv3d_causal(x, params["enc.in.w"], (1, 2, 2)) + params["enc.in.b"]
+    x = add_bias(conv3d_causal(x, params["enc.in.w"], (1, 2, 2)), params["enc.in.b"])
     down_factors = list(reversed(cfg.stage_factors()))
     for i, factors in enumerate(down_factors):
         for j in range(cfg.res_blocks):
             x = _resblock(x, params, f"enc.s{i}.r{j}", cfg.norm_groups)
-        x = conv3d_causal(x, params[f"enc.s{i}.down.w"], factors) + params[f"enc.s{i}.down.b"]
-    return conv3d_causal(x, params["enc.out.w"]) + params["enc.out.b"]
+        x = add_bias(conv3d_causal(x, params[f"enc.s{i}.down.w"], factors), params[f"enc.s{i}.down.b"])
+    return add_bias(conv3d_causal(x, params["enc.out.w"]), params["enc.out.b"])
 
 
 def dec_input(z: Tensor, cfg: VaeConfig, params: dict[str, Tensor]) -> Tensor:
     if len(z.shape) != 4 or z.shape[0] != cfg.latent_channels:
         raise ValueError(f"latent {z.shape} is not [{cfg.latent_channels}, T, H, W]")
-    return conv3d_causal(z, params["dec.in.w"]) + params["dec.in.b"]
+    return add_bias(conv3d_causal(z, params["dec.in.w"]), params["dec.in.b"])
 
 
 def dec_stage_blocks(x: Tensor, s: int, cfg: VaeConfig, params: dict[str, Tensor]) -> Tensor:
@@ -156,12 +156,12 @@ def dec_stage_upsample(x: Tensor, s: int, cfg: VaeConfig, params: dict[str, Tens
                        temporal: bool = True) -> Tensor:
     ft, fh, fw = cfg.stage_factors()[s]
     x = upsample_causal(x, (ft if temporal else 1, fh, fw))
-    return conv3d_causal(x, params[f"dec.s{s}.up.w"]) + params[f"dec.s{s}.up.b"]
+    return add_bias(conv3d_causal(x, params[f"dec.s{s}.up.w"]), params[f"dec.s{s}.up.b"])
 
 
 def dec_head(x: Tensor, cfg: VaeConfig, params: dict[str, Tensor]) -> Tensor:
     x = upsample_nearest(x, (1, 2, 2))
-    x = conv3d_causal(x, params["dec.head.w"]) + params["dec.head.b"]
+    x = add_bias(conv3d_causal(x, params["dec.head.w"]), params["dec.head.b"])
     return x.clamp(0.0, 1.0).transpose(1, 0, 2, 3)
 
 

@@ -307,6 +307,19 @@ def test_swap_fingerprints_each_encoder_once(swap_setup, monkeypatch):
     assert len(calls) == 2  # the paired-protocol check's two serve the latent sharing too
 
 
+def test_evaluate_params_fingerprints_each_parameter_dict_once(swap_setup, monkeypatch):
+    from refvae import metrics
+    from refvae.training import RefPolicy
+
+    cfg, rcfg, base, cond, spec, val = swap_setup
+    real, calls = metrics.encoder_fingerprint, []
+    monkeypatch.setattr(metrics, "encoder_fingerprint", lambda params: calls.append(id(params)) or real(params))
+    # the ref_policy ablation's shape: one parameter dict under two eval policies
+    decoders = [(cond, cfg, rcfg, policy) for policy in (RefPolicy.first_frame, RefPolicy.random_frame)]
+    evaluate_params(val[:1], spec, decoders + [(base, cfg, None, RefPolicy.first_frame)], 16)
+    assert sorted(calls) == sorted([id(cond), id(base)])
+
+
 def test_evaluate_params_deterministic(swap_setup):
     cfg, rcfg, base, cond, spec, val = swap_setup
     from refvae.training import RefPolicy

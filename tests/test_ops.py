@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from conftest import grad_check
 from refvae import ops, vae
 from refvae.ops import (
+    add_bias,
     attention,
     conv3d_causal,
     gelu,
@@ -16,7 +17,7 @@ from refvae.ops import (
     upsample_causal,
     upsample_nearest,
 )
-from refvae.tensor import Tensor, float64_mode, parameter
+from refvae.tensor import Tensor, build_tape, float64_mode, parameter
 
 
 def conv3d_naive(x, w, stride):
@@ -323,6 +324,102 @@ def test_conv_rejects_bad_shapes():
         conv3d_causal(x, Tensor(np.zeros((1, 3, 1, 1, 1))))  # channel mismatch
     with pytest.raises(ValueError):
         conv3d_causal(x, Tensor(np.zeros((1, 2, 1, 2, 2))))  # even spatial kernel
+
+
+# -- conv + bias (+ residual) as one node ----------------------------------------
+
+
+@pytest.mark.parametrize("stride", [(1, 1, 1), (1, 2, 2)])
+@pytest.mark.parametrize("with_residual", [False, True])
+def test_add_bias_matches_composed_bitwise(stride, with_residual):
+    rng = np.random.default_rng(23)
+    x0 = rng.standard_normal((8, 5, 6, 8)).astype(np.float32)
+    w0 = (rng.standard_normal((8, 8, 3, 3, 3)) * 0.2).astype(np.float32)
+    b0 = rng.standard_normal((8, 1, 1, 1)).astype(np.float32)
+    out_shape = conv3d_causal(Tensor(x0), Tensor(w0), stride).shape
+    r0 = rng.standard_normal(out_shape).astype(np.float32)
+    probe = Tensor(rng.standard_normal(out_shape).astype(np.float32))
+    results = []
+    for fused in (True, False):
+        x, w, b, r = parameter(x0), parameter(w0), parameter(b0), parameter(r0)
+        res = r if with_residual else None
+        if fused:
+            out = add_bias(conv3d_causal(x, w, stride), b, res)
+        else:  # the composed ops it replaces, in the resblock's `x + h` order
+            out = conv3d_causal(x, w, stride) + b
+            out = out if res is None else res + out
+        (out * probe).sum().backward()
+        results.append([out.data, x.grad, w.grad, b.grad] + ([r.grad] if with_residual else []))
+    for fused, composed in zip(*results):
+        assert fused.dtype == composed.dtype == np.float32
+        assert fused.tobytes() == composed.tobytes()
+
+
+def test_add_bias_grads_match_finite_differences():
+    with float64_mode():
+        rng = np.random.default_rng(24)
+        x = Tensor(rng.standard_normal((2, 4, 4, 4)))
+        w = Tensor(rng.standard_normal((3, 2, 2, 3, 3)) * 0.3)
+        b = parameter(rng.standard_normal((3, 1, 1, 1)))
+        r = parameter(rng.standard_normal((3, 4, 2, 2)))
+        probe = Tensor(rng.standard_normal((3, 4, 2, 2)))
+
+        def loss(b, r):
+            return (add_bias(conv3d_causal(x, w, (1, 2, 2)), b, r) * probe).abs().mean()
+
+        assert grad_check(lambda t: loss(t, r), b) < 1e-4
+        assert grad_check(lambda t: loss(b, t), r) < 1e-4
+
+
+def test_add_bias_absorbs_the_conv_output():
+    rng = np.random.default_rng(25)
+    x, w = parameter(rng.standard_normal((2, 3, 4, 4))), parameter(rng.standard_normal((2, 2, 1, 3, 3)))
+    b, r = parameter(np.ones((2, 1, 1, 1))), parameter(np.ones((2, 3, 4, 4)))
+    h = conv3d_causal(x, w)
+    out = add_bias(h, b, r)
+    assert out.data is h.data
+    assert len(out._parents) == 4 and {id(p) for p in out._parents} == {id(x), id(w), id(b), id(r)}
+    with pytest.raises(ValueError, match="released"):
+        h.sum().backward()
+    with pytest.raises(ValueError, match="fresh op output"):
+        add_bias(h, b)  # would add the bias twice
+    with pytest.raises(ValueError, match="fresh op output"):
+        add_bias(x, b)  # a leaf: its gradient would be lost
+
+
+def test_add_bias_without_grad_is_a_leaf():
+    rng = np.random.default_rng(26)
+    x, w = Tensor(rng.standard_normal((2, 3, 4, 4))), Tensor(rng.standard_normal((2, 2, 1, 3, 3)))
+    out = add_bias(conv3d_causal(x, w), Tensor(np.ones((2, 1, 1, 1))), Tensor(np.ones((2, 3, 4, 4))))
+    assert not out.requires_grad and out._parents == () and out._backward is None
+
+
+@pytest.mark.parametrize("which", ["bias", "residual"])
+def test_add_bias_rejects_other_dtypes(which):
+    rng = np.random.default_rng(27)
+    x = Tensor(rng.standard_normal((2, 3, 4, 4)).astype(np.float32))
+    w = Tensor(rng.standard_normal((2, 2, 1, 3, 3)).astype(np.float32))
+    b, r = np.ones((2, 1, 1, 1), np.float32), np.ones((2, 3, 4, 4), np.float32)
+    if which == "bias":
+        b = b.astype(np.float64)
+    else:
+        r = r.astype(np.float64)
+    h = conv3d_causal(x, w)
+    before = h.data.copy()
+    with pytest.raises(ValueError, match="would cast"):
+        add_bias(h, Tensor(b), Tensor(r))
+    assert np.array_equal(h.data, before)  # checked before any in-place add
+
+
+def test_resblock_is_four_nodes_over_nine_leaves():
+    params = {}
+    vae._add_resblock(params, np.random.default_rng(28), "r", 8, 3)
+    x = parameter(np.random.default_rng(29).standard_normal((8, 3, 4, 4)))
+    tape = build_tape(vae._resblock(x, params, "r", 4))
+    # x and the 8 parameters, then two GroupNorm+SiLU and two conv+bias nodes
+    # (the second one also adds x): the composed `conv + b` and `x + h` took 7
+    assert len(tape) == 13
+    assert sum(t._backward is not None for t in tape) == 4
 
 
 # -- upsampling --------------------------------------------------------------
