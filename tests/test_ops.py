@@ -417,7 +417,7 @@ def test_resblock_is_four_nodes_over_nine_leaves():
     x = parameter(np.random.default_rng(29).standard_normal((8, 3, 4, 4)))
     tape = build_tape(vae._resblock(x, params, "r", 4))
     # x and the 8 parameters, then two GroupNorm+SiLU and two conv+bias nodes
-    # (the second one also adds x): the composed `conv + b` and `x + h` took 7
+    # (the second one also adds x), where composed `conv + b` and `x + h` nodes make 7
     assert len(tape) == 13
     assert sum(t._backward is not None for t in tape) == 4
 
