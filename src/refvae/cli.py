@@ -13,6 +13,7 @@ import csv
 import json
 import multiprocessing
 import os
+import re
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -39,9 +40,10 @@ CKPT_KINDS = {"baseline": None, "refdec": "attention", "controlnet": "controlnet
 
 
 def _parallelism_degree() -> int:
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-        if os.environ.get(var):
-            return int(os.environ[var])
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):  # read as OpenBLAS does: C atoi, <= 0 unset
+        lead = re.match(r"\s*[+-]?\d+", os.environ.get(var, ""), re.ASCII)
+        if lead and int(lead.group()) > 0:
+            return int(lead.group())
     return os.cpu_count() or 1
 
 
@@ -123,7 +125,7 @@ def _load_model(path: str | Path | None, kinds: tuple[str, ...] = tuple(CKPT_KIN
     for name, tensor in model_params.items():
         want, got = tensor.shape, arrays.get(name)
         dims = 2 if name == "ref.null" else len(want)  # the null map's grid is not recorded
-        if got is None or got.ndim != len(want) or got.shape[:dims] != want[:dims]:
+        if got is None or got.ndim != len(want) or got.shape[:dims] != want[:dims] or not got.size:
             raise CheckpointError(f"{p}: tensor {name} is missing or not of shape {want}")
         if not np.isfinite(got).all():
             raise CheckpointError(f"{p}: tensor {name} holds NaN or Inf")
@@ -306,7 +308,10 @@ def _load_npy(path: str, what: str) -> np.ndarray:
         arr = np.load(path)
         if not isinstance(arr, np.ndarray):
             raise ValueError("not a single .npy array")
-        return arr.astype(np.float32)
+        with np.errstate(over="ignore"):  # values past float32's range become Inf, rejected here
+            if not np.isfinite(arr := arr.astype(np.float32)).all():
+                raise ValueError("holds NaN or Inf as float32")
+        return arr
     except (OSError, ValueError, EOFError) as exc:
         raise ConfigError(f"{what} {path}: {exc}") from exc
 

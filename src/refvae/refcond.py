@@ -1,22 +1,22 @@
-"""Reference-conditioned decoding.
+"""Reference-conditioned decoding: the backbone's decode plus a per-stage hook.
 
 A single strided convolution plus normalisation lifts the reference image
-into the first decoder stage's feature space.  At every decoder stage the
+into the first decoder stage's feature space.  `vae.decode_baseline_t`, the
+one decoder walk, calls the hook after each stage's residual blocks: the
 reference map and the video features are projected to a shared hidden
 width, concatenated along time (reference at temporal coordinate 0, video
 at 1..T_s), processed by one weight-shared stack of transformer blocks
-with 3D rotary coordinates, projected back, split, and upsampled through
-the pretrained stage upsampler -- the reference spatially only.
+with 3D rotary coordinates, projected back and split.  Both then go through
+the pretrained stage upsampler -- the one-frame reference spatially only.
 
 Stage in/out projections are token-extraction patch embeddings with
 per-stage strides, so the token grid stays at the latent resolution at
 every stage.  The out-projections are zero-initialised: at initialisation
 the conditioned decoder reproduces the baseline decoder exactly.
 
-Residual injection (ControlNet-style) is the alternative, which the decode
-runs when the parameters hold its `ctrl.*` tensors: the same stage loop,
-where a parallel conv branch per stage adds reference features to the video
-path, broadcast identically over every frame, with no attention.
+Residual injection (ControlNet-style) is the alternative hook, run when the
+parameters hold its `ctrl.*` tensors: a parallel conv branch per stage adds
+reference features to every video frame alike, with no attention.
 """
 from __future__ import annotations
 
@@ -37,7 +37,7 @@ from .ops import (
     upsample_nearest,
 )
 from .tensor import Tensor, concat, parameter
-from .vae import VaeConfig, dec_head, dec_input, dec_stage_blocks, dec_stage_upsample
+from .vae import VaeConfig, dec_stage_upsample, decode_baseline_t
 
 
 @dataclass
@@ -222,22 +222,20 @@ def _controlnet_inject(ref: Tensor, s: int, params: dict[str, Tensor]) -> Tensor
 
 def decode_conditioned_t(z: Tensor, ref_image, vae_cfg: VaeConfig, cfg: RefCondConfig,
                          params: dict[str, Tensor]) -> Tensor:
-    """Three-stage conditioned decode; `ref_image` None uses the null map `ref.null`.
+    """`vae.decode_baseline_t` with the reference hook; `ref_image` None uses the null map `ref.null`.
 
     The null map is never trained: every training step passes a reference
     frame, so it keeps its N(0, 0.02^2) initial draw.
     """
-    controlnet = "ctrl.s0.branch.w" in params  # residual-injection tensors, else attention
-    x = dec_input(z, vae_cfg, params)  # checks the latent's rank and channels
-    _, _, hz, wz = z.shape
-    ref = _resolve_reference(ref_image, params, vae_cfg, hz, wz)
-    for s in range(3):
-        if s:  # the reference map follows x up to this stage's grid
-            ref = dec_stage_upsample(ref, s - 1, vae_cfg, params, temporal=False)
-        x = dec_stage_blocks(x, s, vae_cfg, params)
-        if controlnet:
-            x = x + _controlnet_inject(ref, s, params)  # broadcasts over every frame
-        else:
-            x, ref = stage_forward(x, ref, s, cfg, params)
-        x = dec_stage_upsample(x, s, vae_cfg, params, temporal=True)
-    return dec_head(x, vae_cfg, params)
+    ref = None
+
+    def condition(x: Tensor, s: int) -> Tensor:
+        nonlocal ref  # resolved on stage 0's grid, the latent grid; then it follows x up
+        ref = (dec_stage_upsample(ref, s - 1, vae_cfg, params) if s
+               else _resolve_reference(ref_image, params, vae_cfg, *x.shape[2:]))
+        if "ctrl.s0.branch.w" in params:  # residual-injection tensors, else attention
+            return x + _controlnet_inject(ref, s, params)  # broadcasts over every frame
+        x, ref = stage_forward(x, ref, s, cfg, params)
+        return x
+
+    return decode_baseline_t(z, vae_cfg, params, condition)

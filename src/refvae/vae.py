@@ -6,8 +6,8 @@ upsamplers, temporal compression q keeps the first frame uncompressed
 (T_z = 1 + (T-1)/q).  Encoding is deterministic (mean-only, no sampling
 and no KL term): at this scale a plain autoencoder stands in for the VAE.
 
-The decoder is split into stage-level helpers so the reference-conditioned
-variant can interleave its token blocks without duplicating the backbone.
+`decode_baseline_t` is the one decoder walk; the reference-conditioned
+decoders are that walk plus a per-stage hook, so only this module knows its layers.
 """
 from __future__ import annotations
 
@@ -140,35 +140,23 @@ def encode_t(frames: Tensor, cfg: VaeConfig, params: dict[str, Tensor]) -> Tenso
     return add_bias(conv3d_causal(x, params["enc.out.w"]), params["enc.out.b"])
 
 
-def dec_input(z: Tensor, cfg: VaeConfig, params: dict[str, Tensor]) -> Tensor:
-    if len(z.shape) != 4 or z.shape[0] != cfg.latent_channels:
-        raise ValueError(f"latent {z.shape} is not [{cfg.latent_channels}, T, H, W]")
-    return add_bias(conv3d_causal(z, params["dec.in.w"]), params["dec.in.b"])
-
-
-def dec_stage_blocks(x: Tensor, s: int, cfg: VaeConfig, params: dict[str, Tensor]) -> Tensor:
-    for j in range(cfg.res_blocks):
-        x = _resblock(x, params, f"dec.s{s}.r{j}", cfg.norm_groups)
-    return x
-
-
-def dec_stage_upsample(x: Tensor, s: int, cfg: VaeConfig, params: dict[str, Tensor],
-                       temporal: bool = True) -> Tensor:
-    ft, fh, fw = cfg.stage_factors()[s]
-    x = upsample_causal(x, (ft if temporal else 1, fh, fw))
+def dec_stage_upsample(x: Tensor, s: int, cfg: VaeConfig, params: dict[str, Tensor]) -> Tensor:
+    """Stage s's pretrained upsampler; causal in time, so a one-frame map grows in space only."""
+    x = upsample_causal(x, cfg.stage_factors()[s])
     return add_bias(conv3d_causal(x, params[f"dec.s{s}.up.w"]), params[f"dec.s{s}.up.b"])
 
 
-def dec_head(x: Tensor, cfg: VaeConfig, params: dict[str, Tensor]) -> Tensor:
+def decode_baseline_t(z: Tensor, cfg: VaeConfig, params: dict[str, Tensor], condition=None) -> Tensor:
+    """[C_z, T_z, H_z, W_z] latent -> [T, 3, H, W] in [0, 1]; `condition(x, s)` follows stage s's blocks."""
+    if len(z.shape) != 4 or z.shape[0] != cfg.latent_channels:
+        raise ValueError(f"latent {z.shape} is not [{cfg.latent_channels}, T, H, W]")
+    x = add_bias(conv3d_causal(z, params["dec.in.w"]), params["dec.in.b"])
+    for s in range(3):
+        for j in range(cfg.res_blocks):
+            x = _resblock(x, params, f"dec.s{s}.r{j}", cfg.norm_groups)
+        if condition is not None:
+            x = condition(x, s)
+        x = dec_stage_upsample(x, s, cfg, params)
     x = upsample_nearest(x, (1, 2, 2))
     x = add_bias(conv3d_causal(x, params["dec.head.w"]), params["dec.head.b"])
     return x.clamp(0.0, 1.0).transpose(1, 0, 2, 3)
-
-
-def decode_baseline_t(z: Tensor, cfg: VaeConfig, params: dict[str, Tensor]) -> Tensor:
-    """[C_z, T_z, H_z, W_z] latent -> [T, 3, H, W] pixels in [0, 1]."""
-    x = dec_input(z, cfg, params)
-    for s in range(3):
-        x = dec_stage_blocks(x, s, cfg, params)
-        x = dec_stage_upsample(x, s, cfg, params)
-    return dec_head(x, cfg, params)

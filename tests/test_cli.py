@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 from dataclasses import asdict
 from pathlib import Path
@@ -227,6 +228,7 @@ BROKEN_CKPT = {  # case -> (pipeline index of the checkpoint it breaks, edit of 
     "no-ref-blk0": (4, _drop_block0),
     "bad-dec-in-shape": (4, lambda arrays, meta: arrays.update({"dec.in.w": arrays["dec.in.w"][:, :-1]})),
     "nan-tensor": (3, lambda arrays, meta: arrays.update({"dec.head.b": np.full((3, 1, 1, 1), np.nan)})),
+    "empty-null-map": (4, lambda arrays, meta: arrays.update({"ref.null": arrays["ref.null"][:, :, :0, :0]})),
 }
 
 
@@ -372,6 +374,9 @@ BAD_DECODE = {  # case -> decode arguments; files name arrays written by the tes
     "latent-not-npy": ["--latent", "junk.npy"],
     "ref-not-npy": ["--clip-seed", "3", "--ref", "junk.npy"],
     "latent-missing": ["--latent", "missing.npy"],
+    "latent-nan": ["--latent", "znan.npy"],
+    "latent-inf": ["--latent", "zinf.npy"],
+    "ref-image-nan": ["--clip-seed", "3", "--ref", "refnan.npy"],
     "ref-missing": ["--clip-seed", "3", "--ref", "missing.npy"],
     "clip-seed-negative": ["--clip-seed", "-1"],
     "category-unknown": ["--clip-seed", "3", "--category", "bogus"],
@@ -381,6 +386,9 @@ BAD_DECODE = {  # case -> decode arguments; files name arrays written by the tes
 DECODE_STDERR = {  # case -> what stderr says for a baseline and a refdec checkpoint alike
     "latent-3-channels": "latent (3, 3, 2, 4) is not [8, T, H, W]",
     "latent-3d": "latent (8, 2, 4) is not [8, T, H, W]",
+    "latent-nan": "holds NaN or Inf",
+    "latent-inf": "holds NaN or Inf",
+    "ref-image-nan": "holds NaN or Inf",
 }
 
 
@@ -393,6 +401,9 @@ def test_decode_rejects_malformed_input_with_exit_2(pipeline, tmp_path, case, ca
     np.save(tmp_path / "ref8x8.npy", np.zeros((3, 8, 8), np.float32))
     np.save(tmp_path / "ref2d.npy", np.zeros((16, 32), np.float32))
     np.save(tmp_path / "z3x5.npy", np.zeros((8, 3, 3, 5), np.float32))  # null map is 2x4
+    np.save(tmp_path / "znan.npy", np.where(np.arange(64).reshape(8, 1, 2, 4) == 5, np.nan, 0.0))
+    np.save(tmp_path / "zinf.npy", np.full((8, 1, 2, 4), 1e39))  # finite in float64, not in float32
+    np.save(tmp_path / "refnan.npy", np.full((3, 16, 32), np.nan, np.float32))
     (tmp_path / "junk.npy").write_text("not an array\n")
     args = [str(tmp_path / a) if a.endswith(".npy") else a for a in BAD_DECODE[case]]
     for ckpt in (refdec, baseline) if case in DECODE_STDERR else (refdec,):
@@ -400,6 +411,16 @@ def test_decode_rejects_malformed_input_with_exit_2(pipeline, tmp_path, case, ca
                           *args]) == 2
         assert DECODE_STDERR.get(case, "") in capsys.readouterr().err
     assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("openblas, omp, degree", [
+    ("2x", "", 2), (" +3", "", 3), ("", "4,2", 4), ("0", "5", 5), ("-2", "x", None), ("", "", None)])
+def test_parallelism_degree_reads_thread_variables_as_atoi(tmp_path, monkeypatch, openblas, omp, degree):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", openblas)
+    monkeypatch.setenv("OMP_NUM_THREADS", omp)
+    assert main(["gen-data", "--config", str(write_config(tmp_path))]) == 0
+    manifest = manifest_of(only_run_dir(tmp_path / "runs", "gen-data-"))
+    assert manifest["parallelism_degree"] == (degree or os.cpu_count() or 1)
 
 
 def test_decode_of_a_clip_the_backbone_cannot_encode_exits_2(pipeline, tmp_path):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import grad_check
+from refvae import refcond
 from refvae.ops import rope_apply
 from refvae.refcond import (
     RefCondConfig,
@@ -14,7 +15,7 @@ from refvae.refcond import (
     stage_forward,
 )
 from refvae.tensor import Tensor, concat, float64_mode, parameter
-from refvae.vae import decode_baseline_t, dec_input, dec_stage_blocks, dec_stage_upsample, init_vae_params
+from refvae.vae import decode_baseline_t, init_vae_params
 
 
 @pytest.fixture(scope="module")
@@ -139,19 +140,22 @@ def test_decode_shapes_and_dtype(desk_full, desk_ref_cfg):
     assert out.dtype == np.float32  # no silent f64 promotion anywhere in the path
 
 
-def test_ref_temporal_extent_stays_one(desk_full, desk_ref_cfg):
+def test_ref_temporal_extent_stays_one(desk_full, desk_ref_cfg, monkeypatch):
     cfg, params = desk_full
     rng = np.random.default_rng(5)
-    ref = encode_reference(Tensor(rng.random((3, 32, 64)).astype(np.float32)), params, cfg)
+    seen = []
+
+    def spy(video, ref, s, *rest):
+        seen.append((s, video.shape, ref.shape))
+        return stage_forward(video, ref, s, *rest)
+
+    monkeypatch.setattr(refcond, "stage_forward", spy)
     video = Tensor(rng.standard_normal((8, 2, 4, 8)).astype(np.float32))
-    x = dec_input(video, cfg, params)
-    for s in range(3):
-        x = dec_stage_blocks(x, s, cfg, params)
-        x, ref = stage_forward(x, ref, s, desk_ref_cfg, params)
-        x = dec_stage_upsample(x, s, cfg, params, temporal=True)
-        ref = dec_stage_upsample(ref, s, cfg, params, temporal=False)
-        assert ref.shape[1] == 1
-        assert ref.shape[2:] == x.shape[2:]
+    decode_conditioned_t(video, rng.random((3, 32, 64)).astype(np.float32), cfg, desk_ref_cfg, params)
+    assert [s for s, *_ in seen] == [0, 1, 2]
+    for _, x_shape, ref_shape in seen:
+        assert ref_shape[1] == 1
+        assert ref_shape[2:] == x_shape[2:]
 
 
 def test_weight_sharing_zeroing_degrades_every_stage(desk_full, desk_ref_cfg):
@@ -228,28 +232,32 @@ def test_controlnet_zero_init_is_baseline(ctrl_full, desk_ref_cfg):
     np.testing.assert_allclose(out, base, atol=1e-6)
 
 
-def test_controlnet_contribution_is_time_constant(ctrl_full, desk_ref_cfg):
-    from refvae.ops import conv3d_causal, silu
-
+def test_controlnet_contribution_is_time_constant(ctrl_full, desk_ref_cfg, monkeypatch):
     cfg, params = ctrl_full
     rng = np.random.default_rng(9)
     for s in range(3):
         params[f"ctrl.s{s}.inject.w"].data[...] = rng.standard_normal(
             params[f"ctrl.s{s}.inject.w"].shape) * 0.1
+    injects, stages = [], []
+    inject_fn, decode = refcond._controlnet_inject, refcond.decode_baseline_t
+
+    def hooked_decode(z, vae_cfg, params, condition):
+        def observed(x, s):
+            out = condition(x, s)
+            stages.append((x.data, out.data))
+            return out
+        return decode(z, vae_cfg, params, observed)
+
+    monkeypatch.setattr(refcond, "_controlnet_inject", lambda *a: injects.append(inject_fn(*a)) or injects[-1])
+    monkeypatch.setattr(refcond, "decode_baseline_t", hooked_decode)
     z = Tensor(rng.standard_normal((8, 3, 4, 8)).astype(np.float32))
-    ref = encode_reference(Tensor(rng.random((3, 32, 64)).astype(np.float32)), params, cfg)
-    x = dec_input(z, cfg, params)
-    for s in range(3):
-        x = dec_stage_blocks(x, s, cfg, params)
-        feat = silu(conv3d_causal(ref, params[f"ctrl.s{s}.branch.w"]) + params[f"ctrl.s{s}.branch.b"])
-        inject = conv3d_causal(feat, params[f"ctrl.s{s}.inject.w"]) + params[f"ctrl.s{s}.inject.b"]
+    decode_conditioned_t(z, rng.random((3, 32, 64)).astype(np.float32), cfg, desk_ref_cfg, params)
+    assert len(injects) == len(stages) == 3
+    for inject, (x, injected) in zip(injects, stages):
         assert inject.shape[1] == 1  # single temporal slice, broadcast over frames
-        injected = x + inject
         for t in range(injected.shape[1]):
-            np.testing.assert_array_equal(injected.data[:, t], x.data[:, t] + inject.data[:, 0])
+            np.testing.assert_array_equal(injected[:, t], x[:, t] + inject.data[:, 0])
         assert np.abs(inject.data).max() > 0
-        x = dec_stage_upsample(injected, s, cfg, params, temporal=True)
-        ref = dec_stage_upsample(ref, s, cfg, params, temporal=False)
     for s in range(3):
         params[f"ctrl.s{s}.inject.w"].data[...] = 0.0
 

@@ -76,6 +76,20 @@ def test_zero_latent_decodes_in_range(desk_cfg, desk_params):
     assert out.min() >= 0.0 and out.max() <= 1.0
 
 
+def test_identity_condition_decodes_bit_equal(desk_cfg, desk_params):
+    z = Tensor(np.random.default_rng(41).standard_normal((8, 2, 4, 8)).astype(np.float32))
+    base = decode_baseline_t(z, desk_cfg, desk_params).data
+    hooked = decode_baseline_t(z, desk_cfg, desk_params, condition=lambda x, s: x).data
+    assert np.array_equal(base, hooked)
+
+
+def test_condition_sees_each_stage_in_order_at_its_shape(desk_cfg, desk_params):
+    seen = []
+    z = Tensor(np.zeros((8, 2, 4, 8), dtype=np.float32))
+    decode_baseline_t(z, desk_cfg, desk_params, condition=lambda x, s: seen.append((s, x.shape)) or x)
+    assert seen == [(0, (64, 2, 4, 8)), (1, (32, 3, 8, 16)), (2, (32, 5, 16, 32))]
+
+
 @pytest.mark.parametrize("j", [0, 1, 2, 3, 4])
 def test_decoder_temporal_causality(desk_cfg, desk_params, j):
     rng = np.random.default_rng(40 + j)
