@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .checkpoint import CheckpointError, load_checkpoint, params_from_arrays, save_checkpoint
+from .checkpoint import CheckpointError, encoder_fingerprint, load_checkpoint, params_from_arrays, save_checkpoint
 from .config import INJECTIONS, ConfigError, ExperimentConfig, Seeds
 from .metrics import evaluate_params, fixed_seed_swap_compare, psnr
 from .refcond import RefCondConfig, decode_conditioned_t, init_ref_params
@@ -36,7 +36,7 @@ EXIT_CONFIG = 2
 EXIT_CHECKPOINT = 3
 EXIT_NUMERIC = 4
 
-CKPT_KINDS = {"baseline": None, "refdec": "attention", "controlnet": "controlnet"}  # kind -> injection
+CKPT_KINDS = {"baseline": None, **{kind: inj for inj, kind in INJECTIONS.items()}}  # kind -> injection
 
 
 def _parallelism_degree() -> int:
@@ -94,14 +94,14 @@ class Runner:
 
 
 def _load_model(path: str | Path | None, kinds: tuple[str, ...] = tuple(CKPT_KINDS),
-                ) -> tuple[dict[str, Tensor], dict, VaeConfig, RefCondConfig | None]:
+                vae: VaeConfig | None = None) -> tuple[dict[str, Tensor], dict, VaeConfig, RefCondConfig | None]:
     """Checkpoint of one of `kinds` -> parameters, metadata, VaeConfig, RefCondConfig or None.
 
     The parameters are exactly the tensors of the model the metadata records;
     other tensors (the optimiser moments older checkpoints carry) are dropped.
     No path, missing or malformed `kind`, `vae` or `refdec` metadata, a kind
-    not in `kinds`, or a missing, misshapen or non-finite model tensor is a
-    CheckpointError.
+    not in `kinds`, a backbone other than `vae` (when given), or a missing,
+    misshapen or non-finite model tensor is a CheckpointError.
     """
     if not path:
         raise CheckpointError(f"no {' or '.join(kinds)} checkpoint given")
@@ -117,6 +117,8 @@ def _load_model(path: str | Path | None, kinds: tuple[str, ...] = tuple(CKPT_KIN
         raise CheckpointError(f"{p}: malformed checkpoint metadata ({exc!r})") from None
     if meta["kind"] not in kinds:
         raise CheckpointError(f"{p} is a {meta['kind']} checkpoint, not {' or '.join(kinds)}")
+    if vae is not None and model.vae != vae:
+        raise CheckpointError(f"{p} records backbone {model.vae}, not {vae}")
     injection = CKPT_KINDS[meta["kind"]]
     rng = np.random.default_rng(0)  # only the names and shapes of these tensors are used
     model_params = init_vae_params(model.vae, rng)
@@ -126,11 +128,19 @@ def _load_model(path: str | Path | None, kinds: tuple[str, ...] = tuple(CKPT_KIN
         want, got = tensor.shape, arrays.get(name)
         dims = 2 if name == "ref.null" else len(want)  # the null map's grid is not recorded
         if got is None or got.ndim != len(want) or got.shape[:dims] != want[:dims] or not got.size:
-            raise CheckpointError(f"{p}: tensor {name} is missing or not of shape {want}")
+            shape = want if dims == len(want) else f"({want[0]}, {want[1]}, H, W)"
+            raise CheckpointError(f"{p}: tensor {name} is missing or not of shape {shape}")
         if not np.isfinite(got).all():
             raise CheckpointError(f"{p}: tensor {name} holds NaN or Inf")
     params = params_from_arrays({n: a for n, a in arrays.items() if n in model_params})
     return params, meta, model.vae, model.refdec if injection else None
+
+
+def _check_encodes(cfg: ExperimentConfig, vae_cfg: VaeConfig) -> None:
+    try:
+        vae_cfg.latent_shape(cfg.dataset.frames, cfg.dataset.height, cfg.dataset.width)
+    except ValueError as exc:
+        raise ConfigError(f"the checkpoint's backbone cannot encode the config's clips: {exc}") from None
 
 
 def _save_trained(outdir: Path, cfg: ExperimentConfig, kind: str, params: dict[str, Tensor],
@@ -148,8 +158,7 @@ def _finetune_and_save(cfg: ExperimentConfig, baseline: dict[str, Tensor], train
     params, rows, _ = train_refdecoder(
         baseline, train_refs, cfg.dataset, cfg.vae, cfg.refdec, cfg.curriculum, cfg.optimizer,
         cfg.dropout, cfg.ref_policy, cfg.seeds.train_seed, cfg.injection, cfg.lambda_perc)
-    kind = next(k for k, injection in CKPT_KINDS.items() if injection == cfg.injection)
-    _save_trained(outdir, cfg, kind, params, rows, **meta_extra)
+    _save_trained(outdir, cfg, INJECTIONS[cfg.injection], params, rows, **meta_extra)
     return params, rows
 
 
@@ -182,7 +191,7 @@ def cmd_pretrain(cfg: ExperimentConfig, args) -> Path:
 
 def cmd_train(cfg: ExperimentConfig, args) -> Path:
     baseline_path = args.baseline or cfg.baseline_checkpoint
-    baseline, base_meta, _, _ = _load_model(baseline_path, ("baseline",))
+    baseline, base_meta, _, _ = _load_model(baseline_path, ("baseline",), cfg.vae)
     run = Runner("train", cfg, args)
     train, _ = build_dataset(cfg.dataset)
     _, rows = _finetune_and_save(cfg, baseline, train, run.outdir,
@@ -196,6 +205,8 @@ def cmd_eval(cfg: ExperimentConfig, args) -> Path:
     if not args.ckpt:
         raise CheckpointError("eval needs at least one --ckpt")
     models = [_load_model(ckpt) for ckpt in args.ckpt]  # every checkpoint loads before any output
+    for _, _, vae_cfg, _ in models:
+        _check_encodes(cfg, vae_cfg)
     run = Runner("eval", cfg, args)
     _, val = build_dataset(cfg.dataset)
     reports = evaluate_params(val, cfg.dataset, [(params, vae_cfg, ref_cfg, cfg.eval_ref_policy)
@@ -213,8 +224,12 @@ def cmd_eval(cfg: ExperimentConfig, args) -> Path:
 
 
 def cmd_swap_compare(cfg: ExperimentConfig, args) -> Path:
-    params_base = _load_model(args.baseline, ("baseline",))[0]
-    params_cond, _, vae_cfg, ref_cfg = _load_model(args.refdec, ("refdec", "controlnet"))
+    baseline_path = args.baseline or cfg.baseline_checkpoint
+    params_base, _, vae_cfg, _ = _load_model(baseline_path, ("baseline",))
+    params_cond, _, _, ref_cfg = _load_model(args.refdec, ("refdec", "controlnet"), vae_cfg)
+    if encoder_fingerprint(params_base) != encoder_fingerprint(params_cond):
+        raise CheckpointError(f"{args.refdec} holds another encoder than {baseline_path}")
+    _check_encodes(cfg, vae_cfg)
     run = Runner("swap-compare", cfg, args)
     _, val = build_dataset(cfg.dataset)
     result = fixed_seed_swap_compare(
@@ -226,7 +241,7 @@ def cmd_swap_compare(cfg: ExperimentConfig, args) -> Path:
     _write_csv(run.outdir / "deltas.csv", result.deltas)
     run.extra["mean_delta_psnr"] = result.mean_delta_psnr
     run.extra["fraction_improved"] = result.fraction_improved
-    run.extra["checkpoints"] = {"baseline": str(args.baseline), "refdec": str(args.refdec)}
+    run.extra["checkpoints"] = {"baseline": str(baseline_path), "refdec": str(args.refdec)}
     return run.finish()
 
 
@@ -246,9 +261,8 @@ ABLATIONS = {  # axis -> the grid points of a config: (label, point config) pair
 
 
 def _run_grid_point(payload: tuple) -> list[dict]:
-    label, cfg, baseline_path, point_dir, axis = payload
+    label, cfg, baseline, point_dir, axis = payload
     point_dir.mkdir(parents=True, exist_ok=True)
-    baseline = _load_model(baseline_path, ("baseline",))[0]
     train, val = build_dataset(cfg.dataset)
     params, _ = _finetune_and_save(cfg, baseline, train, point_dir)
 
@@ -276,11 +290,10 @@ def _run_grid_point(payload: tuple) -> list[dict]:
 def cmd_ablate(cfg: ExperimentConfig, args) -> Path:
     if args.workers < 1:
         raise ConfigError(f"--workers must be at least 1, got {args.workers}")
-    baseline_path = args.baseline or cfg.baseline_checkpoint
-    _load_model(baseline_path, ("baseline",))  # fails before any output unless it is a sound baseline
+    baseline = _load_model(args.baseline or cfg.baseline_checkpoint, ("baseline",), cfg.vae)[0]
     run = Runner(f"ablate-{args.axis}", cfg, args)
     points = ABLATIONS[args.axis](cfg)
-    payloads = [(label, point_cfg, baseline_path, run.outdir / f"point-{label}", args.axis)
+    payloads = [(label, point_cfg, baseline, run.outdir / f"point-{label}", args.axis)
                 for label, point_cfg in points]
     if args.workers > 1:
         from unittest import mock  # ~60 ms to import: only parallel runs pay it
@@ -398,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("swap-compare", help="paired fixed-seed decoder comparison")
     common(p, cmd_swap_compare)
-    p.add_argument("--baseline", required=True)
+    p.add_argument("--baseline", default=None, help="baseline checkpoint path")
     p.add_argument("--refdec", required=True)
 
     p = sub.add_parser("ablate", help="run an ablation grid")

@@ -21,7 +21,7 @@ from .synthdata import DatasetSpec
 from .training import CurriculumSpec, DropoutSpec, OptimizerSpec, RefPolicy
 from .vae import VaeConfig
 
-INJECTIONS = ("attention", "controlnet")
+INJECTIONS = {"attention": "refdec", "controlnet": "controlnet"}  # injection -> checkpoint kind
 
 
 class ConfigError(ValueError):
@@ -102,7 +102,7 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if self.injection not in INJECTIONS:
-            raise ConfigError(f"injection must be one of {INJECTIONS}")
+            raise ConfigError(f"injection must be one of {tuple(INJECTIONS)}")
         if self.lambda_perc < 0:
             raise ConfigError("lambda_perc must be non-negative")
         seeds = {f"seeds.{k}": v for k, v in asdict(self.seeds).items()}

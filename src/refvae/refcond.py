@@ -113,10 +113,6 @@ def init_ref_params(vae_cfg: VaeConfig, cfg: RefCondConfig, rng: np.random.Gener
     return params
 
 
-def new_module_names(params: dict[str, Tensor]) -> list[str]:
-    return sorted(n for n in params if n.startswith(("ref.", "ctrl.")))
-
-
 # -- reference image encoding --------------------------------------------------
 
 

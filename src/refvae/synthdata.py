@@ -22,7 +22,6 @@ from pathlib import Path
 import numpy as np
 
 CATEGORIES = ("content_rich", "content_sparse", "large_motion")
-SPLITS = ("train", "val")
 
 # keeps train (< 2^31) and val seed ranges disjoint by construction
 VAL_SEED_OFFSET = 2 ** 48

@@ -68,10 +68,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
@@ -83,26 +79,14 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(self, other)
-
     def __sub__(self, other):
         return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(as_tensor(other, like=self), self)
 
     def __mul__(self, other):
         return mul(self, other)
 
-    def __rmul__(self, other):
-        return mul(self, other)
-
     def __truediv__(self, other):
         return div(self, other)
-
-    def __neg__(self):
-        return neg(self)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -219,10 +203,6 @@ def div(a: Tensor, b) -> Tensor:
     # negating the quotient
     return _binary(a.data / b.data, a, b, lambda g: g / b.data,
                    lambda g: g * a.data / -(b.data * b.data))
-
-
-def neg(a: Tensor) -> Tensor:
-    return _from_op(-a.data, (a,), lambda g: _acc(a, -g))
 
 
 def tabs(a: Tensor) -> Tensor:

@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .ops import conv3d_causal
-from .refcond import decode_conditioned_t, init_ref_params, new_module_names, RefCondConfig
+from .refcond import decode_conditioned_t, init_ref_params, RefCondConfig
 from .synthdata import ClipRef, DatasetSpec, realize
 from .tensor import NumericsError, Tensor, assert_finite, backward, parameter
 from .vae import VaeConfig, decode_baseline_t, encode_t, init_vae_params
@@ -361,11 +361,10 @@ def train_refdecoder(baseline: dict[str, Tensor], train_refs: list[ClipRef],
     params = {name: Tensor(p.data.copy()) if name.startswith("enc.") else parameter(p.data)
               for name, p in baseline.items()}
     hz, wz = vae_cfg.latent_shape(data_spec.frames, data_spec.height, data_spec.width)[2:]
-    params.update(init_ref_params(vae_cfg, ref_cfg, rng, injection, null_hw=(hz, wz)))
-
-    new_names = new_module_names(params)
+    new = init_ref_params(vae_cfg, ref_cfg, rng, injection, null_hw=(hz, wz))
+    params.update(new)
     dec_names = sorted(n for n in params if n.startswith("dec."))
-    groups = [({n: params[n] for n in new_names}, 1.0),
+    groups = [({n: new[n] for n in sorted(new)}, 1.0),
               ({n: params[n] for n in dec_names}, opt_spec.decoder_lr_scale)]
     latent_cache: dict[tuple[int, int, int], np.ndarray] = {}
 

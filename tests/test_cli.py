@@ -16,7 +16,7 @@ from refvae.refcond import decode_conditioned_t
 from refvae.synthdata import build_dataset, gen_clip, realize
 from refvae.tensor import Tensor
 from refvae.training import CurriculumSpec, OptimizerSpec, StageSpec, select_reference_frame
-from refvae.vae import encode_t
+from refvae.vae import VaeConfig, encode_t
 
 
 def tiny_config(out: Path, **overrides) -> ExperimentConfig:
@@ -232,9 +232,15 @@ BROKEN_CKPT = {  # case -> (pipeline index of the checkpoint it breaks, edit of 
 }
 
 
+BROKEN_STDERR = {  # case -> what stderr says; the null map's grid is not recorded, so not named
+    "empty-null-map": "tensor ref.null is missing or not of shape (64, 1, H, W)",
+    "bad-dec-in-shape": "tensor dec.in.w is missing or not of shape (64, 8, 3, 3, 3)",
+}
+
+
 @pytest.mark.parametrize("command", ["eval", "decode"])
 @pytest.mark.parametrize("broken", sorted(BROKEN_CKPT))
-def test_malformed_checkpoint_meta_exits_3(pipeline, tmp_path, broken, command):
+def test_malformed_checkpoint_meta_exits_3(pipeline, tmp_path, broken, command, capsys):
     source, edit = BROKEN_CKPT[broken]
     arrays, meta = load_checkpoint(pipeline[source])
     edit(arrays, meta)
@@ -242,6 +248,7 @@ def test_malformed_checkpoint_meta_exits_3(pipeline, tmp_path, broken, command):
     save_checkpoint(ckpt, arrays, meta)
     extra = ["--clip-seed", "3"] if command == "decode" else []
     assert main([command, "--config", str(write_config(tmp_path)), "--ckpt", str(ckpt), *extra]) == 3
+    assert BROKEN_STDERR.get(broken, "") in capsys.readouterr().err
     assert not any((tmp_path / "runs").glob(f"{command}-*"))
 
 
@@ -331,6 +338,83 @@ def test_wrong_checkpoint_kind_exits_3(pipeline, tmp_path, command):
     args = [str(pipeline[a]) if isinstance(a, int) else a for a in WRONG_KIND[command]]
     assert main([command, "--config", str(write_config(tmp_path)), *args]) == 3
     assert not (tmp_path / "runs").exists()
+
+
+def compression_16(ckpt: Path, out: Path) -> Path:
+    """`ckpt` saved as a p=16 model: the same backbone tensors, a reference patch of 16x16 pixels."""
+    arrays, meta = load_checkpoint(ckpt)
+    meta["vae"]["spatial_compression"] = 16
+    if "ref.patch.w" in arrays:
+        arrays["ref.patch.w"] = np.resize(arrays["ref.patch.w"], (64, 3, 1, 16, 16))
+    save_checkpoint(out, arrays, meta)
+    return out
+
+
+def config_24_high(tmp_path: Path) -> Path:
+    """The tiny config on 24x32 clips, which a p=8 backbone encodes and a p=16 one cannot."""
+    cfg = tiny_config(tmp_path / "runs", curriculum=CurriculumSpec(
+        (StageSpec(5, 24, 32, 6), StageSpec(9, 24, 32, 4))))
+    cfg.dataset.height = 24
+    cfg.save(tmp_path / "config.json")
+    return tmp_path / "config.json"
+
+
+@pytest.mark.parametrize("case", ["refdec-other-encoder", "baseline-p16"])
+def test_swap_compare_of_checkpoints_with_other_backbones_exits_3(pipeline, tmp_path, case):
+    _, _, _, baseline, refdec = pipeline
+    if case == "baseline-p16":  # the refdec, fine-tuned from this baseline, records p=8
+        baseline = compression_16(baseline, tmp_path / "p16.ckpt")
+    else:
+        arrays, meta = load_checkpoint(refdec)
+        arrays["enc.in.b"] = arrays["enc.in.b"] + 0.25
+        refdec = tmp_path / "other-encoder.ckpt"
+        save_checkpoint(refdec, arrays, meta)
+    assert main(["swap-compare", "--config", str(write_config(tmp_path)), "--baseline", str(baseline),
+                 "--refdec", str(refdec)]) == 3
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "swap-compare"])
+def test_checkpoints_that_cannot_encode_the_clips_exit_2(pipeline, tmp_path, command):
+    base16, ref16 = (compression_16(pipeline[i], tmp_path / f"p16-{i}.ckpt") for i in (3, 4))
+    args = ["--ckpt", str(base16)] if command == "eval" else ["--baseline", str(base16),
+                                                              "--refdec", str(ref16)]
+    assert main([command, "--config", str(config_24_high(tmp_path)), *args]) == 2
+    assert not (tmp_path / "runs").exists()
+
+
+BASELINE_VAE_MISMATCH = {  # case -> (config vae, whether the baseline is saved as p=16)
+    "config-norm-groups-4": (VaeConfig(norm_groups=4), False),
+    "config-stage-channels-32": (VaeConfig(stage_channels=(32, 32, 32)), False),
+    "baseline-p16": (VaeConfig(), True),
+}
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+@pytest.mark.parametrize("case", sorted(BASELINE_VAE_MISMATCH))
+def test_fine_tune_on_a_baseline_of_another_vae_exits_3(pipeline, tmp_path, case, command):
+    vae, p16 = BASELINE_VAE_MISMATCH[case]
+    baseline = compression_16(pipeline[3], tmp_path / "p16.ckpt") if p16 else pipeline[3]
+    axis = ["--axis", "dropout"] if command == "ablate" else []
+    assert main([command, "--config", str(write_config(tmp_path, vae=vae)), *axis,
+                 "--baseline", str(baseline)]) == 3
+    assert not (tmp_path / "runs").exists()
+
+
+def test_swap_compare_falls_back_to_the_config_baseline(pipeline, tmp_path):
+    _, _, _, baseline, refdec = pipeline
+    cfg_path = write_config(tmp_path, baseline_checkpoint=str(baseline))
+    assert main(["swap-compare", "--config", str(cfg_path), "--refdec", str(refdec)]) == 0
+    manifest = manifest_of(only_run_dir(tmp_path / "runs", "swap-compare-"))
+    assert manifest["extra"]["checkpoints"]["baseline"] == str(baseline)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
+def test_diverging_pretrain_exits_4(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, optimizer=OptimizerSpec(total_steps=10, warmup_steps=2,
+                                                              base_lr=1e12, grad_clip=0))
+    assert main(["pretrain", "--config", str(cfg_path)]) == 4
+    assert "error code=4 command=pretrain: training diverged at step 1" in capsys.readouterr().err
 
 
 def exit_code(argv: list[str]) -> int:
@@ -424,15 +508,8 @@ def test_parallelism_degree_reads_thread_variables_as_atoi(tmp_path, monkeypatch
 
 
 def test_decode_of_a_clip_the_backbone_cannot_encode_exits_2(pipeline, tmp_path):
-    arrays, meta = load_checkpoint(pipeline[3])
-    meta["vae"]["spatial_compression"] = 16  # same tensors; 24-pixel frames no longer divide
-    ckpt = tmp_path / "p16.ckpt"
-    save_checkpoint(ckpt, arrays, meta)
-    cfg = tiny_config(tmp_path / "runs", curriculum=CurriculumSpec(
-        (StageSpec(5, 24, 32, 6), StageSpec(9, 24, 32, 4))))
-    cfg.dataset.height = 24
-    cfg.save(tmp_path / "config.json")
-    assert main(["decode", "--config", str(tmp_path / "config.json"), "--ckpt", str(ckpt),
+    ckpt = compression_16(pipeline[3], tmp_path / "p16.ckpt")
+    assert main(["decode", "--config", str(config_24_high(tmp_path)), "--ckpt", str(ckpt),
                  "--clip-seed", "3"]) == 2
     assert not (tmp_path / "runs").exists()
 

@@ -11,7 +11,6 @@ from refvae.refcond import (
     decode_conditioned_t,
     encode_reference,
     init_ref_params,
-    new_module_names,
     stage_forward,
 )
 from refvae.tensor import Tensor, concat, float64_mode, parameter
@@ -262,11 +261,10 @@ def test_controlnet_contribution_is_time_constant(ctrl_full, desk_ref_cfg, monke
         params[f"ctrl.s{s}.inject.w"].data[...] = 0.0
 
 
-def test_new_module_names_cover_both_kinds(desk_full, ctrl_full):
-    _, attn_params = desk_full
-    _, ctrl_params = ctrl_full
-    attn_new = new_module_names(attn_params)
-    ctrl_new = new_module_names(ctrl_params)
+def test_init_ref_params_names_cover_both_kinds(desk_cfg, desk_ref_cfg):
+    rng = np.random.default_rng(41)
+    attn_new = list(init_ref_params(desk_cfg, desk_ref_cfg, rng))
+    ctrl_new = list(init_ref_params(desk_cfg, desk_ref_cfg, rng, injection="controlnet"))
     assert any(n.startswith("ref.blk") for n in attn_new)
     assert any(n.startswith("ctrl.") for n in ctrl_new)
     assert not any(n.startswith(("enc.", "dec.")) for n in attn_new + ctrl_new)

@@ -301,8 +301,8 @@ SMALL = DatasetSpec(n_train=12, n_val=2, frames=9, height=16, width=32, master_s
 def small_baseline():
     train, _ = build_dataset(SMALL)
     cfg = VaeConfig()
-    cur = CurriculumSpec((StageSpec(5, 16, 32, 150), StageSpec(9, 16, 32, 50)))
-    opt = OptimizerSpec(base_lr=1e-3, warmup_steps=20, total_steps=200)
+    cur = CurriculumSpec((StageSpec(5, 16, 32, 150),))
+    opt = OptimizerSpec(base_lr=1e-3, warmup_steps=20, total_steps=150)
     params, rows, _ = pretrain_baseline(train, SMALL, cfg, cur, opt, seed=3)
     return cfg, params, rows, train
 
