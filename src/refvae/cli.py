@@ -74,6 +74,13 @@ class Runner:
         self.started = time.perf_counter()
         self.extra: dict = {}
 
+    def __enter__(self) -> "Runner":
+        return self
+
+    def __exit__(self, failed, *_) -> None:
+        if failed and not any(self.outdir.iterdir()):  # a failed run leaves no empty run directory
+            self.outdir.rmdir()
+
     def finish(self) -> Path:
         outputs = sorted(str(p.relative_to(self.outdir))
                          for p in self.outdir.rglob("*")
@@ -180,10 +187,10 @@ def cmd_gen_data(cfg: ExperimentConfig, args) -> Path:
 
 
 def cmd_pretrain(cfg: ExperimentConfig, args) -> Path:
-    run = Runner("pretrain", cfg, args)
-    train, _ = build_dataset(cfg.dataset)
-    params, rows, _ = pretrain_baseline(train, cfg.dataset, cfg.vae, cfg.curriculum,
-                                        cfg.optimizer, cfg.seeds.train_seed, cfg.lambda_perc)
+    with Runner("pretrain", cfg, args) as run:
+        train, _ = build_dataset(cfg.dataset)
+        params, rows, _ = pretrain_baseline(train, cfg.dataset, cfg.vae, cfg.curriculum,
+                                            cfg.optimizer, cfg.seeds.train_seed, cfg.lambda_perc)
     _save_trained(run.outdir, cfg, "baseline", params, rows)
     run.extra["final_loss"] = rows[-1]["loss_total"]
     return run.finish()
@@ -192,10 +199,10 @@ def cmd_pretrain(cfg: ExperimentConfig, args) -> Path:
 def cmd_train(cfg: ExperimentConfig, args) -> Path:
     baseline_path = args.baseline or cfg.baseline_checkpoint
     baseline, base_meta, _, _ = _load_model(baseline_path, ("baseline",), cfg.vae)
-    run = Runner("train", cfg, args)
-    train, _ = build_dataset(cfg.dataset)
-    _, rows = _finetune_and_save(cfg, baseline, train, run.outdir,
-                                baseline_config_hash=base_meta.get("config_hash", ""))
+    with Runner("train", cfg, args) as run:
+        train, _ = build_dataset(cfg.dataset)
+        _, rows = _finetune_and_save(cfg, baseline, train, run.outdir,
+                                    baseline_config_hash=base_meta.get("config_hash", ""))
     run.extra["final_loss"] = rows[-1]["loss_total"]
     run.extra["baseline_checkpoint"] = str(baseline_path)
     return run.finish()
@@ -334,15 +341,13 @@ def cmd_decode(cfg: ExperimentConfig, args) -> Path:
 
     ground_truth = None
     ref_index = None
-    if args.latent:
+    if args.latent is not None:
         z = Tensor(_load_npy(args.latent, "--latent"))
-    elif args.clip_seed is not None:
+    else:
         if args.clip_seed < 0:
             raise ConfigError(f"--clip-seed must be a non-negative integer, got {args.clip_seed}")
         ground_truth = gen_clip(args.clip_seed, args.category, cfg.dataset.frames,
                                 cfg.dataset.height, cfg.dataset.width).frames
-    else:
-        raise ConfigError("decode needs --latent FILE or --clip-seed N")
 
     ref_image = None
     if args.ref and args.ref != "none":
@@ -423,8 +428,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decode", help="decode a latent or synthetic clip to frames")
     common(p, cmd_decode)
     p.add_argument("--ckpt", required=True)
-    p.add_argument("--latent", default=None, help="latent .npy file")
-    p.add_argument("--clip-seed", type=int, default=None, dest="clip_seed")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--latent", help="latent .npy file")
+    source.add_argument("--clip-seed", type=int, dest="clip_seed")
     p.add_argument("--category", default="content_rich", choices=CATEGORIES)
     p.add_argument("--ref", default="none", help="'none', 'frame:K', or an image .npy")
     return parser

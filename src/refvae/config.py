@@ -103,8 +103,8 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from exc
         if self.injection not in INJECTIONS:
             raise ConfigError(f"injection must be one of {tuple(INJECTIONS)}")
-        if self.lambda_perc < 0:
-            raise ConfigError("lambda_perc must be non-negative")
+        if not 0 <= self.lambda_perc < float("inf"):  # False for NaN
+            raise ConfigError("lambda_perc must be non-negative and finite")
         seeds = {f"seeds.{k}": v for k, v in asdict(self.seeds).items()}
         seeds["dataset.master_seed"] = self.dataset.master_seed
         for name, seed in seeds.items():

@@ -11,7 +11,7 @@ nothing upstream needs them.  Only leaves keep `.grad`.
 
 One backward rule per node shape: a one-input op's closure accumulates
 unconditionally (`_from_op` attaches it only when the input requires grad);
-the broadcasting binary ops share `_binary`'s closure; `tsum` and `tmean`
+the broadcasting binary ops share `_binary`'s closure; `sum` and `mean`
 share `_unreduce`.
 
 Training runs in float32; `float64_mode` switches tensor creation to
@@ -77,43 +77,70 @@ class Tensor:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        return add(self, other)
+        b = as_tensor(other, self)
+        return _binary(self.data + b.data, self, b, lambda g: g, lambda g: g)
 
     def __sub__(self, other):
-        return sub(self, other)
+        b = as_tensor(other, self)
+        return _binary(self.data - b.data, self, b, lambda g: g, lambda g: -g)
 
     def __mul__(self, other):
-        return mul(self, other)
+        b = as_tensor(other, self)
+        return _binary(self.data * b.data, self, b, lambda g: g * b.data, lambda g: g * self.data)
 
     def __truediv__(self, other):
-        return div(self, other)
+        b = as_tensor(other, self)
+        # IEEE negation is exact: negating the b-shaped divisor gives the bits of
+        # negating the quotient
+        return _binary(self.data / b.data, self, b, lambda g: g / b.data,
+                       lambda g: g * self.data / -(b.data * b.data))
 
-    def __matmul__(self, other):
-        return matmul(self, other)
+    def __matmul__(self, b: Tensor):
+        if self.data.ndim < 2 or b.data.ndim < 2:
+            raise ValueError("matmul requires at least 2-D operands")
+        if self.data.shape[-1] != b.data.shape[-2]:
+            raise ValueError(f"matmul shape mismatch: {self.data.shape} @ {b.data.shape}")
+        if self.data.ndim != b.data.ndim or self.data.shape[:-2] != b.data.shape[:-2]:
+            raise ValueError("matmul batch dimensions must match exactly")
+
+        # the gradients have the operands' shapes: _unbroadcast passes them through
+        return _binary(np.matmul(self.data, b.data), self, b, lambda g: np.matmul(g, b.data.swapaxes(-1, -2)),
+                       lambda g: np.matmul(self.data.swapaxes(-1, -2), g))
 
     def __getitem__(self, key):
-        return getitem(self, key)
+        def bw(g):
+            _grad_buffer(self)[key] += g
+
+        return _from_op(self.data[key], (self,), bw)
 
     def sum(self, axis=None, keepdims: bool = False):
-        return tsum(self, axis=axis, keepdims=keepdims)
+        return _from_op(self.data.sum(axis=axis, keepdims=keepdims), (self,),
+                        lambda g: _acc(self, _unreduce(g, self.data.shape, axis, keepdims)))
 
     def mean(self, axis=None, keepdims: bool = False):
-        return tmean(self, axis=axis, keepdims=keepdims)
+        out = self.data.mean(axis=axis, keepdims=keepdims)
+        n = self.data.size // max(out.size, 1)  # elements per mean
+        return _from_op(out, (self,), lambda g: _acc(self, _unreduce(g / n, self.data.shape, axis, keepdims)))
 
     def reshape(self, *shape):
-        return reshape(self, shape[0] if len(shape) == 1 and isinstance(shape[0], (tuple, list)) else shape)
+        shape = tuple(shape[0] if len(shape) == 1 and isinstance(shape[0], (tuple, list)) else shape)
+        return _from_op(self.data.reshape(shape), (self,), lambda g: _acc(self, g.reshape(self.data.shape)))
 
     def transpose(self, *axes):
-        return transpose(self, axes[0] if len(axes) == 1 and isinstance(axes[0], (tuple, list)) else axes)
+        axes = tuple(axes[0] if len(axes) == 1 and isinstance(axes[0], (tuple, list)) else axes)
+        inv = tuple(np.argsort(axes))
+        return _from_op(self.data.transpose(axes), (self,), lambda g: _acc(self, g.transpose(inv)))
 
     def abs(self):
-        return tabs(self)
+        return _from_op(np.abs(self.data), (self,), lambda g: _acc(self, g * np.sign(self.data)))
 
     def sqrt(self):
-        return sqrt(self)
+        out_data = np.sqrt(self.data)
+        return _from_op(out_data, (self,), lambda g: _acc(self, g / (2.0 * out_data)))
 
     def clamp(self, lo: float, hi: float):
-        return clamp(self, lo, hi)
+        return _from_op(np.clip(self.data, lo, hi), (self,),
+                        lambda g: _acc(self, g * ((self.data >= lo) & (self.data <= hi))))
 
     def backward(self) -> None:
         backward(self)
@@ -124,11 +151,11 @@ def parameter(data) -> Tensor:
     return Tensor(np.array(data, dtype=_default_dtype), requires_grad=True)
 
 
-def as_tensor(x, like: Tensor | None = None) -> Tensor:
+def as_tensor(x, like: Tensor) -> Tensor:
+    """`x`, or a constant of `like`'s dtype holding it."""
     if isinstance(x, Tensor):
         return x
-    dtype = like.dtype if like is not None else _default_dtype
-    return Tensor(np.asarray(x, dtype=dtype))
+    return Tensor(np.asarray(x, dtype=like.dtype))
 
 
 def _from_op(data: np.ndarray, parents: Sequence[Tensor],
@@ -182,42 +209,6 @@ def _binary(out: np.ndarray, a: Tensor, b: Tensor, grad_a: Callable, grad_b: Cal
     return _from_op(out, (a, b), bw)
 
 
-def add(a: Tensor, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b, like=a)
-    return _binary(a.data + b.data, a, b, lambda g: g, lambda g: g)
-
-
-def sub(a: Tensor, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b, like=a)
-    return _binary(a.data - b.data, a, b, lambda g: g, lambda g: -g)
-
-
-def mul(a: Tensor, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b, like=a)
-    return _binary(a.data * b.data, a, b, lambda g: g * b.data, lambda g: g * a.data)
-
-
-def div(a: Tensor, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b, like=a)
-    # IEEE negation is exact: negating the b-shaped divisor gives the bits of
-    # negating the quotient
-    return _binary(a.data / b.data, a, b, lambda g: g / b.data,
-                   lambda g: g * a.data / -(b.data * b.data))
-
-
-def tabs(a: Tensor) -> Tensor:
-    return _from_op(np.abs(a.data), (a,), lambda g: _acc(a, g * np.sign(a.data)))
-
-
-def sqrt(a: Tensor) -> Tensor:
-    out_data = np.sqrt(a.data)
-    return _from_op(out_data, (a,), lambda g: _acc(a, g / (2.0 * out_data)))
-
-
-def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
-    return _from_op(np.clip(a.data, lo, hi), (a,), lambda g: _acc(a, g * ((a.data >= lo) & (a.data <= hi))))
-
-
 def _unreduce(g: np.ndarray, shape: tuple[int, ...], axis, keepdims: bool) -> np.ndarray:
     """Broadcast a reduction's output gradient back over the reduced axes."""
     if not (keepdims or axis is None):
@@ -225,36 +216,7 @@ def _unreduce(g: np.ndarray, shape: tuple[int, ...], axis, keepdims: bool) -> np
     return np.broadcast_to(g, shape)
 
 
-def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    return _from_op(a.data.sum(axis=axis, keepdims=keepdims), (a,),
-                    lambda g: _acc(a, _unreduce(g, a.data.shape, axis, keepdims)))
-
-
-def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = a.data.mean(axis=axis, keepdims=keepdims)
-    n = a.data.size // max(out.size, 1)  # elements per mean
-    return _from_op(out, (a,), lambda g: _acc(a, _unreduce(g / n, a.data.shape, axis, keepdims)))
-
-
-def reshape(a: Tensor, shape) -> Tensor:
-    return _from_op(a.data.reshape(tuple(shape)), (a,), lambda g: _acc(a, g.reshape(a.data.shape)))
-
-
-def transpose(a: Tensor, axes) -> Tensor:
-    axes = tuple(axes)
-    inv = tuple(np.argsort(axes))
-    return _from_op(a.data.transpose(axes), (a,), lambda g: _acc(a, g.transpose(inv)))
-
-
-def getitem(a: Tensor, key) -> Tensor:
-    def bw(g):
-        _grad_buffer(a)[key] += g
-
-    return _from_op(a.data[key], (a,), bw)
-
-
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    tensors = [as_tensor(t) for t in tensors]
     sizes = [t.data.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
 
@@ -266,19 +228,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
                 _acc(t, g[tuple(idx)])
 
     return _from_op(np.concatenate([t.data for t in tensors], axis=axis), tensors, bw)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim < 2 or b.data.ndim < 2:
-        raise ValueError("matmul requires at least 2-D operands")
-    if a.data.shape[-1] != b.data.shape[-2]:
-        raise ValueError(f"matmul shape mismatch: {a.data.shape} @ {b.data.shape}")
-    if a.data.ndim != b.data.ndim or a.data.shape[:-2] != b.data.shape[:-2]:
-        raise ValueError("matmul batch dimensions must match exactly")
-
-    # the gradients have the operands' shapes: _unbroadcast passes them through
-    return _binary(np.matmul(a.data, b.data), a, b, lambda g: np.matmul(g, b.data.swapaxes(-1, -2)),
-                   lambda g: np.matmul(a.data.swapaxes(-1, -2), g))
 
 
 # -- backward pass -----------------------------------------------------------

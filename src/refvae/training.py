@@ -90,14 +90,18 @@ class OptimizerSpec:
     grad_clip: float = 1.0  # global-norm clip; 0 disables
 
     def validate(self) -> None:
-        if self.base_lr <= 0:
-            raise ValueError("base_lr must be positive")
-        if not 0.0 < self.decoder_lr_scale <= 1.0:
-            raise ValueError("decoder_lr_scale must lie in (0, 1]")
-        if not 0 <= self.warmup_steps < self.total_steps:
-            raise ValueError("warmup must be shorter than the run")
-        if self.grad_clip < 0:
-            raise ValueError("grad_clip must be non-negative")
+        inf = float("inf")  # every rule is a comparison, so NaN breaks each one
+        rules = {"base_lr must be positive and finite": 0 < self.base_lr < inf,
+                 "decoder_lr_scale must lie in (0, 1]": 0 < self.decoder_lr_scale <= 1,
+                 "betas must lie in [0, 1)": all(0 <= beta < 1 for beta in self.betas),
+                 "eps must be positive and finite": 0 < self.eps < inf,
+                 "weight_decay must be non-negative and finite": 0 <= self.weight_decay < inf,
+                 "warmup must be shorter than the run": 0 <= self.warmup_steps < self.total_steps,
+                 "warmup_start_fraction must lie in [0, 1]": 0 <= self.warmup_start_fraction <= 1,
+                 "grad_clip must be non-negative": self.grad_clip >= 0}
+        for message, ok in rules.items():
+            if not ok:
+                raise ValueError(message)
 
 
 # -- stochastic draws ----------------------------------------------------------

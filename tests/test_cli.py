@@ -415,6 +415,16 @@ def test_diverging_pretrain_exits_4(tmp_path, capsys):
                                                               base_lr=1e12, grad_clip=0))
     assert main(["pretrain", "--config", str(cfg_path)]) == 4
     assert "error code=4 command=pretrain: training diverged at step 1" in capsys.readouterr().err
+    assert not any((tmp_path / "runs").iterdir())  # no empty run directory is left
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverging_train_exits_4_and_leaves_no_run_directory(pipeline, tmp_path, capsys):
+    cfg_path = write_config(tmp_path, optimizer=OptimizerSpec(total_steps=10, warmup_steps=2,
+                                                              base_lr=1e12, grad_clip=0))
+    assert main(["train", "--config", str(cfg_path), "--baseline", str(pipeline[3])]) == 4
+    assert "error code=4 command=train: training diverged" in capsys.readouterr().err
+    assert not any((tmp_path / "runs").iterdir())
 
 
 def exit_code(argv: list[str]) -> int:
@@ -464,6 +474,8 @@ BAD_DECODE = {  # case -> decode arguments; files name arrays written by the tes
     "ref-missing": ["--clip-seed", "3", "--ref", "missing.npy"],
     "clip-seed-negative": ["--clip-seed", "-1"],
     "category-unknown": ["--clip-seed", "3", "--category", "bogus"],
+    "latent-and-clip-seed": ["--latent", "z.npy", "--clip-seed", "3"],
+    "neither-latent-nor-clip-seed": [],
 }
 
 
@@ -479,6 +491,7 @@ DECODE_STDERR = {  # case -> what stderr says for a baseline and a refdec checkp
 @pytest.mark.parametrize("case", sorted(BAD_DECODE))
 def test_decode_rejects_malformed_input_with_exit_2(pipeline, tmp_path, case, capsys):
     _, _, _, baseline, refdec = pipeline
+    np.save(tmp_path / "z.npy", np.zeros((8, 1, 2, 4), np.float32))
     np.save(tmp_path / "z3ch.npy", np.zeros((3, 3, 2, 4), np.float32))
     np.save(tmp_path / "z3d.npy", np.zeros((8, 2, 4), np.float32))
     np.save(tmp_path / "z0t.npy", np.zeros((8, 0, 2, 4), np.float32))
@@ -594,6 +607,19 @@ MALFORMED_CONFIGS = {  # case -> config JSON with a value of the wrong type, or 
                                          "large_motion": 0}}},
     "mix-nan": {"dataset": {"mix": {"content_rich": float("nan"), "content_sparse": 0.5,
                                     "large_motion": 0.5}}},
+    "base-lr-nan": {"optimizer": {"base_lr": float("nan")}},
+    "base-lr-inf": {"optimizer": {"base_lr": float("inf")}},
+    "beta-one": {"optimizer": {"betas": [1.0, 0.999]}},
+    "beta-nan": {"optimizer": {"betas": [0.9, float("nan")]}},
+    "eps-zero": {"optimizer": {"eps": 0}},
+    "eps-inf": {"optimizer": {"eps": float("inf")}},
+    "weight-decay-negative": {"optimizer": {"weight_decay": -1}},
+    "weight-decay-nan": {"optimizer": {"weight_decay": float("nan")}},
+    "warmup-start-negative": {"optimizer": {"warmup_start_fraction": -1}},
+    "warmup-start-above-1": {"optimizer": {"warmup_start_fraction": 1.5}},
+    "grad-clip-nan": {"optimizer": {"grad_clip": float("nan")}},
+    "lambda-perc-nan": {"lambda_perc": float("nan")},
+    "lambda-perc-inf": {"lambda_perc": float("inf")},
 }
 
 

@@ -175,6 +175,18 @@ def test_loss_gradient_matches_finite_differences():
             assert abs(direction - numeric) / max(1e-8, abs(direction) + abs(numeric)) < 1e-3
 
 
+def test_loss_without_perceptual_term_is_the_l1_term():
+    rng = np.random.default_rng(13)
+    x = Tensor(rng.random((2, 3, 8, 16)).astype(np.float32))
+    x_hat = parameter(rng.random((2, 3, 8, 16)))
+    loss, l1, perc = loss_recon(x, x_hat, lambda_perc=0)
+    loss.backward()
+    x_hat_l1 = parameter(x_hat.data)
+    (x - x_hat_l1).abs().mean().backward()
+    assert loss.item() == l1 and perc == 0.0
+    np.testing.assert_array_equal(x_hat.grad, x_hat_l1.grad)
+
+
 def test_proxy_symmetric_and_zero():
     rng = np.random.default_rng(10)
     a = Tensor(rng.random((2, 3, 16, 32)).astype(np.float32))
@@ -234,6 +246,16 @@ def test_adamw_zero_grad_leaves_params():
     before = p.data.copy()
     opt.step(0.1)
     np.testing.assert_array_equal(p.data, before)
+
+
+def test_adamw_weight_decay_of_a_zero_gradient_step_is_decoupled():
+    p = parameter(np.array([1.0, -2.0, 0.5, 3.0]))
+    opt = AdamW([({"p": p}, 1.0)], OptimizerSpec(total_steps=10, warmup_steps=1, weight_decay=0.01))
+    p.grad = np.zeros(4, np.float32)
+    before = p.data.copy()
+    opt.step(0.1)
+    np.testing.assert_array_equal(p.data, before - 0.1 * 0.01 * before)
+    assert np.any(p.data != before)
 
 
 def test_adamw_quadratic_convergence():
