@@ -41,13 +41,6 @@ def run(argv: list[str]) -> None:
         sys.exit(code)
 
 
-def single_run_dir(root: Path, prefix: str) -> Path:
-    matches = sorted(d for d in root.iterdir() if d.name.startswith(prefix))
-    if not matches:
-        sys.exit(f"no {prefix}* run directory under {root}")
-    return matches[-1]
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="runs/study", help="output root")
@@ -64,20 +57,19 @@ def main() -> None:
 
     run(["gen-data", "--config", str(cfg_path)])
     run(["pretrain", "--config", str(cfg_path)])
-    baseline = single_run_dir(out, "pretrain-") / "baseline.ckpt"
+    baseline = out / f"pretrain-{cfg.hash12}" / "baseline.ckpt"
     run(["train", "--config", str(cfg_path), "--baseline", str(baseline)])
-    refdec = single_run_dir(out, "train-") / "refdec.ckpt"
+    refdec = out / f"train-{cfg.hash12}" / "refdec.ckpt"
     run(["swap-compare", "--config", str(cfg_path), "--baseline", str(baseline),
          "--refdec", str(refdec)])
-    swap = single_run_dir(out, "swap-compare-")
-    summary = json.loads((swap / "manifest.json").read_text())["extra"]
+    summary = json.loads((out / f"swap-compare-{cfg.hash12}" / "manifest.json").read_text())["extra"]
     print(f"paired decoder swap: mean dPSNR {summary['mean_delta_psnr']:+.3f} dB, "
           f"{summary['fraction_improved'] * 100:.0f}% of clips improved")
 
     for axis in args.axes:
         run(["ablate", "--config", str(cfg_path), "--axis", axis,
              "--baseline", str(baseline)])
-        table = json.loads((single_run_dir(out, f"ablate-{axis}-") / "table.json").read_text())
+        table = json.loads((out / f"ablate-{axis}-{cfg.hash12}" / "table.json").read_text())
         print(f"\n[{axis}]")
         for row in table["rows"]:
             print(f"  {row['setting']:<22} eval={row['eval_policy']:<12} "

@@ -9,6 +9,7 @@ malformed or wrong-kind checkpoint, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import multiprocessing
@@ -23,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .checkpoint import CheckpointError, encoder_fingerprint, load_checkpoint, params_from_arrays, save_checkpoint
+from .checkpoint import CheckpointError, load_checkpoint, params_from_arrays, save_checkpoint
 from .config import INJECTIONS, ConfigError, ExperimentConfig, Seeds
 from .metrics import evaluate_params, fixed_seed_swap_compare, psnr
 from .refcond import RefCondConfig, decode_conditioned_t, init_ref_params
@@ -32,9 +33,7 @@ from .tensor import NumericsError, Tensor
 from .training import CurriculumSpec, RefPolicy, pretrain_baseline, train_refdecoder
 from .vae import VaeConfig, decode_baseline_t, encode_t, init_vae_params
 
-EXIT_CONFIG = 2
-EXIT_CHECKPOINT = 3
-EXIT_NUMERIC = 4
+EXIT_CODES = {ConfigError: 2, CheckpointError: 3, FileNotFoundError: 3, NumericsError: 4}
 
 CKPT_KINDS = {"baseline": None, **{kind: inj for inj, kind in INJECTIONS.items()}}  # kind -> injection
 
@@ -60,26 +59,30 @@ def _write_csv(path: Path, rows: list[dict]) -> None:
 
 
 class Runner:
-    """Output-directory and manifest bookkeeping shared by all commands."""
+    """One command's clock, run directory and manifest; `main` finishes or discards the run."""
 
-    def __init__(self, command: str, cfg: ExperimentConfig, args):
-        self.command = command
-        self.cfg = cfg
-        root = Path(args.out) if args.out else Path(cfg.output_dir)
-        self.outdir = root / f"{command}-{cfg.hash12}"
+    def __init__(self, args):
+        self.args = args
+        self.started = time.perf_counter()
+        self.made: list[Path] = []  # the directories `open` created, innermost first
+        self.extra: dict = {}
+
+    def open(self, cfg: ExperimentConfig, command: str | None = None) -> None:
+        """Make `<output root>/<command>-<config hash>/`, once the command's inputs check out."""
+        self.cfg, self.command = cfg, command or self.args.command
+        root = Path(self.args.out) if self.args.out else Path(cfg.output_dir)
+        self.outdir = root / f"{self.command}-{cfg.hash12}"
+        self.made = [d for d in (self.outdir, *self.outdir.parents) if not d.exists()]
         try:
             self.outdir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:  # the output root names a file
             raise ConfigError(f"cannot make run directory {self.outdir}: {exc.strerror or exc}") from None
-        self.started = time.perf_counter()
-        self.extra: dict = {}
 
-    def __enter__(self) -> "Runner":
-        return self
-
-    def __exit__(self, failed, *_) -> None:
-        if failed and not any(self.outdir.iterdir()):  # a failed run leaves no empty run directory
-            self.outdir.rmdir()
+    def discard(self) -> None:
+        """Remove each directory `open` made that is still empty: a failed run keeps what it wrote."""
+        for d in self.made:
+            with contextlib.suppress(OSError):
+                d.rmdir()
 
     def finish(self) -> Path:
         outputs = sorted(str(p.relative_to(self.outdir))
@@ -172,8 +175,8 @@ def _finetune_and_save(cfg: ExperimentConfig, baseline: dict[str, Tensor], train
 # -- commands ----------------------------------------------------------------
 
 
-def cmd_gen_data(cfg: ExperimentConfig, args) -> Path:
-    run = Runner("gen-data", cfg, args)
+def cmd_gen_data(cfg: ExperimentConfig, args, run: Runner) -> None:
+    run.open(cfg)
     train, val = build_dataset(cfg.dataset)
     save_manifest(run.outdir / "dataset_manifest.json", cfg.dataset, train, val)
     if args.dump:
@@ -183,38 +186,35 @@ def cmd_gen_data(cfg: ExperimentConfig, args) -> Path:
             write_rdvc(clips_dir / f"{ref.clip_id}.rdvc", realize(ref, cfg.dataset).frames)
     run.extra["n_train"] = len(train)
     run.extra["n_val"] = len(val)
-    return run.finish()
 
 
-def cmd_pretrain(cfg: ExperimentConfig, args) -> Path:
-    with Runner("pretrain", cfg, args) as run:
-        train, _ = build_dataset(cfg.dataset)
-        params, rows, _ = pretrain_baseline(train, cfg.dataset, cfg.vae, cfg.curriculum,
-                                            cfg.optimizer, cfg.seeds.train_seed, cfg.lambda_perc)
+def cmd_pretrain(cfg: ExperimentConfig, args, run: Runner) -> None:
+    run.open(cfg)
+    train, _ = build_dataset(cfg.dataset)
+    params, rows, _ = pretrain_baseline(train, cfg.dataset, cfg.vae, cfg.curriculum,
+                                        cfg.optimizer, cfg.seeds.train_seed, cfg.lambda_perc)
     _save_trained(run.outdir, cfg, "baseline", params, rows)
     run.extra["final_loss"] = rows[-1]["loss_total"]
-    return run.finish()
 
 
-def cmd_train(cfg: ExperimentConfig, args) -> Path:
+def cmd_train(cfg: ExperimentConfig, args, run: Runner) -> None:
     baseline_path = args.baseline or cfg.baseline_checkpoint
     baseline, base_meta, _, _ = _load_model(baseline_path, ("baseline",), cfg.vae)
-    with Runner("train", cfg, args) as run:
-        train, _ = build_dataset(cfg.dataset)
-        _, rows = _finetune_and_save(cfg, baseline, train, run.outdir,
-                                    baseline_config_hash=base_meta.get("config_hash", ""))
+    run.open(cfg)
+    train, _ = build_dataset(cfg.dataset)
+    _, rows = _finetune_and_save(cfg, baseline, train, run.outdir,
+                                baseline_config_hash=base_meta.get("config_hash", ""))
     run.extra["final_loss"] = rows[-1]["loss_total"]
     run.extra["baseline_checkpoint"] = str(baseline_path)
-    return run.finish()
 
 
-def cmd_eval(cfg: ExperimentConfig, args) -> Path:
+def cmd_eval(cfg: ExperimentConfig, args, run: Runner) -> None:
     if not args.ckpt:
         raise CheckpointError("eval needs at least one --ckpt")
     models = [_load_model(ckpt) for ckpt in args.ckpt]  # every checkpoint loads before any output
     for _, _, vae_cfg, _ in models:
         _check_encodes(cfg, vae_cfg)
-    run = Runner("eval", cfg, args)
+    run.open(cfg)
     _, val = build_dataset(cfg.dataset)
     reports = evaluate_params(val, cfg.dataset, [(params, vae_cfg, ref_cfg, cfg.eval_ref_policy)
                                                  for params, _, vae_cfg, ref_cfg in models],
@@ -227,17 +227,14 @@ def cmd_eval(cfg: ExperimentConfig, args) -> Path:
         (run.outdir / f"{stem}.json").write_text(report.to_json())
         _write_csv(run.outdir / f"{stem}.csv", report.csv_rows())
         run.extra[stem] = report.aggregate["psnr"]["overall"]
-    return run.finish()
 
 
-def cmd_swap_compare(cfg: ExperimentConfig, args) -> Path:
+def cmd_swap_compare(cfg: ExperimentConfig, args, run: Runner) -> None:
     baseline_path = args.baseline or cfg.baseline_checkpoint
     params_base, _, vae_cfg, _ = _load_model(baseline_path, ("baseline",))
     params_cond, _, _, ref_cfg = _load_model(args.refdec, ("refdec", "controlnet"), vae_cfg)
-    if encoder_fingerprint(params_base) != encoder_fingerprint(params_cond):
-        raise CheckpointError(f"{args.refdec} holds another encoder than {baseline_path}")
     _check_encodes(cfg, vae_cfg)
-    run = Runner("swap-compare", cfg, args)
+    run.open(cfg)  # the swap checks that the two checkpoints share an encoder
     _, val = build_dataset(cfg.dataset)
     result = fixed_seed_swap_compare(
         val, cfg.dataset, vae_cfg, ref_cfg, params_base, params_cond,
@@ -249,7 +246,6 @@ def cmd_swap_compare(cfg: ExperimentConfig, args) -> Path:
     run.extra["mean_delta_psnr"] = result.mean_delta_psnr
     run.extra["fraction_improved"] = result.fraction_improved
     run.extra["checkpoints"] = {"baseline": str(baseline_path), "refdec": str(args.refdec)}
-    return run.finish()
 
 
 # -- ablation grids -------------------------------------------------------------
@@ -294,11 +290,11 @@ def _run_grid_point(payload: tuple) -> list[dict]:
     return table_rows
 
 
-def cmd_ablate(cfg: ExperimentConfig, args) -> Path:
+def cmd_ablate(cfg: ExperimentConfig, args, run: Runner) -> None:
     if args.workers < 1:
         raise ConfigError(f"--workers must be at least 1, got {args.workers}")
     baseline = _load_model(args.baseline or cfg.baseline_checkpoint, ("baseline",), cfg.vae)[0]
-    run = Runner(f"ablate-{args.axis}", cfg, args)
+    run.open(cfg, f"ablate-{args.axis}")
     points = ABLATIONS[args.axis](cfg)
     payloads = [(label, point_cfg, baseline, run.outdir / f"point-{label}", args.axis)
                 for label, point_cfg in points]
@@ -319,7 +315,6 @@ def cmd_ablate(cfg: ExperimentConfig, args) -> Path:
     _write_json(run.outdir / "table.json", {"axis": args.axis, "rows": table})
     run.extra["points"] = [label for label, _ in points]
     run.extra["workers"] = args.workers
-    return run.finish()
 
 
 def _load_npy(path: str, what: str) -> np.ndarray:
@@ -336,17 +331,19 @@ def _load_npy(path: str, what: str) -> np.ndarray:
         raise ConfigError(f"{what} {path}: {exc}") from exc
 
 
-def cmd_decode(cfg: ExperimentConfig, args) -> Path:
+def cmd_decode(cfg: ExperimentConfig, args, run: Runner) -> None:
     params, _, vae_cfg, ref_cfg = _load_model(args.ckpt)
 
     ground_truth = None
     ref_index = None
     if args.latent is not None:
+        if args.category is not None:
+            raise ConfigError("--category needs --clip-seed")
         z = Tensor(_load_npy(args.latent, "--latent"))
     else:
         if args.clip_seed < 0:
             raise ConfigError(f"--clip-seed must be a non-negative integer, got {args.clip_seed}")
-        ground_truth = gen_clip(args.clip_seed, args.category, cfg.dataset.frames,
+        ground_truth = gen_clip(args.clip_seed, args.category or "content_rich", cfg.dataset.frames,
                                 cfg.dataset.height, cfg.dataset.width).frames
 
     ref_image = None
@@ -373,7 +370,7 @@ def cmd_decode(cfg: ExperimentConfig, args) -> Path:
     except ValueError as exc:
         raise ConfigError(f"cannot decode: {exc}") from exc
 
-    run = Runner("decode", cfg, args)
+    run.open(cfg)
     write_rdvc(run.outdir / "frames.rdvc", decoded)
 
     if ground_truth is not None:
@@ -382,7 +379,6 @@ def cmd_decode(cfg: ExperimentConfig, args) -> Path:
                    "reference_index": ref_index}
         _write_json(run.outdir / "psnr.json", sidecar)
         run.extra["mean_psnr"] = mean_psnr
-    return run.finish()
 
 
 # -- entry point ------------------------------------------------------------------
@@ -393,14 +389,15 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="reference-conditioned video autoencoder experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, command):
-        p.set_defaults(command_fn=command)
+    def common(p, command, seeded=True):
+        p.set_defaults(command_fn=command, seed=None)
         p.add_argument("--config", required=True, help="experiment config JSON")
         p.add_argument("--out", default=None, help="output root (overrides config)")
-        p.add_argument("--seed", type=int, default=None, help="override master seed")
+        if seeded:  # the commands that read the config's seeds
+            p.add_argument("--seed", type=int, help="override master seed")
 
     p = sub.add_parser("gen-data", help="materialise the dataset manifest")
-    common(p, cmd_gen_data)
+    common(p, cmd_gen_data, seeded=False)
     p.add_argument("--dump", action="store_true", help="also write raw clip dumps")
 
     p = sub.add_parser("pretrain", help="train the baseline autoencoder")
@@ -426,35 +423,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1, help="grid points fine-tuned in parallel (recorded)")
 
     p = sub.add_parser("decode", help="decode a latent or synthetic clip to frames")
-    common(p, cmd_decode)
+    common(p, cmd_decode, seeded=False)
     p.add_argument("--ckpt", required=True)
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--latent", help="latent .npy file")
     source.add_argument("--clip-seed", type=int, dest="clip_seed")
-    p.add_argument("--category", default="content_rich", choices=CATEGORIES)
+    p.add_argument("--category", choices=CATEGORIES, help="--clip-seed's category (default content_rich)")
     p.add_argument("--ref", default="none", help="'none', 'frame:K', or an image .npy")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    run = Runner(args)
     try:
         cfg = ExperimentConfig.load(args.config)
         if args.seed is not None:
             cfg.seeds = Seeds(master=args.seed)
             cfg.validate()
-        outdir = args.command_fn(cfg, args)
-    except ConfigError as exc:
-        print(f"error code={EXIT_CONFIG} command={args.command}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (CheckpointError, FileNotFoundError) as exc:
-        print(f"error code={EXIT_CHECKPOINT} command={args.command}: {exc}", file=sys.stderr)
-        return EXIT_CHECKPOINT
-    except NumericsError as exc:
-        print(f"error code={EXIT_NUMERIC} command={args.command}: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    print(outdir)
-    return 0
+        args.command_fn(cfg, args, run)
+        print(run.finish())
+        return 0
+    except BaseException as exc:  # KeyboardInterrupt too: no run leaves an empty directory behind
+        run.discard()
+        code = next((code for kind, code in EXIT_CODES.items() if isinstance(exc, kind)), None)
+        if code is None:
+            raise
+        print(f"error code={code} command={args.command}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import encoder_fingerprint
+from .checkpoint import CheckpointError, encoder_fingerprint
 from .refcond import RefCondConfig, decode_conditioned_t
 from .synthdata import ClipRef, DatasetSpec, realize
 from .tensor import Tensor
@@ -284,7 +284,7 @@ def fixed_seed_swap_compare(val_refs: list[ClipRef], data_spec: DatasetSpec,
     """Decode identical latents with both decoders and report paired deltas."""
     fp_base = encoder_fingerprint(params_baseline)
     if fp_base != encoder_fingerprint(params_conditioned):
-        raise ValueError("encoder fingerprint mismatch between checkpoints")
+        raise CheckpointError("the baseline and conditioned checkpoints hold different encoders")
 
     decoders = [(params_baseline, vae_cfg, None, eval_policy),
                 (params_conditioned, vae_cfg, ref_cfg, eval_policy)]

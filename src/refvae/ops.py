@@ -399,7 +399,7 @@ def groupnorm_silu(x: Tensor, groups: int, gain: Tensor, bias: Tensor) -> Tensor
     return _from_op(out, (x, gain, bias), bw)
 
 
-def patch_embed(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+def patch_embed(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Non-overlapping patch projection: conv with stride == kernel, no padding.
 
     x[C, T, H, W] with w[D, C, 1, s, s] -> [D, T, H/s, W/s].  Realised as a
@@ -417,7 +417,7 @@ def patch_embed(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     cols = x.reshape(cin, t, ht, sh, wt, sw).transpose(1, 2, 4, 0, 3, 5).reshape(t * ht * wt, cin * sh * sw)
     out = cols @ w.reshape(d_out, cin * sh * sw).transpose(1, 0)
     out = out.reshape(t, ht, wt, d_out).transpose(3, 0, 1, 2)
-    return out if b is None else out + b
+    return out + b
 
 
 def _sigmoid(v: np.ndarray) -> np.ndarray:
@@ -451,7 +451,6 @@ def gelu(x: Tensor) -> Tensor:
     return _from_op(out, (x,), bw)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """x[L, din] @ w[din, dout] (+ b[dout])."""
-    y = x @ w
-    return y if b is None else y + b
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x[L, din] @ w[din, dout] + b[dout]."""
+    return x @ w + b

@@ -30,8 +30,6 @@ VAL_SEED_OFFSET = 2 ** 48
 @dataclass
 class VideoClip:
     frames: np.ndarray  # [T, 3, H, W] float32 in [0, 1]
-    seed: int
-    category: str
 
 
 @dataclass(frozen=True)
@@ -218,7 +216,7 @@ def gen_clip(seed: int, category: str, T: int, H: int, W: int) -> VideoClip:
         for tex, gpos in glyphs:
             _rotated_patch(tex, 0.0, gpos[0] - off[0], gpos[1] - off[1], frame)
         frames[t] = np.clip(frame, 0.0, 1.0).astype(np.float32)
-    return VideoClip(frames=frames, seed=int(seed), category=category)
+    return VideoClip(frames=frames)
 
 
 # -- dataset assembly ---------------------------------------------------------

@@ -1,6 +1,8 @@
+import csv
 import json
 import os
 import shutil
+import time
 from dataclasses import asdict
 from pathlib import Path
 
@@ -158,6 +160,12 @@ def test_workers_is_an_ablate_flag_only(pipeline):
     _, cfg_path, _, baseline, _ = pipeline
     assert exit_code(["train", "--config", str(cfg_path), "--baseline", str(baseline),
                       "--workers", "2"]) == 2
+
+
+@pytest.mark.parametrize("argv", [["gen-data"], ["decode", "--ckpt", "x.ckpt", "--clip-seed", "3"]])
+def test_seed_is_not_a_flag_of_the_commands_that_read_no_seeds(tmp_path, argv):
+    assert exit_code([*argv, "--config", str(write_config(tmp_path)), "--seed", "99"]) == 2
+    assert not (tmp_path / "runs").exists()
 
 
 def test_swap_compare_and_decode(pipeline):
@@ -409,22 +417,51 @@ def test_swap_compare_falls_back_to_the_config_baseline(pipeline, tmp_path):
     assert manifest["extra"]["checkpoints"]["baseline"] == str(baseline)
 
 
+DIVERGING = OptimizerSpec(total_steps=10, warmup_steps=2, base_lr=1e12, grad_clip=0)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
 def test_diverging_pretrain_exits_4(tmp_path, capsys):
-    cfg_path = write_config(tmp_path, optimizer=OptimizerSpec(total_steps=10, warmup_steps=2,
-                                                              base_lr=1e12, grad_clip=0))
+    cfg_path = write_config(tmp_path, optimizer=DIVERGING)
     assert main(["pretrain", "--config", str(cfg_path)]) == 4
     assert "error code=4 command=pretrain: training diverged at step 1" in capsys.readouterr().err
-    assert not any((tmp_path / "runs").iterdir())  # no empty run directory is left
+    assert not (tmp_path / "runs").exists()  # neither the run directory nor the root it made
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_diverging_train_exits_4_and_leaves_no_run_directory(pipeline, tmp_path, capsys):
-    cfg_path = write_config(tmp_path, optimizer=OptimizerSpec(total_steps=10, warmup_steps=2,
-                                                              base_lr=1e12, grad_clip=0))
+    cfg_path = write_config(tmp_path, optimizer=DIVERGING)
     assert main(["train", "--config", str(cfg_path), "--baseline", str(pipeline[3])]) == 4
     assert "error code=4 command=train: training diverged" in capsys.readouterr().err
-    assert not any((tmp_path / "runs").iterdir())
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverging_pretrain_into_a_new_nested_root_leaves_no_directory(tmp_path):
+    cfg_path = write_config(tmp_path, optimizer=DIVERGING)
+    assert main(["pretrain", "--config", str(cfg_path), "--out", str(tmp_path / "new" / "root")]) == 4
+    assert not (tmp_path / "new").exists()
+
+
+def test_interrupted_pretrain_propagates_and_leaves_no_directory(tmp_path, monkeypatch):
+    from refvae import cli
+
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "pretrain_baseline", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        main(["pretrain", "--config", str(write_config(tmp_path))])
+    assert not (tmp_path / "runs").exists()
+
+
+def test_decode_wall_time_covers_the_decode(pipeline, tmp_path, monkeypatch):
+    from refvae import cli
+    decode = cli.decode_baseline_t
+    monkeypatch.setattr(cli, "decode_baseline_t", lambda *a: time.sleep(0.2) or decode(*a))
+    assert main(["decode", "--config", str(pipeline[1]), "--ckpt", str(pipeline[3]),
+                 "--clip-seed", "3", "--out", str(tmp_path)]) == 0
+    assert manifest_of(only_run_dir(tmp_path, "decode-"))["wall_time_s"] >= 0.2
 
 
 def exit_code(argv: list[str]) -> int:
@@ -475,6 +512,7 @@ BAD_DECODE = {  # case -> decode arguments; files name arrays written by the tes
     "clip-seed-negative": ["--clip-seed", "-1"],
     "category-unknown": ["--clip-seed", "3", "--category", "bogus"],
     "latent-and-clip-seed": ["--latent", "z.npy", "--clip-seed", "3"],
+    "latent-with-category": ["--latent", "z.npy", "--category", "large_motion"],
     "neither-latent-nor-clip-seed": [],
 }
 
@@ -571,11 +609,14 @@ def test_rerun_is_byte_identical_modulo_walltime(pipeline, tmp_path):
 
 def test_seed_override_changes_hash_and_results(tmp_path):
     cfg_path = write_config(tmp_path)
-    assert main(["gen-data", "--config", str(cfg_path)]) == 0
-    assert main(["gen-data", "--config", str(cfg_path), "--seed", "99"]) == 0
-    runs = tmp_path / "runs"
-    dirs = [d for d in runs.iterdir() if d.name.startswith("gen-data-")]
+    assert main(["pretrain", "--config", str(cfg_path)]) == 0
+    assert main(["pretrain", "--config", str(cfg_path), "--seed", "99"]) == 0
+    dirs = list((tmp_path / "runs").iterdir())
     assert len(dirs) == 2  # different config hash, different run dir
+    losses = [[row["loss_total"] for row in csv.DictReader((d / "loss.csv").read_text().splitlines())]
+              for d in dirs]
+    assert len(losses[0]) == 10
+    assert all(a != b for a, b in zip(*losses))  # every step's loss_total differs
 
 
 def test_config_roundtrip_and_hash_stability(tmp_path):

@@ -288,12 +288,13 @@ def test_eval_matches_swap_per_clip(swap_setup):
 
 
 def test_swap_rejects_encoder_mismatch(swap_setup):
+    from refvae.checkpoint import CheckpointError
     from refvae.tensor import Tensor
 
     cfg, rcfg, base, cond, spec, val = swap_setup
     tampered = dict(cond)
     tampered["enc.in.w"] = Tensor(cond["enc.in.w"].data + 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(CheckpointError):
         fixed_seed_swap_compare(val, spec, cfg, rcfg, base, tampered, master_seed=13)
 
 
