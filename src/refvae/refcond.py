@@ -49,6 +49,8 @@ class RefCondConfig:
     token_strides: tuple[int, int, int] = (1, 2, 4)
 
     def validate(self) -> None:
+        if min(self.heads, self.hidden, self.ff_mult) < 1:
+            raise ValueError("heads, hidden and ff_mult must be >= 1")
         if self.hidden % self.heads:
             raise ValueError("hidden width must divide into heads")
         dh = self.hidden // self.heads

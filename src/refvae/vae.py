@@ -37,6 +37,8 @@ class VaeConfig:
         p, q = self.spatial_compression, self.temporal_compression
         if len(self.stage_channels) != 3:
             raise ValueError("decoder has exactly three stages")
+        if min(self.norm_groups, self.latent_channels, *self.stage_channels) < 1:
+            raise ValueError("norm_groups, latent_channels and stage_channels must be >= 1")
         if p < 2 or p & (p - 1) or q < 1 or q & (q - 1):
             raise ValueError("compression factors must be powers of two")
         if p // 2 > 2 ** 3 or q > 2 ** 3:

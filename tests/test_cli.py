@@ -672,6 +672,28 @@ def test_malformed_config_exits_2_before_any_output(tmp_path, case):
     assert not (tmp_path / "runs").exists()
 
 
+ZERO_SIZES = {  # case -> (section, field, value): a layer left with no width, heads or groups
+    "norm-groups-0": ("vae", "norm_groups", 0),
+    "latent-channels-0": ("vae", "latent_channels", 0),
+    "stage-channel-0": ("vae", "stage_channels", [64, 0, 32]),
+    "heads-0": ("refdec", "heads", 0),
+    "hidden-0": ("refdec", "hidden", 0),
+    "ff-mult-0": ("refdec", "ff_mult", 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ZERO_SIZES))
+def test_zero_width_or_count_exits_2_before_any_output(tmp_path, case, capsys):
+    section, name, value = ZERO_SIZES[case]
+    cfg_path = write_config(tmp_path)
+    payload = json.loads(cfg_path.read_text())
+    payload[section][name] = value
+    cfg_path.write_text(json.dumps(payload))
+    assert main(["pretrain", "--config", str(cfg_path)]) == 2
+    assert name in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_config_types_are_checked_never_coerced(tmp_path):
     d = tiny_config(tmp_path).to_dict()
     with pytest.raises(ConfigError, match="lambda_perc"):

@@ -140,36 +140,43 @@ def conv3d_unit_stride_untiled(x, w, g):
     return out, gx, gk
 
 
-@pytest.mark.parametrize("cin, thw, cout, ksize, tiled", [
-    pytest.param(4, (3, 5, 6), 8, (3, 3, 3), False, id="under-one-tile"),
-    # 2805 output rows: forward tiles of 468 rows (the last 465), input-gradient
-    # tiles of 935; a frame is 561 padded rows, so tile boundaries fall mid-frame
-    pytest.param(16, (5, 15, 31), 32, (3, 3, 3), True, id="partial-tile-mid-frame"),
-    # 540 rows over at most 512 per tile: two of 270, as a 28-row last tile of
-    # the input gradient (a transposed operand) would take another BLAS kernel
-    pytest.param(32, (3, 8, 16), 32, (3, 3, 3), True, id="no-sliver-tile"),
-    pytest.param(8, (9, 32, 64), 3, (3, 3, 3), True, id="cout3"),
-    pytest.param(1, (9, 32, 64), 8, (1, 5, 5), True, id="cin1"),
+UNIT_STRIDE_CASES = [
+    pytest.param(4, (3, 5, 6), 8, (3, 3, 3), id="under-one-tile"),
+    # 561-row frames with 495-row bands: the forward's tiles take three
+    # frames each, the gaps between their bands included
+    pytest.param(16, (5, 15, 31), 32, (3, 3, 3), id="partial-tile-mid-frame"),
+    # three frames, each with its own live offsets in both directions
+    pytest.param(32, (3, 8, 16), 32, (3, 3, 3), id="no-sliver-tile"),
+    pytest.param(8, (9, 32, 64), 3, (3, 3, 3), id="cout3"),
+    pytest.param(1, (9, 32, 64), 8, (1, 5, 5), id="cin1"),
     # grouped narrow forward: 10880 rows run as three row tiles of 3627 (the
     # last 3626), each with one wide GEMM per temporal offset
-    pytest.param(32, (5, 32, 62), 3, (3, 3, 3), True, id="cout3-three-tiles"),
+    pytest.param(32, (5, 32, 62), 3, (3, 3, 3), id="cout3-three-tiles"),
     # 10240 rows x 3 x 32 is within OpenBLAS's small-matrix size: per-offset GEMMs
-    pytest.param(32, (5, 30, 62), 3, (3, 3, 3), True, id="cout3-small-gemm"),
+    pytest.param(32, (5, 30, 62), 3, (3, 3, 3), id="cout3-small-gemm"),
     # a one-channel output stays on per-offset GEMVs, at any size
-    pytest.param(64, (9, 32, 64), 1, (3, 3, 3), True, id="cout1-gemv"),
+    pytest.param(64, (9, 32, 64), 1, (3, 3, 3), id="cout1-gemv"),
     # a 4-wide input gradient over 20196 rows takes the grouped path too
-    pytest.param(4, (9, 32, 64), 16, (3, 3, 3), True, id="cin4-grouped-input-grad"),
-    # an 8-wide input gradient keeps its transposed-view kernels (dec.in)
-    pytest.param(8, (5, 4, 8), 64, (3, 3, 3), True, id="cin8-cout64"),
-])
-def test_conv_unit_stride_tiles_match_untiled_reference(cin, thw, cout, ksize, tiled):
+    pytest.param(4, (9, 32, 64), 16, (3, 3, 3), id="cin4-grouped-input-grad"),
+    # an 8-wide input gradient keeps its transposed-view kernels and equal
+    # tiles (dec.in)
+    pytest.param(8, (5, 4, 8), 64, (3, 3, 3), id="cin8-cout64"),
+    pytest.param(8, (2, 4, 8), 64, (3, 3, 3), id="cin8-two-frames"),
+    # one frame reads two causal zero frames at 18 of its 27 offsets
+    pytest.param(32, (1, 16, 32), 32, (3, 3, 3), id="one-frame"),
+    # each frame has live offsets of its own, forward and backward
+    pytest.param(32, (2, 8, 16), 32, (3, 3, 3), id="two-frames"),
+    # 2480-row bands over at most 1953 rows per tile: two equal parts each
+    pytest.param(16, (2, 40, 60), 32, (3, 3, 3), id="band-taller-than-tile"),
+]
+
+
+@pytest.mark.parametrize("cin, thw, cout, ksize", UNIT_STRIDE_CASES)
+def test_conv_unit_stride_tiles_match_untiled_reference(cin, thw, cout, ksize):
     rng = np.random.default_rng(6)
     x = rng.standard_normal((cin,) + thw).astype(np.float32)
     w = (rng.standard_normal((cout, cin) + ksize) * 0.3).astype(np.float32)
     g = rng.standard_normal((cout,) + thw).astype(np.float32)
-    t, h, wd = thw
-    rows = t * (h + ksize[1] - 1) * (wd + ksize[2] - 1)
-    assert (rows > ops._TILE_FLOATS // max(cout, cin)) == tiled
     xt, wt = parameter(x), parameter(w)
     out = conv3d_causal(xt, wt)
     (out * Tensor(g)).sum().backward()
@@ -251,7 +258,7 @@ def conv3d_phase_rows_input_grad(x, w, g, stride):
     return gxp[kt - 1:kt - 1 + t, ph:ph + h, pw:pw + wd].transpose(3, 0, 1, 2)
 
 
-@pytest.mark.parametrize("xshape, cout, ksize, stride", [
+STRIDED_CASES = [
     pytest.param((16, 9, 16, 32), 32, (3, 3, 3), (1, 2, 2), id="stride0"),
     pytest.param((16, 9, 16, 32), 32, (3, 3, 3), (2, 2, 2), id="stride1"),
     # the model's strided convs: enc.in, the downsamples at 17 and 5 frames,
@@ -269,7 +276,21 @@ def conv3d_phase_rows_input_grad(x, w, g, stride):
     # one frame: the odd temporal phase holds no input
     pytest.param((16, 1, 8, 16), 32, (3, 3, 3), (2, 2, 2), id="one-frame-kt3"),
     pytest.param((16, 7, 10, 14), 32, (3, 3, 3), (3, 3, 3), id="stride3"),
-])
+    pytest.param((16, 1, 16, 32), 32, (3, 3, 3), (1, 2, 2), id="one-frame-1x2x2"),
+    # every output frame, and every input frame of each temporal phase, has
+    # live offsets of its own
+    pytest.param((16, 2, 8, 16), 32, (3, 3, 3), (2, 2, 2), id="two-frames-2x2x2"),
+    pytest.param((16, 2, 16, 32), 32, (3, 3, 3), (1, 2, 2), id="two-frames-1x2x2"),
+    # 2016-row bands over at most 1953 rows per tile, forward and backward
+    pytest.param((16, 3, 64, 124), 32, (3, 3, 3), (1, 2, 2), id="band-taller-than-tile"),
+    # transposed-view input-gradient kernels, in equal tiles per phase
+    pytest.param((8, 5, 8, 16), 32, (3, 3, 3), (2, 2, 2), id="cin8-2x2x2"),
+    # the one output frame reads input frame 0 only: frame 1 gets a zero tile
+    pytest.param((16, 2, 8, 16), 32, (2, 3, 3), (2, 2, 2), id="unread-last-frame"),
+]
+
+
+@pytest.mark.parametrize("xshape, cout, ksize, stride", STRIDED_CASES)
 def test_conv_strided_matches_patch_reference(xshape, cout, ksize, stride):
     rng = np.random.default_rng(7)
     x = rng.standard_normal(xshape).astype(np.float32)
@@ -282,6 +303,81 @@ def test_conv_strided_matches_patch_reference(xshape, cout, ksize, stride):
     assert np.array_equal(out.data, ref_out)
     assert np.array_equal(xt.grad, ref_gx)
     assert np.array_equal(wt.grad, ref_gk)
+
+
+@pytest.mark.parametrize("xshape, cout, ksize, stride", [
+    pytest.param((32, 1, 16, 32), 32, (3, 3, 3), (1, 1, 1), id="one-frame"),
+    pytest.param((32, 2, 8, 16), 32, (3, 3, 3), (1, 1, 1), id="two-frames"),
+    pytest.param((16, 2, 40, 60), 32, (3, 3, 3), (1, 1, 1), id="band-taller-than-tile"),
+    pytest.param((8, 2, 4, 8), 64, (3, 3, 3), (1, 1, 1), id="cin8"),
+    pytest.param((32, 5, 32, 62), 3, (3, 3, 3), (1, 1, 1), id="cout3-grouped"),
+    pytest.param((16, 2, 8, 16), 32, (3, 3, 3), (2, 2, 2), id="two-frames-2x2x2"),
+    pytest.param((16, 3, 64, 124), 32, (3, 3, 3), (1, 2, 2), id="band-taller-than-tile-1x2x2"),
+    pytest.param((8, 5, 8, 16), 32, (3, 3, 3), (2, 2, 2), id="cin8-2x2x2"),
+    pytest.param((16, 5, 8, 16), 32, (1, 1, 1), (2, 2, 2), id="k1x1x1-stride2"),
+    pytest.param((16, 2, 8, 16), 32, (2, 3, 3), (2, 2, 2), id="unread-last-frame"),
+    pytest.param((1, 15, 16, 32), 1, (1, 5, 5), (1, 2, 2), id="blur"),
+])
+def test_conv_reads_no_row_it_leaves_unwritten(monkeypatch, xshape, cout, ksize, stride):
+    # every buffer np.empty hands out starts as NaN: a row outside every tile
+    # that reached an output or a gradient would show there
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal(xshape).astype(np.float32)
+    w = (rng.standard_normal((cout, xshape[0]) + ksize) * 0.3).astype(np.float32)
+
+    def run():
+        xt, wt = parameter(x), parameter(w)
+        out = conv3d_causal(xt, wt, stride)
+        (out * Tensor(np.cos(np.arange(out.data.size, dtype=np.float32)).reshape(out.shape))).sum().backward()
+        return out.data, xt.grad, wt.grad
+
+    clean = run()
+    empty = np.empty
+
+    def nan_empty(*args, **kwargs):
+        buf = empty(*args, **kwargs)
+        if buf.dtype.kind == "f":
+            buf.fill(np.nan)
+        return buf
+
+    monkeypatch.setattr(np, "empty", nan_empty)
+    for got, want in zip(run(), clean):
+        assert np.array_equal(got, want)
+
+
+def test_frame_tiles_cover_each_band_with_its_live_offsets(monkeypatch):
+    seen = []
+    frame_tiles = ops._frame_tiles
+    monkeypatch.setattr(ops, "_frame_tiles", lambda *a: seen.append(frame_tiles(*a)) or seen[-1])
+    all27, no_zero_frames = range(27), [range(18, 27), range(9, 27)]
+
+    # [32,5,16,32] -> 32, 3x3x3, stride 1: 612-row frames (18x34 padded), at
+    # most 976 rows (1e6 multiply-adds over 32x32) per tile, one frame per tile
+    out = conv3d_causal(parameter(np.ones((32, 5, 16, 32), np.float32)), Tensor(np.ones((32, 32, 3, 3, 3))))
+    out.sum().backward()
+    fwd, gx = seen
+    # forward: rows y < 16 of each frame; frames 0 and 1 skip the offsets
+    # that read the two causal zero frames
+    assert fwd == [(0, 544, no_zero_frames[0]), (612, 1156, no_zero_frames[1])] + [
+        (f * 612, f * 612 + 544, all27) for f in (2, 3, 4)]
+    # input gradient over the five input-holding frames: rows 1 <= y < 17;
+    # the last two input frames are read by no output frame at dt < 1 and < 2
+    assert sorted(gx, key=lambda t: t[0]) == [(f * 612 + 34, f * 612 + 578, all27) for f in (0, 1, 2)] + [
+        (3 * 612 + 34, 3 * 612 + 578, range(9, 27)), (4 * 612 + 34, 4 * 612 + 578, range(18, 27))]
+
+    # [64,9,8,16] -> 64 at stride (2,2,2): 45-row phase frames (5x9), 244 rows
+    # (1e6 / (64*64)) per tile, so runs of frames share one tile
+    seen.clear()
+    out = conv3d_causal(parameter(np.ones((64, 9, 8, 16), np.float32)), Tensor(np.ones((64, 64, 3, 3, 3))),
+                        (2, 2, 2))
+    out.sum().backward()
+    # forward: rows y < 4; frame 0 reads the zero frames at dt < 2
+    assert seen[0] == [(0, 36, range(18, 27)), (45, 216, all27)]
+    # phase (0,0,0): offsets dt, dy, dx in {0, 2}, dt//2 in groups of four;
+    # phase frames 1..5 hold input at rows 1 <= y < 5, and frame 5 is read
+    # by output frame 4 through dt = 2 only
+    assert seen[1] == [(189, 225, range(4, 8)), (9, 180, range(8))]
+    assert len(seen) == 9  # the forward and one call per stride phase
 
 
 @pytest.mark.parametrize("cin,cout,kt,k", [(1, 1, 1, 5), (1, 6, 2, 3), (6, 1, 2, 3)])
