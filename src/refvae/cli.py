@@ -146,11 +146,13 @@ def _load_model(path: str | Path | None, kinds: tuple[str, ...] = tuple(CKPT_KIN
     return params, meta, model.vae, model.refdec if injection else None
 
 
-def _check_encodes(cfg: ExperimentConfig, vae_cfg: VaeConfig) -> None:
+def _check_encodes(cfg: ExperimentConfig, vae_cfg: VaeConfig, ref_cfg: RefCondConfig | None) -> None:
     try:
         vae_cfg.latent_shape(cfg.dataset.frames, cfg.dataset.height, cfg.dataset.width)
+        if ref_cfg is not None:
+            ref_cfg.check_grid(vae_cfg, cfg.dataset.height, cfg.dataset.width)
     except ValueError as exc:
-        raise ConfigError(f"the checkpoint's backbone cannot encode the config's clips: {exc}") from None
+        raise ConfigError(f"the checkpoint's model cannot run on the config's clips: {exc}") from None
 
 
 def _save_trained(outdir: Path, cfg: ExperimentConfig, kind: str, params: dict[str, Tensor],
@@ -212,8 +214,8 @@ def cmd_eval(cfg: ExperimentConfig, args, run: Runner) -> None:
     if not args.ckpt:
         raise CheckpointError("eval needs at least one --ckpt")
     models = [_load_model(ckpt) for ckpt in args.ckpt]  # every checkpoint loads before any output
-    for _, _, vae_cfg, _ in models:
-        _check_encodes(cfg, vae_cfg)
+    for _, _, vae_cfg, ref_cfg in models:
+        _check_encodes(cfg, vae_cfg, ref_cfg)
     run.open(cfg)
     _, val = build_dataset(cfg.dataset)
     reports = evaluate_params(val, cfg.dataset, [(params, vae_cfg, ref_cfg, cfg.eval_ref_policy)
@@ -233,7 +235,7 @@ def cmd_swap_compare(cfg: ExperimentConfig, args, run: Runner) -> None:
     baseline_path = args.baseline or cfg.baseline_checkpoint
     params_base, _, vae_cfg, _ = _load_model(baseline_path, ("baseline",))
     params_cond, _, _, ref_cfg = _load_model(args.refdec, ("refdec", "controlnet"), vae_cfg)
-    _check_encodes(cfg, vae_cfg)
+    _check_encodes(cfg, vae_cfg, ref_cfg)
     run.open(cfg)  # the swap checks that the two checkpoints share an encoder
     _, val = build_dataset(cfg.dataset)
     result = fixed_seed_swap_compare(

@@ -99,6 +99,7 @@ class ExperimentConfig:
             self.optimizer.validate()
             self.dataset.validate()
             self.curriculum.validate(self.vae, self.dataset, self.optimizer.total_steps)
+            self.refdec.check_grid(self.vae, self.dataset.height, self.dataset.width)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if self.injection not in INJECTIONS:

@@ -12,12 +12,9 @@ import numpy as np
 from .tensor import Tensor, _acc, _from_op, _grad_buffer, _released, _unbroadcast, concat
 
 EPS = 1e-6
-# accumulator floats per equal row tile of _shifted_gemm: with its operand
-# rows and the kernel slice, one tile stays in L2 across all kernel offsets
-_TILE_FLOATS = 16384
-# narrower GEMM outputs are not tiled this way: OpenBLAS picks their kernel by
-# row count, so tiles would change their bits (and with them training
-# trajectories).  They run as grouped wide GEMMs instead (_grouped_gemm).
+# GEMM outputs at most this wide get no frame tiles and no kernel copies: OpenBLAS
+# picks their kernel by row count and memory order, so either would change
+# their bits (and with them training trajectories).
 _MIN_TILED_WIDTH = 8
 # row-tile height cap: bounds _grouped_gemm's per-tile [group*k, rows]
 # product (~14 MB untiled at the decoder head) and a frame tile's buffers
@@ -26,10 +23,9 @@ _TILE_ROWS = 4096
 # kernel, and a one-column product as a GEMV: each sums in another order.
 # Frame tiles stay within it: there a row of a C-contiguous kernel's product
 # has the same bits at any tile height, at 30-40% less time per row.
-# This bound, the k > 1 guard of _shifted_gemm and the contiguous-kernel rule
-# of the input gradient copy OpenBLAS 0.3.31's kernel choice (DYNAMIC_ARCH,
-# SkylakeX core); on any other BLAS build or core, rerun
-# scripts/conv_identity.py against the previous src/ before relying on them.
+# This bound and _shifted_gemm's width rule and k > 1 guard copy OpenBLAS 0.3.31's
+# kernel choice (DYNAMIC_ARCH, SkylakeX core); on any other BLAS build or core,
+# rerun scripts/conv_identity.py against the previous src/ before relying on them.
 _SMALL_GEMM_MACS = 100 ** 3
 
 
@@ -46,48 +42,47 @@ def _row_tiles(rows: int, cap: int) -> list[tuple[int, int]]:
     return [(r0, min(r0 + tile, rows)) for r0 in range(0, rows, tile)]
 
 
-def _frame_tiles(frame_rows: int, band: tuple[int, int], runs: list[tuple[int, int, range]],
+def _frame_tiles(frame_rows: int, band: tuple[int, int], live: list[range],
                  cap: int) -> list[tuple[int, int, range]]:
     """_shifted_gemm's tiles (r0, r1, live offsets) over frames of frame_rows rows.
 
-    Only rows [lo, hi) = band of a frame are needed, and frames f0 <= f < f1
-    of a run (f0, f1, live) sum only the offsets in live.  A run's frames
-    share a tile while their band span fits in cap rows; a taller band
-    splits into equal parts.
+    Only rows [lo, hi) = band of a frame are needed, and frame f sums only
+    the offsets in live[f].  A run of neighbouring frames with equal live
+    offsets shares a tile while their band span fits in cap rows; a taller
+    band splits into equal parts.
     """
     lo, hi = band
     per = max(1, (cap - hi + lo) // frame_rows + 1)  # frames per tile
     parts = _row_tiles(hi - lo, cap)
-    return [((f0 + a) * frame_rows + lo + p0, (f0 + b - 1) * frame_rows + lo + p1, live)
-            for f0, f1, live in runs if f1 > f0
-            for a, b in _row_tiles(f1 - f0, per) for p0, p1 in parts]
+    ends = [f for f in range(1, len(live) + 1) if f == len(live) or live[f] != live[f - 1]]
+    return [((f0 + a) * frame_rows + lo + p0, (f0 + b - 1) * frame_rows + lo + p1, live[f0])
+            for f0, f1 in zip([0] + ends, ends) for a, b in _row_tiles(f1 - f0, per) for p0, p1 in parts]
 
 
-def _shifted_gemm(src: np.ndarray, starts: list[int], mats: list[np.ndarray], rows: int,
-                  dtype, group: int, frames: tuple | None = None) -> np.ndarray:
+def _shifted_gemm(src: np.ndarray, starts: list[int], mats: np.ndarray, rows: int,
+                  dtype, group: int, frames: tuple[int, tuple[int, int], list[range]]) -> np.ndarray:
     """out[r] = sum over o of src[r + starts[o]] @ mats[o], for r < rows.
 
-    Runs tile by tile over output rows, so each tile's accumulator and operand
-    rows stay cache-resident across all offsets instead of streaming the
-    whole array once per offset.  Every row still sums its offsets in list
-    order.  `frames` = (frame_rows, band, runs) gives _frame_tiles' tiles,
-    which skip offsets that add exact zeros and leave the rows in no tile
-    unwritten; without it, equal tiles take every row and offset.  Outputs
-    narrower than _MIN_TILED_WIDTH run untiled, or through _grouped_gemm
-    over runs of `group` offsets where that keeps every GEMM off OpenBLAS's
-    small-matrix and GEMV kernels.
+    mats holds the [c, k] kernels, offsets row-major over its leading axes.
+    Outputs wider than _MIN_TILED_WIDTH run on one C-contiguous copy of
+    mats, over _frame_tiles' tiles of `frames` = (frame_rows, band, live
+    offsets per frame): each tile's accumulator and operand rows stay in
+    cache across its offsets, offsets that add exact zeros are skipped and
+    rows in no tile are left unwritten.  Narrower outputs take every row and
+    offset, untiled or through _grouped_gemm over runs of `group` offsets
+    where that keeps every GEMM off OpenBLAS's small-matrix and GEMV
+    kernels.  Every row sums its offsets in order.
     """
-    c, k = mats[0].shape
-    every = range(len(mats))
-    if k < _MIN_TILED_WIDTH:
+    c, k = mats.shape[-2:]
+    if k <= _MIN_TILED_WIDTH:
+        mats = [mats[o] for o in np.ndindex(mats.shape[:-2])]
         spans = _row_tiles(rows, _TILE_ROWS)
         last = spans[-1][1] - spans[-1][0]
         if k > 1 and c * k * min(rows, group * last) > _SMALL_GEMM_MACS:
             return _grouped_gemm(src, starts, mats, spans, group, dtype).T
-        tiles = [(0, rows, every)]
-    elif frames is None:
-        tiles = [(r0, r1, every) for r0, r1 in _row_tiles(rows, _TILE_FLOATS // k)]
+        tiles = [(0, rows, range(len(mats)))]
     else:
+        mats = list(np.ascontiguousarray(mats).reshape(-1, c, k))
         tiles = _frame_tiles(*frames, min(_TILE_ROWS, _SMALL_GEMM_MACS // (c * k)))
     # an inner dimension of 1 makes each GEMM an outer product: a broadcast
     # multiply gives every element the same single rounded product
@@ -108,7 +103,7 @@ def _shifted_gemm(src: np.ndarray, starts: list[int], mats: list[np.ndarray], ro
 
 def _grouped_gemm(src: np.ndarray, starts: list[int], mats: list[np.ndarray],
                   tiles: list[tuple[int, int]], group: int, dtype) -> np.ndarray:
-    """_shifted_gemm's result as [k, rows], for outputs narrower than _MIN_TILED_WIDTH.
+    """_shifted_gemm's result as [k, rows], for outputs at most _MIN_TILED_WIDTH wide.
 
     Per row tile, each run of `group` offsets takes one wide GEMM,
     [group*k, c] @ src[r0+lo : r1+hi]ᵀ over the tile's rows plus the run's
@@ -184,14 +179,11 @@ def conv3d_causal(x: Tensor, kernel: Tensor, stride: tuple[int, int, int] = (1, 
     starts = [(((dt % st) * sh + dy % sh) * sw + dx % sw) * block
               + ((dt // st) * hq + dy // sh) * wq + dx // sw for dt, dy, dx in offsets]
     wcl = np.ascontiguousarray(kernel.data.transpose(2, 3, 4, 1, 0))  # [kt,kh,kw,Cin,Cout]
-    mats = [wcl[o] for o in offsets]
-    # output frame t needs its rows y < h_out, and before frame `ramp` only
-    # its offsets dt >= kt-1 - t*st: the others read causal zero frames
-    ramp = min(t_out, -(-(kt - 1) // st))
-    frames = None if cout < _MIN_TILED_WIDTH else (hq * wq, (0, h_out * wq), [
-        (t, t + 1, range(kh * kw * (kt - 1 - t * st), len(mats))) for t in range(ramp)]
-        + [(ramp, t_out, range(len(mats)))])
-    acc = _shifted_gemm(phases().reshape(-1, cin), starts, mats, rows, dtype, kh * kw, frames)
+    # output frame t needs its rows y < h_out and only its offsets
+    # dt >= kt-1 - t*st: the others read causal zero frames
+    frames = (hq * wq, (0, h_out * wq), [range(kh * kw * max(0, kt - 1 - t * st), len(offsets))
+                                         for t in range(t_out)])
+    acc = _shifted_gemm(phases().reshape(-1, cin), starts, wcl, rows, dtype, kh * kw, frames)
     out = np.ascontiguousarray(acc.reshape(t_out, hq, wq, cout)[:, :h_out, :w_out].transpose(3, 0, 1, 2))
 
     def bw(g):
@@ -218,31 +210,26 @@ def conv3d_causal(x: Tensor, kernel: Tensor, stride: tuple[int, int, int] = (1, 
         gsrc = np.zeros((lead + tq * hq * wq, cout), dtype=g.dtype)
         gsrc[lead:lead + rows].reshape(t_out, hq, wq, cout)[:, :h_out, :w_out] = \
             gcl.reshape(t_out, h_out, w_out, cout)
-        # contiguous kernels give the m.T views' bits only above _MIN_TILED_WIDTH
-        # (measured on OpenBLAS 0.3.31, SkylakeX core; see _SMALL_GEMM_MACS)
-        tmats = [np.ascontiguousarray(m.T) if cin > _MIN_TILED_WIDTH else m.T for m in mats]
         # at stride 1 the one phase's input frames are the gradient, cropped
         # in place; each stride phase writes the input positions it holds
         gx = np.zeros((t_in, h_in, w_in, cin), dtype=dtype) if st * sh * sw > 1 else None
         for p, (a, b, c) in enumerate(np.ndindex(st, sh, sw)):
-            own = [i for i, s in enumerate(starts) if s // block == p]
-            # the phase's frames, rows and columns that hold input
+            # the phase's offsets' in-phase starts, in (dt, dy, dx) order, and
+            # the frames, rows and columns of the phase that hold input
+            own = [s % block for s in starts if s // block == p]
             f0, f1 = -((a - kt + 1) // st), -((a - kt + 1 - t_in) // st)
             y0, y1 = -((b - ph) // sh), -((b - ph - h_in) // sh)
             x0, x1 = -((c - pw) // sw), -((c - pw - w_in) // sw)
             if not own or f0 >= f1:
                 continue
-            # own runs over dt//st = 0 .. n_dt-1, grp offsets each; phase frame
-            # f takes those whose output frame f - dt//st exists, all of them
-            # for m0 <= f < m1.  The F-ordered kernels keep equal tiles.
-            n_dt, grp = len(range(a, kt, st)), len(range(b, kh, sh)) * len(range(c, kw, sw))
-            m0, m1 = max(f0, n_dt - 1), min(f1, t_out)
-            frames = None if cin <= _MIN_TILED_WIDTH else (hq * wq, (y0 * wq, y1 * wq), [
-                (f - f0, f - f0 + 1, range(grp * max(0, f - t_out + 1), grp * min(n_dt, f + 1)))
-                for f in range(f0, f1) if not m0 <= f < m1] + [(m0 - f0, m1 - f0, range(len(own)))])
-            gph = _shifted_gemm(gsrc, [lead + f0 * hq * wq - starts[i] % block for i in own],
-                                [tmats[i] for i in own], (f1 - f0) * hq * wq, dtype,
-                                grp, frames).reshape(f1 - f0, hq, wq, cin)
+            # phase frame f takes the offsets dt//st = j, grp of them each,
+            # whose output frame f - j exists
+            mats = wcl[a::st, b::sh, c::sw].transpose(0, 1, 2, 4, 3)  # [kt', kh', kw', Cout, Cin]
+            n_dt, grp = len(mats), len(own) // len(mats)
+            frames = (hq * wq, (y0 * wq, y1 * wq), [range(grp * max(0, f - t_out + 1), grp * min(n_dt, f + 1))
+                                                    for f in range(f0, f1)])
+            gph = _shifted_gemm(gsrc, [lead + f0 * hq * wq - s for s in own], mats,
+                                (f1 - f0) * hq * wq, dtype, grp, frames).reshape(f1 - f0, hq, wq, cin)
             if gx is None:
                 gx = gph[:, ph:ph + h_in, pw:pw + w_in]
             else:

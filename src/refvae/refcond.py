@@ -61,6 +61,14 @@ class RefCondConfig:
         if len(self.token_strides) != 3 or any(s < 1 for s in self.token_strides):
             raise ValueError("token_strides must be three positive ints")
 
+    def check_grid(self, vae_cfg: VaeConfig, height: int, width: int) -> None:
+        """Each stage's token stride divides that stage's grid for height x width clips."""
+        _, _, hs, ws = vae_cfg.latent_shape(1, height, width)
+        for s, ((_, fh, fw), sig) in enumerate(zip(vae_cfg.stage_factors(), self.token_strides)):
+            if hs % sig or ws % sig:
+                raise ValueError(f"stage {s} grid {hs}x{ws} not divisible by token stride {sig}")
+            hs, ws = hs * fh, ws * fw
+
 
 def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))

@@ -60,12 +60,11 @@ class CurriculumSpec:
         if frames != sorted(frames):
             raise ValueError("stage frame counts must be non-decreasing")
         for s in self.stages:
-            if s.frames % vae_cfg.temporal_compression != 1:
-                raise ValueError(f"stage frames {s.frames} must be 1 mod {vae_cfg.temporal_compression}")
             if s.steps < 1:
                 raise ValueError("every stage needs at least one step")
             if (s.height, s.width) != (data_spec.height, data_spec.width):
                 raise ValueError("curriculum stage resolution must match the dataset")
+            vae_cfg.latent_shape(s.frames, s.height, s.width)
             if s.frames > data_spec.frames:
                 raise ValueError("curriculum stage frames exceed dataset clip length")
         if total_steps != self.total_steps:

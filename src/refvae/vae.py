@@ -63,8 +63,8 @@ class VaeConfig:
 
     def latent_shape(self, frames: int, height: int, width: int) -> tuple[int, int, int, int]:
         p, q = self.spatial_compression, self.temporal_compression
-        if frames % q != 1:
-            raise ValueError(f"frame count {frames} must be 1 mod {q}")
+        if frames < 1 or (frames - 1) % q:
+            raise ValueError(f"frame count {frames} must be 1 plus a multiple of {q}")
         if height % p or width % p:
             raise ValueError(f"{height}x{width} not divisible by spatial compression {p}")
         return (self.latent_channels, 1 + (frames - 1) // q, height // p, width // p)

@@ -391,6 +391,20 @@ def test_checkpoints_that_cannot_encode_the_clips_exit_2(pipeline, tmp_path, com
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("command", ["eval", "swap-compare"])
+def test_checkpoint_whose_token_stride_misses_the_stage_grid_exits_2(pipeline, tmp_path, command):
+    _, _, _, baseline, refdec = pipeline
+    arrays, meta = load_checkpoint(refdec)
+    meta["refdec"]["token_strides"] = [1, 2, 3]  # stage 2's grid is 8x16 on 16x32 clips
+    d, ch = arrays["ref.embed2.in.w"].shape[:2]
+    for name, shape in {"in.w": (d, ch, 1, 3, 3), "out.w": (d, ch * 9), "out.b": (ch * 9,)}.items():
+        arrays[f"ref.embed2.{name}"] = np.resize(arrays[f"ref.embed2.{name}"], shape)
+    save_checkpoint(tmp_path / "stride3.ckpt", arrays, meta)
+    args = ["--ckpt"] if command == "eval" else ["--baseline", str(baseline), "--refdec"]
+    assert main([command, "--config", str(write_config(tmp_path)), *args, str(tmp_path / "stride3.ckpt")]) == 2
+    assert not (tmp_path / "runs").exists()
+
+
 BASELINE_VAE_MISMATCH = {  # case -> (config vae, whether the baseline is saved as p=16)
     "config-norm-groups-4": (VaeConfig(norm_groups=4), False),
     "config-stage-channels-32": (VaeConfig(stage_channels=(32, 32, 32)), False),
@@ -642,6 +656,9 @@ MALFORMED_CONFIGS = {  # case -> config JSON with a value of the wrong type, or 
     "seed-bool": {"seeds": {"master": True}},
     "frames-not-1-mod-4": {"dataset": {"frames": 16}, "curriculum": {"stages": [STAGE]},
                            "optimizer": {"total_steps": 400}},
+    "stage-frames-negative": {"curriculum": {"stages": [{**STAGE, "frames": -3},
+                                                        {**STAGE, "frames": 17, "steps": 200}]}},
+    "token-stride-3": {"refdec": {"token_strides": [1, 2, 3]}},  # stage 2's 16x32 grid
     "height-not-divisible": {"dataset": {"height": 36}, "curriculum": {"stages": [
         {**STAGE, "height": 36}, {**STAGE, "frames": 17, "height": 36, "steps": 200}]}},
     "mix-negative": {"dataset": {"mix": {"content_rich": 1.5, "content_sparse": -0.5,

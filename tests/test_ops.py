@@ -158,8 +158,8 @@ UNIT_STRIDE_CASES = [
     pytest.param(64, (9, 32, 64), 1, (3, 3, 3), id="cout1-gemv"),
     # a 4-wide input gradient over 20196 rows takes the grouped path too
     pytest.param(4, (9, 32, 64), 16, (3, 3, 3), id="cin4-grouped-input-grad"),
-    # an 8-wide input gradient keeps its transposed-view kernels and equal
-    # tiles (dec.in)
+    # an 8-wide input gradient keeps its transposed-view kernels, untiled
+    # (dec.in)
     pytest.param(8, (5, 4, 8), 64, (3, 3, 3), id="cin8-cout64"),
     pytest.param(8, (2, 4, 8), 64, (3, 3, 3), id="cin8-two-frames"),
     # one frame reads two causal zero frames at 18 of its 27 offsets
@@ -168,6 +168,9 @@ UNIT_STRIDE_CASES = [
     pytest.param(32, (2, 8, 16), 32, (3, 3, 3), id="two-frames"),
     # 2480-row bands over at most 1953 rows per tile: two equal parts each
     pytest.param(16, (2, 40, 60), 32, (3, 3, 3), id="band-taller-than-tile"),
+    # an 8-wide forward is never frame-tiled: 11220 rows x 64 x 8 run as
+    # grouped wide GEMMs (enc.out far past its model shapes)
+    pytest.param(64, (5, 32, 64), 8, (3, 3, 3), id="cout8-past-one-tile"),
 ]
 
 
@@ -283,7 +286,7 @@ STRIDED_CASES = [
     pytest.param((16, 2, 16, 32), 32, (3, 3, 3), (1, 2, 2), id="two-frames-1x2x2"),
     # 2016-row bands over at most 1953 rows per tile, forward and backward
     pytest.param((16, 3, 64, 124), 32, (3, 3, 3), (1, 2, 2), id="band-taller-than-tile"),
-    # transposed-view input-gradient kernels, in equal tiles per phase
+    # transposed-view input-gradient kernels, untiled per phase
     pytest.param((8, 5, 8, 16), 32, (3, 3, 3), (2, 2, 2), id="cin8-2x2x2"),
     # the one output frame reads input frame 0 only: frame 1 gets a zero tile
     pytest.param((16, 2, 8, 16), 32, (2, 3, 3), (2, 2, 2), id="unread-last-frame"),
@@ -376,7 +379,7 @@ def test_frame_tiles_cover_each_band_with_its_live_offsets(monkeypatch):
     # phase (0,0,0): offsets dt, dy, dx in {0, 2}, dt//2 in groups of four;
     # phase frames 1..5 hold input at rows 1 <= y < 5, and frame 5 is read
     # by output frame 4 through dt = 2 only
-    assert seen[1] == [(189, 225, range(4, 8)), (9, 180, range(8))]
+    assert seen[1] == [(9, 180, range(8)), (189, 225, range(4, 8))]
     assert len(seen) == 9  # the forward and one call per stride phase
 
 

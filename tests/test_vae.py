@@ -41,6 +41,21 @@ def test_latent_shape_arithmetic(desk_cfg):
         desk_cfg.latent_shape(6, 32, 64)
     with pytest.raises(ValueError):
         desk_cfg.latent_shape(5, 30, 64)
+    with pytest.raises(ValueError):  # -3 % 4 == 1, but no clip has -3 frames
+        desk_cfg.latent_shape(-3, 32, 64)
+    with pytest.raises(ValueError):
+        desk_cfg.latent_shape(0, 32, 64)
+    no_temporal = VaeConfig(temporal_compression=1)
+    assert no_temporal.latent_shape(1, 32, 64) == (8, 1, 4, 8)
+    assert no_temporal.latent_shape(6, 32, 64) == (8, 6, 4, 8)
+
+
+def test_tiny_backbone_keeps_every_frame(tiny_cfg, tiny_params):
+    # q = 1: each frame is its own latent frame, and decodes back to one frame
+    frames = gen_clip(2, "content_rich", 3, 8, 8).frames
+    z = encode_t(Tensor(frames), tiny_cfg, tiny_params)
+    assert z.shape == (2, 3, 4, 4)
+    assert decode_baseline_t(z, tiny_cfg, tiny_params).shape == frames.shape
 
 
 def test_encode_shape_and_determinism(desk_cfg, desk_params):
