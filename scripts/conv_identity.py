@@ -41,7 +41,7 @@ import io  # noqa: E402
 import json  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
-from dataclasses import replace  # noqa: E402
+from dataclasses import asdict, replace  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -100,8 +100,8 @@ def run_sequence(pkg: str) -> dict[str, object]:
         out[f"{name} loss rows"] = repr(rows)  # repr round-trips every float exactly
         out[f"{name} parameters"] = {n: (t.data.dtype.str, t.data.shape, t.data.tobytes())
                                      for n, t in params.items()}
-    out["swap reports"] = (swap.baseline.to_json(), swap.conditioned.to_json(),
-                           json.dumps([swap.deltas, swap.seed_log]))
+    out["swap reports"] = json.dumps([asdict(swap.baseline), asdict(swap.conditioned), swap.deltas,
+                                      swap.seed_log], sort_keys=True)
     return out
 
 

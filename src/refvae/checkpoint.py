@@ -72,6 +72,7 @@ def save_checkpoint(path: Path, params: dict, meta: dict | None = None) -> None:
 
 
 def load_checkpoint(path: Path) -> tuple[dict[str, np.ndarray], dict]:
+    """(arrays, metadata) of a checkpoint; the arrays are read-only views of the file's bytes."""
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:  # missing, a directory, unreadable
@@ -107,7 +108,7 @@ def load_checkpoint(path: Path) -> tuple[dict[str, np.ndarray], dict]:
         if start < 0 or base + end > len(raw):
             raise CheckpointError(f"{path}: tensor {name} payload out of bounds")
         spans.append((start, end, name))
-        arrays[name] = np.frombuffer(raw, "<f4", count, base + start).reshape(shape).copy()
+        arrays[name] = np.frombuffer(raw, "<f4", count, base + start).reshape(shape)
     spans.sort()
     for (s0, e0, n0), (s1, e1, n1) in zip(spans, spans[1:]):
         if s1 < e0:
@@ -116,5 +117,5 @@ def load_checkpoint(path: Path) -> tuple[dict[str, np.ndarray], dict]:
 
 
 def params_from_arrays(arrays: dict[str, np.ndarray]) -> dict[str, Tensor]:
-    """Frozen (no-grad) float32 tensors, each a copy of its array."""
+    """Frozen (no-grad) float32 tensors, each a writeable copy of its array."""
     return {name: Tensor(arr.astype(np.float32)) for name, arr in arrays.items()}

@@ -3,7 +3,8 @@
 Every command reads one JSON config, writes into
 `<output_dir>/<command>-<config-hash>/`, and drops a run manifest (config
 copy, seeds, wall time, parallelism degree, output list) next to its
-artifacts.  Exit codes: 0 success, 2 invalid config or input, 3 missing,
+artifacts.  The commands write every run output: the library computes and
+returns them.  Exit codes: 0 success, 2 invalid config or input, 3 missing,
 malformed or wrong-kind checkpoint, 4 numeric failure.
 """
 from __future__ import annotations
@@ -25,10 +26,10 @@ import numpy as np
 
 from . import __version__
 from .checkpoint import CheckpointError, load_checkpoint, params_from_arrays, save_checkpoint
-from .config import INJECTIONS, ConfigError, ExperimentConfig, Seeds
+from .config import INJECTIONS, ConfigError, ExperimentConfig
 from .metrics import evaluate_params, fixed_seed_swap_compare, psnr
 from .refcond import RefCondConfig, decode_conditioned_t, init_ref_params
-from .synthdata import CATEGORIES, build_dataset, gen_clip, realize, save_manifest, write_rdvc
+from .synthdata import CATEGORIES, build_dataset, gen_clip, realize, write_rdvc
 from .tensor import NumericsError, Tensor
 from .training import CurriculumSpec, RefPolicy, pretrain_baseline, train_refdecoder
 from .vae import VaeConfig, decode_baseline_t, encode_t, init_vae_params
@@ -180,7 +181,9 @@ def _finetune_and_save(cfg: ExperimentConfig, baseline: dict[str, Tensor], train
 def cmd_gen_data(cfg: ExperimentConfig, args, run: Runner) -> None:
     run.open(cfg)
     train, val = build_dataset(cfg.dataset)
-    save_manifest(run.outdir / "dataset_manifest.json", cfg.dataset, train, val)
+    clips = [{"id": r.clip_id, "seed": r.seed, "category": r.category, "split": r.split}
+             for r in train + val]
+    _write_json(run.outdir / "dataset_manifest.json", {"spec": asdict(cfg.dataset), "clips": clips})
     if args.dump:
         clips_dir = run.outdir / "clips"
         clips_dir.mkdir(exist_ok=True)
@@ -226,7 +229,7 @@ def cmd_eval(cfg: ExperimentConfig, args, run: Runner) -> None:
                                 "config_hash": cfg.config_hash(), "code_version": __version__,
                                 "parallelism_degree": _parallelism_degree()})
         stem = f"metrics-{i}-{meta['kind']}"
-        (run.outdir / f"{stem}.json").write_text(report.to_json())
+        _write_json(run.outdir / f"{stem}.json", asdict(report))
         _write_csv(run.outdir / f"{stem}.csv", report.csv_rows())
         run.extra[stem] = report.aggregate["psnr"]["overall"]
 
@@ -238,11 +241,14 @@ def cmd_swap_compare(cfg: ExperimentConfig, args, run: Runner) -> None:
     _check_encodes(cfg, vae_cfg, ref_cfg)
     run.open(cfg)  # the swap checks that the two checkpoints share an encoder
     _, val = build_dataset(cfg.dataset)
-    result = fixed_seed_swap_compare(
-        val, cfg.dataset, vae_cfg, ref_cfg, params_base, params_cond,
-        cfg.seeds.eval_seed, run.outdir, cfg.eval_ref_policy)
-    (run.outdir / "baseline_metrics.json").write_text(result.baseline.to_json())
-    (run.outdir / "refdec_metrics.json").write_text(result.conditioned.to_json())
+    result = fixed_seed_swap_compare(val, cfg.dataset, vae_cfg, ref_cfg, params_base, params_cond,
+                                     cfg.seeds.eval_seed, cfg.eval_ref_policy)
+    (run.outdir / "latents").mkdir(exist_ok=True)  # a rerun finds it there
+    for entry, z in zip(result.seed_log["entries"], result.latents):
+        entry["latent_path"] = str(run.outdir / "latents" / f"{entry['clip_id']}.npy")
+        np.save(entry["latent_path"], z)
+    _write_json(run.outdir / "baseline_metrics.json", asdict(result.baseline))
+    _write_json(run.outdir / "refdec_metrics.json", asdict(result.conditioned))
     _write_json(run.outdir / "seedlog.json", result.seed_log)
     _write_csv(run.outdir / "deltas.csv", result.deltas)
     run.extra["mean_delta_psnr"] = result.mean_delta_psnr
@@ -279,8 +285,7 @@ def _run_grid_point(payload: tuple) -> list[dict]:
                               cfg.seeds.eval_seed)
     table_rows = []
     for policy, report in zip(eval_policies, reports):
-        stem = f"metrics-eval-{policy.value}"
-        (point_dir / f"{stem}.json").write_text(report.to_json())
+        _write_json(point_dir / f"metrics-eval-{policy.value}.json", asdict(report))
         agg = report.aggregate
         table_rows.append({
             "axis": axis, "setting": label, "eval_policy": policy.value,
@@ -441,7 +446,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = ExperimentConfig.load(args.config)
         if args.seed is not None:
-            cfg.seeds = Seeds(master=args.seed)
+            cfg.seeds = replace(cfg.seeds, master=args.seed)
             cfg.validate()
         args.command_fn(cfg, args, run)
         print(run.finish())

@@ -7,13 +7,12 @@ positions where the window fits entirely inside the frame.
 The swap comparison decodes the *same* latent with two decoders, so every
 per-clip delta is attributable to the decoder alone.  Per-clip 32-bit
 seeds drive the reference-frame draw; the seed log records each clip's
-seed and latent file, and a rerun reproduces every output byte for byte.
+seed, and the swap returns each clip's latent for the caller to save
+beside it.  Nothing here writes a file.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -161,10 +160,6 @@ class MetricsReport:
                                           for cat, clips in by_cat.items()}
         return self
 
-    def to_json(self) -> str:
-        return json.dumps({"per_clip": self.per_clip, "aggregate": self.aggregate,
-                           "metadata": self.metadata}, indent=1, sort_keys=True)
-
     def csv_rows(self) -> list[dict]:
         rows = []
         for clip in self.per_clip:
@@ -265,7 +260,8 @@ class SwapResult:
     baseline: MetricsReport
     conditioned: MetricsReport
     deltas: list[dict]
-    seed_log: dict
+    seed_log: dict  # each entry's latent_path is "" until the caller saves its latent
+    latents: list[np.ndarray]  # each clip's shared latent, in seed-log order
 
     @property
     def mean_delta_psnr(self) -> float:
@@ -279,8 +275,7 @@ class SwapResult:
 def fixed_seed_swap_compare(val_refs: list[ClipRef], data_spec: DatasetSpec,
                             vae_cfg: VaeConfig, ref_cfg: RefCondConfig,
                             params_baseline: dict, params_conditioned: dict,
-                            master_seed: int, out_dir: Path | None = None,
-                            eval_policy: RefPolicy = RefPolicy.first_frame) -> SwapResult:
+                            master_seed: int, eval_policy: RefPolicy = RefPolicy.first_frame) -> SwapResult:
     """Decode identical latents with both decoders and report paired deltas."""
     fp_base = encoder_fingerprint(params_baseline)
     if fp_base != encoder_fingerprint(params_conditioned):
@@ -290,15 +285,6 @@ def fixed_seed_swap_compare(val_refs: list[ClipRef], data_spec: DatasetSpec,
                 (params_conditioned, vae_cfg, ref_cfg, eval_policy)]
     (rep_base, rep_cond), latents = _eval_clips(val_refs, data_spec, decoders, [fp_base] * 2, master_seed)
 
-    if out_dir is not None:
-        (Path(out_dir) / "latents").mkdir(parents=True, exist_ok=True)
-    entries = []
-    for ref, (seed, z) in zip(val_refs, latents):
-        latent_path = ""
-        if out_dir is not None:
-            latent_path = str(Path(out_dir) / "latents" / f"{ref.clip_id}.npy")
-            np.save(latent_path, z)
-        entries.append({"clip_id": ref.clip_id, "seed": seed, "latent_path": latent_path})
     deltas = [{
         "clip_id": m_base["clip_id"], "category": m_base["category"],
         "delta_psnr": m_cond["psnr"]["overall"] - m_base["psnr"]["overall"],
@@ -310,10 +296,11 @@ def fixed_seed_swap_compare(val_refs: list[ClipRef], data_spec: DatasetSpec,
         "master_seed": master_seed,
         "eval_policy": eval_policy.value,
         "encoder_fingerprint": fp_base,
-        "entries": entries,
+        "entries": [{"clip_id": ref.clip_id, "seed": seed, "latent_path": ""}
+                    for ref, (seed, _) in zip(val_refs, latents)],
     }
     meta = {"protocol": "fixed-seed-swap", "eval_policy": eval_policy.value,
             "encoder_fingerprint": fp_base}
     rep_base.metadata.update(meta)
     rep_cond.metadata.update(meta)
-    return SwapResult(rep_base, rep_cond, deltas, seed_log)
+    return SwapResult(rep_base, rep_cond, deltas, seed_log, [z for _, z in latents])

@@ -68,10 +68,11 @@ def _shifted_gemm(src: np.ndarray, starts: list[int], mats: np.ndarray, rows: in
     mats, over _frame_tiles' tiles of `frames` = (frame_rows, band, live
     offsets per frame): each tile's accumulator and operand rows stay in
     cache across its offsets, offsets that add exact zeros are skipped and
-    rows in no tile are left unwritten.  Narrower outputs take every row and
-    offset, untiled or through _grouped_gemm over runs of `group` offsets
-    where that keeps every GEMM off OpenBLAS's small-matrix and GEMV
-    kernels.  Every row sums its offsets in order.
+    rows in no tile are left unwritten.  Narrower outputs take every row, and
+    untiled the offsets from the first any frame reads to the last, or
+    through _grouped_gemm every offset over runs of `group` where that keeps
+    every GEMM off OpenBLAS's small-matrix and GEMV kernels.  Every row sums
+    its offsets in order.
     """
     c, k = mats.shape[-2:]
     if k <= _MIN_TILED_WIDTH:
@@ -80,7 +81,8 @@ def _shifted_gemm(src: np.ndarray, starts: list[int], mats: np.ndarray, rows: in
         last = spans[-1][1] - spans[-1][0]
         if k > 1 and c * k * min(rows, group * last) > _SMALL_GEMM_MACS:
             return _grouped_gemm(src, starts, mats, spans, group, dtype).T
-        tiles = [(0, rows, range(len(mats)))]
+        live = frames[2]  # one whole-array tile over the offsets some frame reads
+        tiles = [(0, rows, range(min(r.start for r in live), max(r.stop for r in live)))]
     else:
         mats = list(np.ascontiguousarray(mats).reshape(-1, c, k))
         tiles = _frame_tiles(*frames, min(_TILE_ROWS, _SMALL_GEMM_MACS // (c * k)))

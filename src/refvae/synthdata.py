@@ -14,9 +14,8 @@ same (seed, category, shape) always reproduces the same bytes.
 """
 from __future__ import annotations
 
-import json
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -64,7 +63,10 @@ class DatasetSpec:
             raise ValueError(f"category fractions must be non-negative numbers, got {self.mix}")
         if abs(sum(self.mix.values()) - 1.0) > 1e-9:
             raise ValueError("category fractions must sum to 1")
-        if self.frames < 1 or self.height < 8 or self.width < 8:
+        if self.frames < 2:
+            raise ValueError(f"dataset.frames must be at least 2, got {self.frames}: flicker and "
+                             "temporal consistency compare consecutive frames")
+        if self.height < 8 or self.width < 8:
             raise ValueError("degenerate clip shape")
 
 
@@ -250,12 +252,6 @@ def build_dataset(spec: DatasetSpec) -> tuple[list[ClipRef], list[ClipRef]]:
 
 def realize(ref: ClipRef, spec: DatasetSpec) -> VideoClip:
     return gen_clip(ref.seed, ref.category, spec.frames, spec.height, spec.width)
-
-
-def save_manifest(path: Path, spec: DatasetSpec, train: list[ClipRef], val: list[ClipRef]) -> None:
-    clips = [{"id": r.clip_id, "seed": r.seed, "category": r.category, "split": r.split}
-             for r in train + val]
-    path.write_text(json.dumps({"spec": asdict(spec), "clips": clips}, indent=1, sort_keys=True))
 
 
 # -- raw frame dump -----------------------------------------------------------

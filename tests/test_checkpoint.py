@@ -34,7 +34,6 @@ def test_roundtrip_bit_exact(params, tmp_path):
     assert arrays["zz.empty"].shape == (0, 3)
     for name in params:
         assert np.array_equal(arrays[name], params[name].data)
-        assert arrays[name].flags.writeable  # loaded arrays are owned copies, not views of the file
 
 
 def test_save_is_byte_deterministic(params, tmp_path):
@@ -86,6 +85,20 @@ def test_params_from_arrays_copies(params):
     restored["dec.in.w"].data[...] = 0.0
     assert np.any(arrays["dec.in.w"] != 0.0)
     assert not restored["dec.in.w"].requires_grad
+
+
+def test_loaded_arrays_are_read_only_and_params_from_arrays_copies_them(params, tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, params)
+    arrays, _ = load_checkpoint(path)
+    assert not any(a.flags.writeable for a in arrays.values())  # views of the file's bytes
+    with pytest.raises(ValueError, match="read-only"):
+        arrays["dec.in.w"][...] = 0.0
+    restored = params_from_arrays(arrays)
+    assert all(t.data.flags.writeable and not np.shares_memory(t.data, arrays[n])
+               for n, t in restored.items())
+    restored["dec.in.w"].data[...] = 0.0
+    assert np.array_equal(arrays["dec.in.w"], params["dec.in.w"].data)
 
 
 def _manifest_file(manifest, payload: bytes = b"", manifest_len: int | None = None) -> bytes:

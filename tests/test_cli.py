@@ -391,17 +391,22 @@ def test_checkpoints_that_cannot_encode_the_clips_exit_2(pipeline, tmp_path, com
     assert not (tmp_path / "runs").exists()
 
 
-@pytest.mark.parametrize("command", ["eval", "swap-compare"])
-def test_checkpoint_whose_token_stride_misses_the_stage_grid_exits_2(pipeline, tmp_path, command):
-    _, _, _, baseline, refdec = pipeline
+@pytest.mark.parametrize("command", ["eval", "swap-compare", "decode"])
+def test_checkpoint_whose_token_stride_misses_the_stage_grid_exits_2(pipeline, tmp_path, command, capsys):
+    _, cfg_path, _, baseline, refdec = pipeline
     arrays, meta = load_checkpoint(refdec)
     meta["refdec"]["token_strides"] = [1, 2, 3]  # stage 2's grid is 8x16 on 16x32 clips
     d, ch = arrays["ref.embed2.in.w"].shape[:2]
     for name, shape in {"in.w": (d, ch, 1, 3, 3), "out.w": (d, ch * 9), "out.b": (ch * 9,)}.items():
         arrays[f"ref.embed2.{name}"] = np.resize(arrays[f"ref.embed2.{name}"], shape)
     save_checkpoint(tmp_path / "stride3.ckpt", arrays, meta)
-    args = ["--ckpt"] if command == "eval" else ["--baseline", str(baseline), "--refdec"]
+    cfg = ExperimentConfig.load(cfg_path)  # decode's latent: the one the swap saves for val-0000
+    clip = realize(build_dataset(cfg.dataset)[1][0], cfg.dataset).frames
+    np.save(tmp_path / "z.npy", encode_t(Tensor(clip), cfg.vae, params_from_arrays(arrays)).data)
+    args = {"eval": ["--ckpt"], "swap-compare": ["--baseline", str(baseline), "--refdec"],
+            "decode": ["--latent", str(tmp_path / "z.npy"), "--ref", "none", "--ckpt"]}[command]
     assert main([command, "--config", str(write_config(tmp_path)), *args, str(tmp_path / "stride3.ckpt")]) == 2
+    assert "not divisible by token stride 3" in capsys.readouterr().err
     assert not (tmp_path / "runs").exists()
 
 
@@ -587,11 +592,12 @@ def test_decode_takes_a_reference_image(pipeline, tmp_path):
     assert read_rdvc(only_run_dir(tmp_path, "decode-") / "frames.rdvc").shape == (9, 3, 16, 32)
 
 
-def assert_rerun_identical(argv: list[str], outdir: Path) -> None:
-    """Rerun a command into its emptied run directory and compare every output file."""
+def assert_rerun_identical(argv: list[str], outdir: Path, empty_first: bool = True) -> None:
+    """Rerun a command into its run directory (emptied first if `empty_first`) and compare every output file."""
     snapshot = {p.relative_to(outdir): p.read_bytes()
                 for p in outdir.rglob("*") if p.is_file()}
-    shutil.rmtree(outdir)
+    if empty_first:
+        shutil.rmtree(outdir)
     assert main(argv) == 0
     assert {p.relative_to(outdir) for p in outdir.rglob("*") if p.is_file()} == set(snapshot)
     for rel, raw in snapshot.items():
@@ -619,6 +625,26 @@ def test_rerun_is_byte_identical_modulo_walltime(pipeline, tmp_path):
         argv = [prefix, "--config", str(pipeline_cfg), "--out", str(out), *args]
         assert main(argv) == 0
         assert_rerun_identical(argv, only_run_dir(out, f"{prefix}-"))
+
+
+def test_swap_compare_reruns_into_the_run_directory_it_left(pipeline, tmp_path):
+    _, cfg_path, _, baseline, refdec = pipeline
+    argv = ["swap-compare", "--config", str(cfg_path), "--out", str(tmp_path),
+            "--baseline", str(baseline), "--refdec", str(refdec)]
+    assert main(argv) == 0
+    assert_rerun_identical(argv, only_run_dir(tmp_path, "swap-compare-"), empty_first=False)
+
+
+def test_seed_flag_overrides_only_the_master_seed(tmp_path):
+    runs = {}
+    for name, seeds, flag in (("flag", Seeds(master=5, train=7), ["--seed", "3"]),
+                              ("config", Seeds(master=3, train=7), [])):
+        (tmp_path / name).mkdir()
+        assert main(["pretrain", "--config", str(write_config(tmp_path / name, seeds=seeds)), *flag]) == 0
+        runs[name] = only_run_dir(tmp_path / name / "runs", "pretrain-")
+    assert runs["flag"].name == runs["config"].name  # one config, one hash
+    assert (runs["flag"] / "loss.csv").read_bytes() == (runs["config"] / "loss.csv").read_bytes()
+    assert manifest_of(runs["flag"])["seeds"] == {"master": 3, "train": 7, "eval": None}
 
 
 def test_seed_override_changes_hash_and_results(tmp_path):
@@ -659,6 +685,8 @@ MALFORMED_CONFIGS = {  # case -> config JSON with a value of the wrong type, or 
     "stage-frames-negative": {"curriculum": {"stages": [{**STAGE, "frames": -3},
                                                         {**STAGE, "frames": 17, "steps": 200}]}},
     "token-stride-3": {"refdec": {"token_strides": [1, 2, 3]}},  # stage 2's 16x32 grid
+    "frames-1": {"dataset": {"frames": 1}, "curriculum": {"stages": [{**STAGE, "frames": 1}]},
+                 "optimizer": {"total_steps": 400}},  # flicker needs two frames
     "height-not-divisible": {"dataset": {"height": 36}, "curriculum": {"stages": [
         {**STAGE, "height": 36}, {**STAGE, "frames": 17, "height": 36, "steps": 200}]}},
     "mix-negative": {"dataset": {"mix": {"content_rich": 1.5, "content_sparse": -0.5,

@@ -256,16 +256,14 @@ def swap_setup():
     return cfg, rcfg, base, cond, spec, val
 
 
-def test_swap_shares_latents_and_is_paired(swap_setup, tmp_path):
+def test_swap_shares_latents_and_is_paired(swap_setup):
     cfg, rcfg, base, cond, spec, val = swap_setup
-    result = fixed_seed_swap_compare(val, spec, cfg, rcfg, base, cond, master_seed=11,
-                                     out_dir=tmp_path)
+    result = fixed_seed_swap_compare(val, spec, cfg, rcfg, base, cond, master_seed=11)
     # zero-residual initialisation: both decoders produce identical pixels,
     # so every paired delta is exactly zero
     assert all(d["delta_psnr"] == 0.0 for d in result.deltas)
-    assert len(result.seed_log["entries"]) == 4
-    for entry in result.seed_log["entries"]:
-        assert (tmp_path / "latents" / f"{entry['clip_id']}.npy").exists()
+    assert [e["latent_path"] for e in result.seed_log["entries"]] == [""] * 4  # the caller saves them
+    assert [z.shape for z in result.latents] == [cfg.latent_shape(5, 16, 32)] * 4
 
 
 def test_eval_matches_swap_per_clip(swap_setup):
