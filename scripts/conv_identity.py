@@ -24,6 +24,12 @@ across the trees byte for byte, after writing each run root as `<root>` and
 dropping each manifest's `wall_time_s`, and prints the files that differ or
 exist in one tree only.
 
+For each tree it also prints the tracemalloc peak and the tape-node count of
+one default-config 17-frame pretrain step and one attention fine-tune step
+(forward, loss and backward; the fine-tune on a cached latent with the
+encoder frozen).  These lines are informational: the exit status does not
+depend on them.
+
 It exits 1 if any shape, any part of the run or any CLI output differs.
 BLAS runs on one thread, as in perfbench.
 """
@@ -41,6 +47,7 @@ import io  # noqa: E402
 import json  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
+import tracemalloc  # noqa: E402
 from dataclasses import asdict, replace  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -102,6 +109,40 @@ def run_sequence(pkg: str) -> dict[str, object]:
                                      for n, t in params.items()}
     out["swap reports"] = json.dumps([asdict(swap.baseline), asdict(swap.conditioned), swap.deltas,
                                       swap.seed_log], sort_keys=True)
+    return out
+
+
+def step_memory(pkg: str) -> list[tuple[str, float, int]]:
+    """(step, tracemalloc peak in MiB, tape nodes) of one 17-frame pretrain and one fine-tune step.
+
+    Each step runs forward, loss and backward with package `pkg`; the peak
+    counts only what the step itself allocates.
+    """
+    config, refcond_mod, synthdata, tensor_mod, train, vae_mod = (
+        importlib.import_module(f"{pkg}.{m}") for m in ("config", "refcond", "synthdata", "tensor", "training", "vae"))
+    cfg, rng, Tensor = config.ExperimentConfig(), np.random.default_rng(0), tensor_mod.Tensor
+    window = synthdata.gen_clip(0, "content_rich", 17, cfg.dataset.height, cfg.dataset.width).frames
+    params = vae_mod.init_vae_params(cfg.vae, rng)
+    z = vae_mod.encode_t(Tensor(window), cfg.vae, params).data  # the latent cache's entry
+    finetune = {n: Tensor(p.data) if n.startswith("enc.") else p for n, p in params.items()}
+    finetune.update(refcond_mod.init_ref_params(cfg.vae, cfg.refdec, rng, "attention", null_hw=z.shape[2:]))
+    steps = {"pretrain": lambda: vae_mod.decode_baseline_t(vae_mod.encode_t(Tensor(window), cfg.vae, params),
+                                                           cfg.vae, params),
+             "attention fine-tune": lambda: refcond_mod.decode_conditioned_t(Tensor(z), window[0], cfg.vae,
+                                                                             cfg.refdec, finetune)}
+    out = []
+    for name, forward in steps.items():
+        for p in finetune.values():
+            p.grad = None
+        tracemalloc.start()
+        try:
+            loss = train.loss_recon(Tensor(window), forward())[0]
+            nodes = len(tensor_mod.build_tape(loss))
+            tensor_mod.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out.append((name, peak / 2 ** 20, nodes))
     return out
 
 
@@ -217,6 +258,9 @@ def main(argv=None) -> int:
         flags = " ".join(f"{k}={'equal' if v else 'DIFFERS'}" for k, v in zip(("out", "gx", "gk"), same))
         print(f"x{list(xs)} k{list(ks)} stride{list(stride)} {np.dtype(xd).name}: {flags}")
     print(f"{len(calls) - bad}/{len(calls)} shapes bit-equal")
+    for tree, pkg in (("this tree", "refvae"), ("other tree", "refvae_other")):
+        print(f"memory, {tree}: " + "; ".join(f"{name} step peak {peak:.1f} MiB, {nodes} tape nodes"
+                                             for name, peak, nodes in step_memory(pkg)))
     with tempfile.TemporaryDirectory() as mine, tempfile.TemporaryDirectory() as theirs:
         files, other_files = cli_outputs("refvae", Path(mine)), cli_outputs("refvae_other", Path(theirs))
     names = files.keys() | other_files.keys()

@@ -49,12 +49,11 @@ def save_checkpoint(path: Path, params: dict, meta: dict | None = None) -> None:
     manifest: dict = {"tensors": {}, "meta": dict(meta or {})}
     manifest["meta"].setdefault("encoder_fingerprint", encoder_fingerprint(arrays))
     offset = 0
-    payloads = []
+    payloads = []  # the arrays themselves where they are C-contiguous <f4 already, not byte copies
     for name in sorted(arrays):
-        arr = np.ascontiguousarray(arrays[name], dtype="<f4")
-        manifest["tensors"][name] = {"shape": list(arr.shape), "dtype": "f4", "offset": offset}
-        payloads.append(arr.tobytes())
-        offset += len(payloads[-1])
+        payloads.append(np.ascontiguousarray(arrays[name], dtype="<f4"))
+        manifest["tensors"][name] = {"shape": list(payloads[-1].shape), "dtype": "f4", "offset": offset}
+        offset += payloads[-1].nbytes
     blob = json.dumps(manifest, sort_keys=True).encode()
     path = Path(path)
     tmp = path.with_name(f".{path.name}.tmp")
@@ -63,8 +62,8 @@ def save_checkpoint(path: Path, params: dict, meta: dict | None = None) -> None:
             fh.write(MAGIC)
             fh.write(HEADER.pack(VERSION, len(blob)))
             fh.write(blob)
-            for raw in payloads:
-                fh.write(raw)
+            for arr in payloads:
+                fh.write(arr.data)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

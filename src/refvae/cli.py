@@ -141,9 +141,10 @@ def _load_model(path: str | Path | None, kinds: tuple[str, ...] = tuple(CKPT_KIN
         if got is None or got.ndim != len(want) or got.shape[:dims] != want[:dims] or not got.size:
             shape = want if dims == len(want) else f"({want[0]}, {want[1]}, H, W)"
             raise CheckpointError(f"{p}: tensor {name} is missing or not of shape {shape}")
-        if not np.isfinite(got).all():
-            raise CheckpointError(f"{p}: tensor {name} holds NaN or Inf")
     params = params_from_arrays({n: a for n, a in arrays.items() if n in model_params})
+    for name, tensor in params.items():  # on the aligned copies: the file's views are unaligned
+        if not np.isfinite(tensor.data).all():
+            raise CheckpointError(f"{p}: tensor {name} holds NaN or Inf")
     return params, meta, model.vae, model.refdec if injection else None
 
 

@@ -1,9 +1,9 @@
 """Model-level differentiable primitives built on the tensor engine.
 
-Convolution, attention, rotary embedding and group normalisation carry
-hand-written backward rules (fused ops); RMS normalisation and the causal
-temporal upsampling are compositions of engine primitives and inherit their
-gradients.
+Convolution, attention, rotary embedding, group and RMS normalisation and
+the biased linear map carry hand-written backward rules (fused ops); the
+causal temporal upsampling and the patch embedding are compositions of
+engine primitives and inherit their gradients.
 """
 from __future__ import annotations
 
@@ -196,10 +196,10 @@ def conv3d_causal(x: Tensor, kernel: Tensor, stride: tuple[int, int, int] = (1, 
             # frame ranges are the [n, cin] operands a per-offset copy makes
             gk = _grad_buffer(kernel)
             xq = phases()  # rebuilt, not kept alive from the forward
+            pt = np.empty((tq, h_out, w_out, cin), dtype=x.dtype)  # one operand buffer for every patch
             for dy, dx in np.ndindex(kh, kw):
                 for a in range(min(st, kt)):
-                    pt = np.ascontiguousarray(xq[a, dy % sh, dx % sw, :tq, dy // sh:dy // sh + h_out,
-                                                 dx // sw:dx // sw + w_out])
+                    np.copyto(pt, xq[a, dy % sh, dx % sw, :tq, dy // sh:dy // sh + h_out, dx // sw:dx // sw + w_out])
                     for dt in range(a, kt, st):
                         gk[:, :, dt, dy, dx] += gcl.T @ pt[dt // st:dt // st + t_out].reshape(n, cin)
             del xq, pt  # freed before the input gradient's buffers are built
@@ -318,9 +318,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
         return t.reshape(seq, heads, dh).transpose(1, 0, 2)  # [H, L, dh]
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    s = np.matmul(qh, kh.transpose(0, 2, 1)) * scale
-    s -= s.max(axis=-1, keepdims=True)
-    p = np.exp(s)
+    p = np.matmul(qh, kh.transpose(0, 2, 1))  # the scores, turned into probabilities in place
+    p *= scale
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
     o = np.matmul(p, vh)
     out = o.transpose(1, 0, 2).reshape(seq, d)
@@ -331,8 +332,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
             gv = np.matmul(p.transpose(0, 2, 1), gh)
             _acc(v, gv.transpose(1, 0, 2).reshape(seq, d))
         if q.requires_grad or k.requires_grad:
-            gp = np.matmul(gh, vh.transpose(0, 2, 1))
-            gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True))
+            gs = np.matmul(gh, vh.transpose(0, 2, 1))  # gp, turned into p * (gp - rowsum(gp * p)) in place
+            for gsh, ph in zip(gs, p):  # one head's [L, L] temporary at a time
+                gsh -= (gsh * ph).sum(axis=-1, keepdims=True)
+            gs *= p
             if q.requires_grad:
                 _acc(q, (np.matmul(gs, kh) * scale).transpose(1, 0, 2).reshape(seq, d))
             if k.requires_grad:
@@ -341,24 +344,33 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     return _from_op(out, (q, k, v), bw)
 
 
-def rope_apply(x: Tensor, positions, base: float = 10000.0) -> Tensor:
+def rope_tables(positions, width: int, dtype, base: float = 10000.0) -> tuple[np.ndarray, np.ndarray]:
+    """rope_apply's (cos, sin) [L, 3, width/6] tables of positions [L, 3], in float64 rounded to dtype."""
+    if width % 6:
+        raise ValueError("rope needs d divisible by 3 axes with even per-axis width")
+    pos = np.asarray(positions, dtype=np.float64)
+    if pos.ndim != 2 or pos.shape[1] != 3:
+        raise ValueError(f"positions must be [L, 3], got {pos.shape}")
+    pairs = width // 6
+    inv_freq = base ** (-np.arange(pairs, dtype=np.float64) / pairs)
+    ang = pos[:, :, None] * inv_freq[None, None, :]  # [L, 3, pairs]
+    return np.cos(ang).astype(dtype), np.sin(ang).astype(dtype)
+
+
+def rope_apply(x: Tensor, tables: tuple[np.ndarray, np.ndarray]) -> Tensor:
     """Rotary position embedding over 3D integer coordinates (t, h, w).
 
     The channel budget splits equally across the three axes; within an axis
     block, consecutive channel pairs rotate with geometric frequency
-    spacing.  Norm-preserving; identity at position (0, 0, 0).
+    spacing.  Norm-preserving; identity at position (0, 0, 0).  `tables` are
+    the `rope_tables` of x's rows' positions, width and dtype; calls at the
+    same positions share them.
     """
     seq, d = x.shape
-    if d % 3 or (d // 3) % 2:
-        raise ValueError("rope needs d divisible by 3 axes with even per-axis width")
-    pos = np.asarray(positions, dtype=np.float64)
-    if pos.shape != (seq, 3):
-        raise ValueError(f"positions must be [L, 3], got {pos.shape}")
+    cos, sin = tables
+    if d % 6 or cos.shape != (seq, 3, d // 6) or cos.dtype != x.dtype:
+        raise ValueError(f"rope tables {cos.shape} {cos.dtype.name} do not fit x {x.shape} {x.dtype.name}")
     pairs = d // 6
-    inv_freq = base ** (-np.arange(pairs, dtype=np.float64) / pairs)
-    ang = pos[:, :, None] * inv_freq[None, None, :]  # [L, 3, pairs]
-    cos = np.cos(ang).astype(x.dtype)
-    sin = np.sin(ang).astype(x.dtype)
 
     xv = x.data.reshape(seq, 3, pairs, 2)
     x1, x2 = xv[..., 0], xv[..., 1]
@@ -378,9 +390,31 @@ def rope_apply(x: Tensor, positions, base: float = 10000.0) -> Tensor:
 
 
 def rmsnorm(x: Tensor, gain: Tensor, axis: int = -1) -> Tensor:
-    """x / sqrt(mean(x^2, axis) + eps) * gain."""
-    ms = (x * x).mean(axis=axis, keepdims=True)
-    return x / (ms + EPS).sqrt() * gain
+    """x / sqrt(mean(x^2, axis) + eps) * gain.
+
+    One node keeps only x and the rms r; its backward recomputes x / r and
+    replays the engine's rules for the composed ops (*gain, /, sqrt, +eps,
+    mean, x*x) in their order, so outputs and gradients have their bits.
+    """
+    xd = x.data
+    ms = (xd * xd).mean(axis=axis, keepdims=True)
+    n = xd.size // max(ms.size, 1)  # elements per mean
+    r = np.sqrt(ms + np.asarray(EPS, dtype=ms.dtype))
+    out = xd / r * gain.data
+
+    def bw(g):
+        if gain.requires_grad:
+            _acc(gain, _unbroadcast(g * (x.data / r), gain.shape))
+        if not x.requires_grad:
+            return
+        g_q = g * gain.data
+        _acc(x, g_q / r)
+        g_sq = _unbroadcast(g_q * x.data / -(r * r), r.shape) / (2.0 * r) / n
+        del g_q
+        _acc(x, g_sq * x.data)  # x*x passes one gradient per operand: two adds, as there
+        _acc(x, g_sq * x.data)
+
+    return _from_op(out, (x, gain), bw)
 
 
 def groupnorm_silu(x: Tensor, groups: int, gain: Tensor, bias: Tensor) -> Tensor:
@@ -487,5 +521,23 @@ def gelu(x: Tensor) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x[L, din] @ w[din, dout] + b[dout]."""
-    return x @ w + b
+    """x[L, din] @ w[din, dout] + b[dout] as one node, the bias added in place.
+
+    IEEE addition commutes, and the backward takes the bias gradient first,
+    then x's and w's, as the composed `x @ w + b` does: the same bits.
+    """
+    out = np.matmul(x.data, w.data)
+    if b.dtype != out.dtype:
+        raise ValueError(f"linear bias {b.dtype.name} into {out.dtype.name}: would cast")
+    out += b.data
+
+    def bw(g):
+        if b.requires_grad:
+            _acc(b, _unbroadcast(g, b.shape))
+        if x.requires_grad:
+            _acc(x, np.matmul(g, w.data.swapaxes(-1, -2)))
+        if w.requires_grad:
+            _acc(w, np.matmul(x.data.swapaxes(-1, -2), g))
+
+    # parents in the order `x @ w + b` puts them on the tape
+    return _from_op(out, (x, w, b), bw)

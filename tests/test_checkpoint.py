@@ -43,6 +43,20 @@ def test_save_is_byte_deterministic(params, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_save_writes_magic_header_manifest_then_sorted_payloads(tmp_path):
+    path = tmp_path / "small.ckpt"
+    arrays = {"b.w": np.arange(6, dtype=np.float32).reshape(2, 3),
+              "a.b": np.array([0.5, -2.0]),  # float64: saved as <f4
+              "c.t": np.array([[1, 2], [3, 4]], np.float32).T}  # not C-contiguous: saved in C order
+    save_checkpoint(path, arrays, {"kind": "baseline", "encoder_fingerprint": "pinned"})
+    manifest = (b'{"meta": {"encoder_fingerprint": "pinned", "kind": "baseline"}, "tensors": '
+                b'{"a.b": {"dtype": "f4", "offset": 0, "shape": [2]}, '
+                b'"b.w": {"dtype": "f4", "offset": 8, "shape": [2, 3]}, '
+                b'"c.t": {"dtype": "f4", "offset": 32, "shape": [2, 2]}}}')
+    payloads = np.array([0.5, -2.0, 0, 1, 2, 3, 4, 5, 1, 3, 2, 4], "<f4").tobytes()
+    assert path.read_bytes() == b"RDCK" + struct.pack("<IQ", 1, len(manifest)) + manifest + payloads
+
+
 def test_version_mismatch_fails_loudly(params, tmp_path):
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, params)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -11,8 +13,10 @@ from refvae.ops import (
     conv3d_causal,
     gelu,
     groupnorm_silu,
+    linear,
     rmsnorm,
     rope_apply,
+    rope_tables,
     silu,
     upsample_causal,
     upsample_nearest,
@@ -611,18 +615,22 @@ def test_attention_rejects_indivisible_heads():
 # -- rotary embedding --------------------------------------------------------
 
 
+def _rope(x, positions):
+    return rope_apply(x, rope_tables(positions, x.shape[1], x.dtype))
+
+
 def test_rope_zero_position_is_identity():
     rng = np.random.default_rng(10)
     x = Tensor(rng.standard_normal((4, 12)))
     pos = np.zeros((4, 3), dtype=int)
-    np.testing.assert_allclose(rope_apply(x, pos).data, x.data, atol=1e-7)
+    np.testing.assert_allclose(_rope(x, pos).data, x.data, atol=1e-7)
 
 
 def test_rope_preserves_row_norms():
     rng = np.random.default_rng(11)
     x = Tensor(rng.standard_normal((6, 30)))
     pos = rng.integers(0, 20, size=(6, 3))
-    out = rope_apply(x, pos).data
+    out = _rope(x, pos).data
     np.testing.assert_allclose(
         np.linalg.norm(out, axis=1), np.linalg.norm(x.data, axis=1), atol=1e-5)
 
@@ -637,10 +645,10 @@ def test_rope_dot_products_shift_invariant(seed):
         p1 = rng.integers(0, 12, size=3)
         p2 = rng.integers(0, 12, size=3)
         delta = rng.integers(0, 12, size=3)
-        d0 = (rope_apply(Tensor(q[None]), p1[None]).data
-              @ rope_apply(Tensor(k[None]), p2[None]).data.T).item()
-        d1 = (rope_apply(Tensor(q[None]), (p1 + delta)[None]).data
-              @ rope_apply(Tensor(k[None]), (p2 + delta)[None]).data.T).item()
+        d0 = (_rope(Tensor(q[None]), p1[None]).data
+              @ _rope(Tensor(k[None]), p2[None]).data.T).item()
+        d1 = (_rope(Tensor(q[None]), (p1 + delta)[None]).data
+              @ _rope(Tensor(k[None]), (p2 + delta)[None]).data.T).item()
     assert abs(d0 - d1) < 1e-4
 
 
@@ -649,11 +657,22 @@ def test_rope_grad_and_bad_width():
         rng = np.random.default_rng(12)
         x = parameter(rng.standard_normal((3, 18)))
         pos = rng.integers(0, 5, size=(3, 3))
-        assert grad_check(lambda t: rope_apply(t, pos).abs().sum(), x) < 1e-4
+        assert grad_check(lambda t: _rope(t, pos).abs().sum(), x) < 1e-4
     with pytest.raises(ValueError):
-        rope_apply(Tensor(np.zeros((2, 16))), np.zeros((2, 3)))  # 16 % 3 != 0
+        _rope(Tensor(np.zeros((2, 16))), np.zeros((2, 3)))  # 16 % 3 != 0
     with pytest.raises(ValueError):
-        rope_apply(Tensor(np.zeros((2, 9))), np.zeros((2, 3)))  # odd per-axis width
+        _rope(Tensor(np.zeros((2, 9))), np.zeros((2, 3)))  # odd per-axis width
+
+
+def test_rope_rejects_tables_that_do_not_fit():
+    x = Tensor(np.zeros((2, 18)))
+    for tables in (rope_tables(np.zeros((3, 3)), 18, np.float64),  # other rows
+                   rope_tables(np.zeros((2, 3)), 12, np.float64),  # another width
+                   rope_tables(np.zeros((2, 3)), 18, np.float32)):  # another dtype
+        with pytest.raises(ValueError, match="do not fit"):
+            rope_apply(x, tables)
+    with pytest.raises(ValueError):
+        rope_tables(np.zeros((2, 2)), 18, np.float64)  # positions not [L, 3]
 
 
 # -- normalisation -----------------------------------------------------------
@@ -679,6 +698,86 @@ def test_rmsnorm_grad():
         x = parameter(rng.standard_normal((3, 6)))
         g = Tensor(rng.standard_normal(6))
         assert grad_check(lambda t: rmsnorm(t, g).abs().sum(), x) < 1e-4
+
+
+def _rmsnorm_composed(x, gain, axis=-1):
+    """The engine-primitive composition that the fused rmsnorm replaces: its oracle."""
+    ms = (x * x).mean(axis=axis, keepdims=True)
+    return x / (ms + ops.EPS).sqrt() * gain
+
+
+def _linear_composed(x, w, b):
+    return x @ w + b
+
+
+def _bitwise_equal(fused, composed):
+    for a, b in zip(fused, composed):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape,gain_shape,axis", [((150, 120), (120,), -1),   # a stage's token rows
+                                                   ((64, 1, 4, 8), (64, 1, 1, 1), 0)])  # the reference map
+def test_fused_rmsnorm_matches_composed_bitwise(dtype, shape, gain_shape, axis):
+    rng = np.random.default_rng(22)
+    x0 = (rng.standard_normal(shape) * 2.0 + 0.3).astype(dtype)
+    gain0 = (1.0 + 0.3 * rng.standard_normal(gain_shape)).astype(dtype)
+    w = Tensor(rng.standard_normal(shape).astype(dtype))
+    results = []
+    for norm in (rmsnorm, _rmsnorm_composed):
+        x, gain = Tensor(x0.copy(), requires_grad=True), Tensor(gain0.copy(), requires_grad=True)
+        out = norm(x, gain, axis=axis)
+        ((x + out) * w).sum().backward()  # x also takes the residual stream's gradient, first
+        results.append((out.data, x.grad, gain.grad))
+    _bitwise_equal(*results)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_fused_linear_matches_composed_bitwise(dtype):
+    rng = np.random.default_rng(23)
+    x0, w0, b0 = (rng.standard_normal(s).astype(dtype) for s in ((150, 120), (120, 480), (480,)))
+    probe = Tensor(rng.standard_normal((150, 480)).astype(dtype))
+    results = []
+    for lin in (linear, _linear_composed):
+        x, w, b = (Tensor(a.copy(), requires_grad=True) for a in (x0, w0, b0))
+        out = lin(x, w, b)
+        ((out * probe).sum() + x.sum()).backward()
+        results.append((out.data, x.grad, w.grad, b.grad))
+    _bitwise_equal(*results)
+
+
+def test_fused_rmsnorm_and_linear_keep_only_their_inputs_and_the_rms():
+    rng = np.random.default_rng(24)
+    x, gain = parameter(rng.standard_normal((10, 12))), parameter(np.ones(12))
+    w, b = parameter(rng.standard_normal((12, 6))), parameter(np.zeros(6))
+    for out, inputs in ((rmsnorm(x, gain), (x, gain)), (linear(x, w, b), (x, w, b))):
+        assert out._parents == inputs
+        cells = [c.cell_contents for c in out._backward.__closure__]
+        assert {id(c) for c in cells if isinstance(c, Tensor)} == {id(t) for t in inputs}
+        arrays = [c for c in cells if isinstance(c, np.ndarray)]
+        assert [a.shape for a in arrays] == ([(10, 1)] if out._parents == (x, gain) else [])
+    with pytest.raises(ValueError, match="would cast"):
+        linear(x, w, Tensor(np.zeros(6)))  # a float64 bias into a float32 product
+
+
+def test_conv_kernel_grad_holds_one_operand_copy():
+    # the decoder head, [32,17,32,64] -> 3: the kernel gradient's phase buffer and
+    # one [tq, h, w, cin] operand buffer; a second operand copy would add 5 MB
+    rng = np.random.default_rng(25)
+    x = Tensor(rng.standard_normal((32, 17, 32, 64)).astype(np.float32))
+    kernel = parameter(rng.standard_normal((3, 32, 3, 3, 3)) * 0.1)
+    out = conv3d_causal(x, kernel)
+    g = rng.standard_normal(out.shape).astype(np.float32)
+    phase_bytes, operand_bytes = (17 + 3) * 34 * 66 * 32 * 4, (17 + 2) * 32 * 64 * 32 * 4
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out._backward(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start < phase_bytes + operand_bytes + 1_000_000, (peak - start, phase_bytes, operand_bytes)
 
 
 def test_groupnorm_grad_and_errors():

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import grad_check
-from refvae import refcond
-from refvae.ops import rope_apply
+from refvae import ops, refcond
+from refvae.ops import rope_apply, rope_tables
 from refvae.refcond import (
     RefCondConfig,
     _rope_heads,
@@ -14,7 +14,8 @@ from refvae.refcond import (
     stage_forward,
 )
 from refvae.tensor import Tensor, concat, float64_mode, parameter
-from refvae.vae import decode_baseline_t, init_vae_params
+from refvae.training import loss_recon
+from refvae.vae import decode_baseline_t, encode_t, init_vae_params
 
 
 @pytest.fixture(scope="module")
@@ -41,8 +42,9 @@ def test_rope_heads_equals_per_head_concat(heads):
     data = rng.standard_normal((len(positions), heads * dh)).astype(np.float32)
     probe = Tensor(rng.standard_normal(data.shape).astype(np.float32))
     xa, xb = parameter(data), parameter(data)
-    fused = _rope_heads(xa, positions, heads)
-    per_head = concat([rope_apply(xb[:, i * dh:(i + 1) * dh], positions) for i in range(heads)], axis=1)
+    fused = _rope_heads(xa, rope_tables(np.repeat(positions, heads, axis=0), dh, np.float32), heads)
+    per_head = concat([rope_apply(xb[:, i * dh:(i + 1) * dh], rope_tables(positions, dh, np.float32))
+                       for i in range(heads)], axis=1)
     assert np.array_equal(fused.data, per_head.data)
     (fused * probe).sum().backward()
     (per_head * probe).sum().backward()
@@ -116,6 +118,46 @@ def test_stage_forward_rejects_mismatch(desk_full, desk_ref_cfg):
         stage_forward(video, ref, 0, desk_ref_cfg, params)
     with pytest.raises(ValueError):
         stage_forward(video, Tensor(np.zeros((64, 1, 4, 8), np.float32)), 5, desk_ref_cfg, params)
+
+
+def test_stage_forward_builds_rotary_tables_once_and_rotates_q_and_k_per_block(desk_full, desk_ref_cfg,
+                                                                              monkeypatch):
+    _, params = desk_full
+    tables, rotated = [], []
+    monkeypatch.setattr(refcond, "rope_tables", lambda *a: tables.append(rope_tables(*a)) or tables[-1])
+    monkeypatch.setattr(refcond, "rope_apply", lambda x, t: rotated.append(t) or rope_apply(x, t))
+    video = Tensor(np.zeros((64, 2, 4, 8), np.float32))
+    stage_forward(video, Tensor(np.zeros((64, 1, 4, 8), np.float32)), 0, desk_ref_cfg, params)
+    assert len(tables) == 1 and len(rotated) == 2 * desk_ref_cfg.n_blocks == 6
+    assert all(t is tables[0] for t in rotated)
+    assert tables[0][0].shape == (3 * 4 * 8 * desk_ref_cfg.heads, 3, desk_ref_cfg.hidden // desk_ref_cfg.heads // 6)
+
+
+def _rmsnorm_composed(x, gain, axis=-1):
+    ms = (x * x).mean(axis=axis, keepdims=True)
+    return x / (ms + ops.EPS).sqrt() * gain
+
+
+def test_finetune_grads_match_composed_rmsnorm_and_linear(desk_cfg, desk_ref_cfg, monkeypatch):
+    rng = np.random.default_rng(26)
+    params = init_vae_params(desk_cfg, rng)
+    params.update(init_ref_params(desk_cfg, desk_ref_cfg, rng))
+    for s in range(3):  # zero out-projections would stop every gradient into the blocks
+        w = params[f"ref.embed{s}.out.w"]
+        w.data[...] = rng.standard_normal(w.shape) * 1e-2
+    frames = rng.random((5, 3, 16, 32), dtype=np.float32)
+    z = Tensor(encode_t(Tensor(frames), desk_cfg, params).data)  # the frozen encoder's latent
+    grads = []
+    for norm, lin in ((ops.rmsnorm, ops.linear), (_rmsnorm_composed, lambda x, w, b: x @ w + b)):
+        monkeypatch.setattr(refcond, "rmsnorm", norm)
+        monkeypatch.setattr(refcond, "linear", lin)
+        for p in params.values():
+            p.grad = None
+        x_hat = decode_conditioned_t(z, frames[0], desk_cfg, desk_ref_cfg, params)
+        loss_recon(Tensor(frames), x_hat)[0].backward()
+        grads.append({n: p.grad.tobytes() for n, p in params.items() if p.grad is not None})
+    assert any(n.startswith("ref.blk") for n in grads[0])
+    assert grads[0] == grads[1]
 
 
 def test_compatibility_at_init_bitwise(desk_full, desk_ref_cfg):
