@@ -5,10 +5,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from refvae.ops import EPS
 from refvae.refcond import RefCondConfig, init_ref_params
 from refvae.synthdata import RDVC_MAGIC, RDVC_VERSION
 from refvae.tensor import Tensor, backward
 from refvae.vae import VaeConfig, init_vae_params
+
+
+def rmsnorm_composed(x, gain, axis=-1):
+    """The engine-primitive composition that the fused `ops.rmsnorm` replaces: its oracle."""
+    ms = (x * x).mean(axis=axis, keepdims=True)
+    return x / (ms + EPS).sqrt() * gain
+
+
+def linear_composed(x, w, b):
+    """The engine-primitive composition that the fused `ops.linear` replaces: its oracle."""
+    return x @ w + b
 
 
 def read_rdvc(path: Path) -> np.ndarray:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import grad_check
+from conftest import grad_check, linear_composed, rmsnorm_composed
 from refvae import ops, vae
 from refvae.ops import (
     add_bias,
@@ -700,16 +700,6 @@ def test_rmsnorm_grad():
         assert grad_check(lambda t: rmsnorm(t, g).abs().sum(), x) < 1e-4
 
 
-def _rmsnorm_composed(x, gain, axis=-1):
-    """The engine-primitive composition that the fused rmsnorm replaces: its oracle."""
-    ms = (x * x).mean(axis=axis, keepdims=True)
-    return x / (ms + ops.EPS).sqrt() * gain
-
-
-def _linear_composed(x, w, b):
-    return x @ w + b
-
-
 def _bitwise_equal(fused, composed):
     for a, b in zip(fused, composed):
         assert a.dtype == b.dtype and a.shape == b.shape
@@ -725,7 +715,7 @@ def test_fused_rmsnorm_matches_composed_bitwise(dtype, shape, gain_shape, axis):
     gain0 = (1.0 + 0.3 * rng.standard_normal(gain_shape)).astype(dtype)
     w = Tensor(rng.standard_normal(shape).astype(dtype))
     results = []
-    for norm in (rmsnorm, _rmsnorm_composed):
+    for norm in (rmsnorm, rmsnorm_composed):
         x, gain = Tensor(x0.copy(), requires_grad=True), Tensor(gain0.copy(), requires_grad=True)
         out = norm(x, gain, axis=axis)
         ((x + out) * w).sum().backward()  # x also takes the residual stream's gradient, first
@@ -739,7 +729,7 @@ def test_fused_linear_matches_composed_bitwise(dtype):
     x0, w0, b0 = (rng.standard_normal(s).astype(dtype) for s in ((150, 120), (120, 480), (480,)))
     probe = Tensor(rng.standard_normal((150, 480)).astype(dtype))
     results = []
-    for lin in (linear, _linear_composed):
+    for lin in (linear, linear_composed):
         x, w, b = (Tensor(a.copy(), requires_grad=True) for a in (x0, w0, b0))
         out = lin(x, w, b)
         ((out * probe).sum() + x.sum()).backward()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import grad_check
+from conftest import grad_check, linear_composed, rmsnorm_composed
 from refvae import ops, refcond
 from refvae.ops import rope_apply, rope_tables
 from refvae.refcond import (
@@ -133,11 +133,6 @@ def test_stage_forward_builds_rotary_tables_once_and_rotates_q_and_k_per_block(d
     assert tables[0][0].shape == (3 * 4 * 8 * desk_ref_cfg.heads, 3, desk_ref_cfg.hidden // desk_ref_cfg.heads // 6)
 
 
-def _rmsnorm_composed(x, gain, axis=-1):
-    ms = (x * x).mean(axis=axis, keepdims=True)
-    return x / (ms + ops.EPS).sqrt() * gain
-
-
 def test_finetune_grads_match_composed_rmsnorm_and_linear(desk_cfg, desk_ref_cfg, monkeypatch):
     rng = np.random.default_rng(26)
     params = init_vae_params(desk_cfg, rng)
@@ -148,7 +143,7 @@ def test_finetune_grads_match_composed_rmsnorm_and_linear(desk_cfg, desk_ref_cfg
     frames = rng.random((5, 3, 16, 32), dtype=np.float32)
     z = Tensor(encode_t(Tensor(frames), desk_cfg, params).data)  # the frozen encoder's latent
     grads = []
-    for norm, lin in ((ops.rmsnorm, ops.linear), (_rmsnorm_composed, lambda x, w, b: x @ w + b)):
+    for norm, lin in ((ops.rmsnorm, ops.linear), (rmsnorm_composed, linear_composed)):
         monkeypatch.setattr(refcond, "rmsnorm", norm)
         monkeypatch.setattr(refcond, "linear", lin)
         for p in params.values():
