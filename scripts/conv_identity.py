@@ -12,8 +12,16 @@ bit-equal across the trees, and one whether the swap reports are.
 
 It also records the conv3d_causal call shapes of the sequence.  For each
 distinct call it draws SEEDS sets of seeded inputs, kernel and output
-gradient, and runs the op of both trees: one line per shape says whether the
-output, the input gradient (gx) and the kernel gradient (gk) are bit-equal.
+gradient (`run_op`'s probe), and runs the op of both trees: one line per shape
+says whether the output, the input gradient (gx) and the kernel gradient (gk)
+are bit-equal.
+
+The fused ops that are not convs (linear, patch_embed, rope_apply, rmsnorm on
+the last axis and on axis 0, attention, groupnorm_silu and add_bias over a
+conv) run the same way, at each default decoder stage's shapes for a
+default-config clip, SEEDS seeded float32 draws each: one line per op says
+whether the output (values and strides) and each input's gradient are
+bit-equal, so a difference in the reference stack names its op.
 
 Last, each tree's CLI runs a command sequence on a tiny config (TINY):
 gen-data --dump, pretrain, attention and controlnet train, a three-checkpoint
@@ -30,7 +38,8 @@ one default-config 17-frame pretrain step and one attention fine-tune step
 encoder frozen).  These lines are informational: the exit status does not
 depend on them.
 
-It exits 1 if any shape, any part of the run or any CLI output differs.
+It exits 1 if any conv shape, any fused op, any part of the run or any CLI
+output differs.
 BLAS runs on one thread, as in perfbench.
 """
 from __future__ import annotations
@@ -57,6 +66,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from refvae import ops, refcond, tensor, training, vae  # noqa: E402
 from refvae.cli import ABLATIONS  # noqa: E402
+from refvae.config import ExperimentConfig  # noqa: E402
 
 CALLERS = (vae, refcond, training)  # every module that calls conv3d_causal
 SEEDS = 3  # input draws per call shape
@@ -219,13 +229,81 @@ def record_calls() -> tuple[list[tuple], dict[str, object]]:
     return list(seen), outputs
 
 
-def run_conv(conv, tensor_mod, x, w, g, stride):
-    """Output, input gradient and kernel gradient of one call, g the output gradient."""
-    xt = tensor_mod.Tensor(x.copy(), requires_grad=True)
-    wt = tensor_mod.Tensor(w.copy(), requires_grad=True)
-    out = conv(xt, wt, stride)
-    out._backward(g)
-    return out.data, xt.grad, wt.grad
+def fused_cases(cfg, s: int, ch: int, t: int, h: int, w: int) -> dict[str, tuple[list, object]]:
+    """Each fused op at decoder stage s on [ch, t, h, w] features.
+
+    Maps the op's name to its named input shapes and its call on a tree's
+    `ops` module with those inputs as tensors.
+    """
+    d, heads, sig = cfg.refdec.hidden, cfg.refdec.heads, cfg.refdec.token_strides[s]
+    ff, dh, k = d * cfg.refdec.ff_mult, d // heads, cfg.vae.stage_kernels[s]
+    tokens = (1 + t) * (h // sig) * (w // sig)
+    positions = np.repeat(np.indices((1 + t, h // sig, w // sig)).reshape(3, -1).T, heads, axis=0)
+    return {
+        "linear": ([("x", (tokens, d)), ("w", (d, ff)), ("b", (ff,))],
+                   lambda o, x, wt, b: o.linear(x, wt, b)),
+        "patch_embed": ([("x", (ch, t, h, w)), ("w", (d, ch, 1, sig, sig)), ("b", (d, 1, 1, 1))],
+                        lambda o, x, wt, b: o.patch_embed(x, wt, b)),
+        "rope_apply": ([("x", (tokens * heads, dh))],
+                       lambda o, x: o.rope_apply(x, o.rope_tables(positions, dh, x.dtype))),
+        "rmsnorm axis -1": ([("x", (tokens, d)), ("gain", (d,))], lambda o, x, g: o.rmsnorm(x, g)),
+        "rmsnorm axis 0": ([("x", (ch, 1, h, w)), ("gain", (ch, 1, 1, 1))],
+                           lambda o, x, g: o.rmsnorm(x, g, axis=0)),
+        "attention": ([("q", (tokens, d)), ("k", (tokens, d)), ("v", (tokens, d))],
+                      lambda o, q, kt, v: o.attention(q, kt, v, heads)),
+        "groupnorm_silu": ([("x", (ch, t, h, w)), ("gain", (ch, 1, 1, 1)), ("bias", (ch, 1, 1, 1))],
+                           lambda o, x, g, b: o.groupnorm_silu(x, cfg.vae.norm_groups, g, b)),
+        "add_bias": ([("x", (ch, t, h, w)), ("kernel", (ch, ch, k, k, k)), ("bias", (ch, 1, 1, 1)),
+                      ("residual", (ch, t, h, w))],
+                     lambda o, x, kn, b, r: o.add_bias(o.conv3d_causal(x, kn), b, r)),
+    }
+
+
+def stage_shapes(cfg) -> list[tuple[int, int, int, int]]:
+    """[C, T, H, W] of each decoder stage's features for one default-config clip."""
+    _, t, h, w = cfg.vae.latent_shape(cfg.dataset.frames, cfg.dataset.height, cfg.dataset.width)
+    shapes = []
+    for ch, (ft, fh, fw) in zip(cfg.vae.stage_channels, cfg.vae.stage_factors()):
+        shapes.append((ch, t, h, w))
+        t, h, w = 1 + (t - 1) * ft, h * fh, w * fw
+    return shapes
+
+
+def run_op(call, ops_mod, tensor_mod, arrays, seed: int) -> list[np.ndarray]:
+    """Output and each input's gradient of one op call, backward from sum(output * probe).
+
+    The probe, a seeded draw of the output's shape from its own stream, is
+    the output gradient the op's backward receives.
+    """
+    inputs = [tensor_mod.Tensor(a.copy(), requires_grad=True) for a in arrays]
+    out = call(ops_mod, *inputs)
+    probe = np.random.default_rng([seed, 1]).standard_normal(out.shape).astype(out.dtype)
+    tensor_mod.backward((out * tensor_mod.Tensor(probe)).sum())
+    return [out.data] + [t.grad for t in inputs]
+
+
+def check_fused(other_ops, other_tensor) -> int:
+    """Print one line per fused op across the default stages and SEEDS draws; return how many differ."""
+    cfg = ExperimentConfig()
+    cases = [fused_cases(cfg, s, *shape) for s, shape in enumerate(stage_shapes(cfg))]
+    bad = 0
+    print(f"{len(cases[0])} fused ops at {len(cases)} decoder stages, {SEEDS} seeds each")
+    for name in cases[0]:
+        labels = ["out"] + [f"g{arg}" for arg, _ in cases[0][name][0]]
+        same = np.ones(len(labels), dtype=bool)
+        for stage in cases:
+            named_shapes, call = stage[name]
+            for seed in range(SEEDS):
+                rng = np.random.default_rng(seed)
+                arrays = [rng.standard_normal(shape).astype(np.float32) for _, shape in named_shapes]
+                a = run_op(call, ops, tensor, arrays, seed)
+                b = run_op(call, other_ops, other_tensor, arrays, seed)
+                same &= [np.array_equal(p, q) and p.dtype == q.dtype for p, q in zip(a, b)]
+                same[0] &= a[0].strides == b[0].strides
+        bad += not same.all()
+        print(f"{name}: " + " ".join(f"{k}={'equal' if v else 'DIFFERS'}" for k, v in zip(labels, same)))
+    print(f"{len(cases[0]) - bad}/{len(cases[0])} fused ops bit-equal")
+    return bad
 
 
 def main(argv=None) -> int:
@@ -245,19 +323,21 @@ def main(argv=None) -> int:
     print(f"{len(calls)} conv3d_causal call shapes, {SEEDS} seeds each")
     for xs, ks, stride, xd, kd in calls:
         same = np.ones(3, dtype=bool)
+
+        def conv(o, x, kernel, stride=stride):
+            return o.conv3d_causal(x, kernel, stride)
+
         for seed in range(SEEDS):
             rng = np.random.default_rng(seed)
-            x = rng.standard_normal(xs).astype(xd)
-            w = (rng.standard_normal(ks) * 0.1).astype(kd)
-            out_shape = (ks[0],) + tuple((n - 1) // s + 1 for n, s in zip(xs[1:], stride))
-            g = rng.standard_normal(out_shape).astype(np.result_type(xd, kd))
-            a = run_conv(ops.conv3d_causal, tensor, x, w, g, stride)
-            b = run_conv(other_ops.conv3d_causal, other_tensor, x, w, g, stride)
+            arrays = [rng.standard_normal(xs).astype(xd), (rng.standard_normal(ks) * 0.1).astype(kd)]
+            a = run_op(conv, ops, tensor, arrays, seed)
+            b = run_op(conv, other_ops, other_tensor, arrays, seed)
             same &= [np.array_equal(p, q) and p.dtype == q.dtype for p, q in zip(a, b)]
         bad += not same.all()
         flags = " ".join(f"{k}={'equal' if v else 'DIFFERS'}" for k, v in zip(("out", "gx", "gk"), same))
         print(f"x{list(xs)} k{list(ks)} stride{list(stride)} {np.dtype(xd).name}: {flags}")
     print(f"{len(calls) - bad}/{len(calls)} shapes bit-equal")
+    op_bad = check_fused(other_ops, other_tensor)
     for tree, pkg in (("this tree", "refvae"), ("other tree", "refvae_other")):
         print(f"memory, {tree}: " + "; ".join(f"{name} step peak {peak:.1f} MiB, {nodes} tape nodes"
                                              for name, peak, nodes in step_memory(pkg)))
@@ -270,7 +350,7 @@ def main(argv=None) -> int:
         print(f"CLI output {name}: {'DIFFERS' if both else 'in one tree only'}")
     print(f"{len(names) - len(cli_bad)}/{len(names)} CLI output files "
           f"byte-equal apart from run paths and wall_time_s")
-    return 1 if bad or run_bad or cli_bad else 0
+    return 1 if bad or op_bad or run_bad or cli_bad else 0
 
 
 if __name__ == "__main__":

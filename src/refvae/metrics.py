@@ -65,14 +65,14 @@ def _ssim_map(a: np.ndarray, b: np.ndarray, win: int) -> np.ndarray:
     return num / den
 
 
-def ssim(x: np.ndarray, x_hat: np.ndarray, window: int = SSIM_WINDOW) -> tuple[list[float], float]:
+def ssim(x: np.ndarray, x_hat: np.ndarray) -> tuple[list[float], float]:
     """Uniform-window SSIM per frame (mean over channels and positions)."""
     _check_pair(x, x_hat)
-    if x.shape[2] < window or x.shape[3] < window:
-        raise ValueError(f"frame {x.shape[2]}x{x.shape[3]} smaller than window {window}")
+    if x.shape[2] < SSIM_WINDOW or x.shape[3] < SSIM_WINDOW:
+        raise ValueError(f"frame {x.shape[2]}x{x.shape[3]} smaller than window {SSIM_WINDOW}")
     per_frame = []
     for t in range(x.shape[0]):
-        vals = [_ssim_map(x[t, c].astype(np.float64), x_hat[t, c].astype(np.float64), window).mean()
+        vals = [_ssim_map(x[t, c].astype(np.float64), x_hat[t, c].astype(np.float64), SSIM_WINDOW).mean()
                 for c in range(3)]
         per_frame.append(float(np.mean(vals)))
     return per_frame, float(np.mean(per_frame))

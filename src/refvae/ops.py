@@ -1,9 +1,9 @@
 """Model-level differentiable primitives built on the tensor engine.
 
-Convolution, attention, rotary embedding, group and RMS normalisation and
-the biased linear map carry hand-written backward rules (fused ops); the
-causal temporal upsampling and the patch embedding are compositions of
-engine primitives and inherit their gradients.
+Convolution, attention, rotary embedding and group and RMS normalisation
+carry hand-written backward rules (fused ops).  Every bias, of a conv, the
+linear map or the patch embedding, is added in place by `add_bias`; the rest
+of those two and the causal temporal upsampling compose engine primitives.
 """
 from __future__ import annotations
 
@@ -245,10 +245,12 @@ def add_bias(h: Tensor, bias: Tensor, residual: Tensor | None = None) -> Tensor:
     """h + bias (+ residual) as one node, added in place into h's buffer.
 
     `h` must be the fresh output of an op whose backward never reads it, such
-    as conv3d_causal.  The node takes over h's closure and parents, leaves h
-    released and hands its gradient to that closure uncopied.  IEEE addition
-    commutes, so the bits are those of `residual + (h + bias)`; adding in place
-    never promotes, so an operand of another dtype than h is an error.
+    as conv3d_causal or a matmul, or a reshape or transpose view of such a
+    product, whose buffer then holds the sum.  The node takes over h's closure
+    and parents, leaves h released and hands its gradient to that closure
+    uncopied.  IEEE addition commutes, so the bits are those of
+    `residual + (h + bias)`; adding in place never promotes, so an operand of
+    another dtype than h is an error.
     """
     adds = [bias] if residual is None else [bias, residual]
     if any(t.dtype != h.dtype for t in adds):
@@ -344,7 +346,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     return _from_op(out, (q, k, v), bw)
 
 
-def rope_tables(positions, width: int, dtype, base: float = 10000.0) -> tuple[np.ndarray, np.ndarray]:
+def rope_tables(positions, width: int, dtype) -> tuple[np.ndarray, np.ndarray]:
     """rope_apply's (cos, sin) [L, 3, width/6] tables of positions [L, 3], in float64 rounded to dtype."""
     if width % 6:
         raise ValueError("rope needs d divisible by 3 axes with even per-axis width")
@@ -352,7 +354,7 @@ def rope_tables(positions, width: int, dtype, base: float = 10000.0) -> tuple[np
     if pos.ndim != 2 or pos.shape[1] != 3:
         raise ValueError(f"positions must be [L, 3], got {pos.shape}")
     pairs = width // 6
-    inv_freq = base ** (-np.arange(pairs, dtype=np.float64) / pairs)
+    inv_freq = 10000.0 ** (-np.arange(pairs, dtype=np.float64) / pairs)
     ang = pos[:, :, None] * inv_freq[None, None, :]  # [L, 3, pairs]
     return np.cos(ang).astype(dtype), np.sin(ang).astype(dtype)
 
@@ -362,31 +364,27 @@ def rope_apply(x: Tensor, tables: tuple[np.ndarray, np.ndarray]) -> Tensor:
 
     The channel budget splits equally across the three axes; within an axis
     block, consecutive channel pairs rotate with geometric frequency
-    spacing.  Norm-preserving; identity at position (0, 0, 0).  `tables` are
-    the `rope_tables` of x's rows' positions, width and dtype; calls at the
-    same positions share them.
+    spacing.  Norm-preserving; identity at position (0, 0, 0).  The backward
+    is the rotation by -theta: IEEE negation is exact, so g1*cos - g2*(-sin)
+    has the bits of g1*cos + g2*sin.  `tables` are the `rope_tables` of x's
+    rows' positions, width and dtype; calls at the same positions share them.
     """
     seq, d = x.shape
     cos, sin = tables
     if d % 6 or cos.shape != (seq, 3, d // 6) or cos.dtype != x.dtype:
         raise ValueError(f"rope tables {cos.shape} {cos.dtype.name} do not fit x {x.shape} {x.dtype.name}")
-    pairs = d // 6
+    pairs = (seq, 3, d // 6, 2)
+    return _from_op(_rotate(x.data.reshape(pairs), cos, sin).reshape(seq, d), (x,),
+                    lambda g: _acc(x, _rotate(g.reshape(pairs), cos, -sin).reshape(seq, d)))
 
-    xv = x.data.reshape(seq, 3, pairs, 2)
-    x1, x2 = xv[..., 0], xv[..., 1]
-    y = np.empty_like(xv)
-    y[..., 0] = x1 * cos - x2 * sin
-    y[..., 1] = x1 * sin + x2 * cos
 
-    def bw(g):
-        gv = g.reshape(seq, 3, pairs, 2)
-        g1, g2 = gv[..., 0], gv[..., 1]
-        gx = np.empty_like(gv)
-        gx[..., 0] = g1 * cos + g2 * sin
-        gx[..., 1] = -g1 * sin + g2 * cos
-        _acc(x, gx.reshape(seq, d))
-
-    return _from_op(y.reshape(seq, d), (x,), bw)
+def _rotate(v: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """Each channel pair (v1, v2) of v[..., 2] turned by the angle of (cos, sin)."""
+    v1, v2 = v[..., 0], v[..., 1]
+    y = np.empty_like(v)
+    y[..., 0] = v1 * cos - v2 * sin
+    y[..., 1] = v1 * sin + v2 * cos
+    return y
 
 
 def rmsnorm(x: Tensor, gain: Tensor, axis: int = -1) -> Tensor:
@@ -471,8 +469,8 @@ def groupnorm_silu(x: Tensor, groups: int, gain: Tensor, bias: Tensor) -> Tensor
 def patch_embed(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Non-overlapping patch projection: conv with stride == kernel, no padding.
 
-    x[C, T, H, W] with w[D, C, 1, s, s] -> [D, T, H/s, W/s].  Realised as a
-    reshape + matmul, so the gradient comes from the engine primitives.
+    x[C, T, H, W] with w[D, C, 1, s, s] -> [D, T, H/s, W/s].  Realised as
+    reshape + matmul + `add_bias`, so the gradient comes from their rules.
     """
     d_out, cin_k, kt, sh, sw = w.shape
     cin, t, h, w_in = x.shape
@@ -485,8 +483,7 @@ def patch_embed(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     ht, wt = h // sh, w_in // sw
     cols = x.reshape(cin, t, ht, sh, wt, sw).transpose(1, 2, 4, 0, 3, 5).reshape(t * ht * wt, cin * sh * sw)
     out = cols @ w.reshape(d_out, cin * sh * sw).transpose(1, 0)
-    out = out.reshape(t, ht, wt, d_out).transpose(3, 0, 1, 2)
-    return out + b
+    return add_bias(out.reshape(t, ht, wt, d_out).transpose(3, 0, 1, 2), b)
 
 
 def _sigmoid(v: np.ndarray) -> np.ndarray:
@@ -521,23 +518,5 @@ def gelu(x: Tensor) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x[L, din] @ w[din, dout] + b[dout] as one node, the bias added in place.
-
-    IEEE addition commutes, and the backward takes the bias gradient first,
-    then x's and w's, as the composed `x @ w + b` does: the same bits.
-    """
-    out = np.matmul(x.data, w.data)
-    if b.dtype != out.dtype:
-        raise ValueError(f"linear bias {b.dtype.name} into {out.dtype.name}: would cast")
-    out += b.data
-
-    def bw(g):
-        if b.requires_grad:
-            _acc(b, _unbroadcast(g, b.shape))
-        if x.requires_grad:
-            _acc(x, np.matmul(g, w.data.swapaxes(-1, -2)))
-        if w.requires_grad:
-            _acc(w, np.matmul(x.data.swapaxes(-1, -2), g))
-
-    # parents in the order `x @ w + b` puts them on the tape
-    return _from_op(out, (x, w, b), bw)
+    """x[L, din] @ w[din, dout] + b[dout] as one node: `add_bias` keeps the composed op's bits."""
+    return add_bias(x @ w, b)

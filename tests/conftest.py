@@ -23,6 +23,16 @@ def linear_composed(x, w, b):
     return x @ w + b
 
 
+def patch_embed_composed(x, w, b):
+    """`ops.patch_embed` with its bias added by the composed `+ b` in place of `add_bias`: its oracle."""
+    d_out, cin, _, sh, sw = w.shape
+    t, h, w_in = x.shape[1:]
+    ht, wt = h // sh, w_in // sw
+    cols = x.reshape(cin, t, ht, sh, wt, sw).transpose(1, 2, 4, 0, 3, 5).reshape(t * ht * wt, cin * sh * sw)
+    out = cols @ w.reshape(d_out, cin * sh * sw).transpose(1, 0)
+    return out.reshape(t, ht, wt, d_out).transpose(3, 0, 1, 2) + b
+
+
 def read_rdvc(path: Path) -> np.ndarray:
     """Frames of a `write_rdvc` dump: magic, version, T/H/W, then little-endian f32."""
     raw = Path(path).read_bytes()

@@ -1,11 +1,12 @@
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import grad_check, linear_composed, rmsnorm_composed
+from conftest import grad_check, linear_composed, patch_embed_composed, rmsnorm_composed
 from refvae import ops, vae
 from refvae.ops import (
     add_bias,
@@ -14,6 +15,7 @@ from refvae.ops import (
     gelu,
     groupnorm_silu,
     linear,
+    patch_embed,
     rmsnorm,
     rope_apply,
     rope_tables,
@@ -21,7 +23,7 @@ from refvae.ops import (
     upsample_causal,
     upsample_nearest,
 )
-from refvae.tensor import Tensor, build_tape, float64_mode, parameter
+from refvae.tensor import Tensor, build_tape, concat, float64_mode, parameter
 
 
 def conv3d_naive(x, w, stride):
@@ -664,6 +666,24 @@ def test_rope_grad_and_bad_width():
         _rope(Tensor(np.zeros((2, 9))), np.zeros((2, 3)))  # odd per-axis width
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_rope_backward_matches_explicit_inverse_bitwise(dtype):
+    rng = np.random.default_rng(15)
+    pos = np.concatenate([np.zeros((3, 3), int), rng.integers(0, 9, size=(9, 3))])  # position 0: sin is +0
+    x = Tensor(rng.standard_normal((12, 24)).astype(dtype), requires_grad=True)
+    g = rng.standard_normal((12, 24)).astype(dtype)
+    g[[0, 4, 7]] = 0.0  # zero-gradient rows, at position 0 and elsewhere: the signs of zero count
+    g[[1, 5]] = -0.0
+    cos, sin = tables = rope_tables(pos, 24, dtype)
+    rope_apply(x, tables)._backward(g)
+    gv = g.reshape(12, 3, 4, 2)
+    g1, g2 = gv[..., 0], gv[..., 1]
+    gx = np.empty_like(gv)
+    gx[..., 0] = g1 * cos + g2 * sin
+    gx[..., 1] = -g1 * sin + g2 * cos
+    _bitwise_equal([x.grad], [gx.reshape(12, 24)])
+
+
 def test_rope_rejects_tables_that_do_not_fit():
     x = Tensor(np.zeros((2, 18)))
     for tables in (rope_tables(np.zeros((3, 3)), 18, np.float64),  # other rows
@@ -737,15 +757,55 @@ def test_fused_linear_matches_composed_bitwise(dtype):
     _bitwise_equal(*results)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_patch_embed_matches_composed_bitwise(dtype):
+    # stage_forward's in-projection: video and reference share one weight and bias
+    rng = np.random.default_rng(26)
+    video0, ref0 = (rng.standard_normal(s).astype(dtype) for s in ((32, 5, 8, 16), (32, 1, 8, 16)))
+    w0, b0 = (rng.standard_normal(s).astype(dtype) for s in ((24, 32, 1, 2, 2), (24, 1, 1, 1)))
+    probe = Tensor(rng.standard_normal((6 * 4 * 8, 24)).astype(dtype))
+    results = []
+    for embed in (patch_embed, patch_embed_composed):
+        video, ref, w, b = (Tensor(a.copy(), requires_grad=True) for a in (video0, ref0, w0, b0))
+        vtok, rtok = embed(video, w, b), embed(ref, w, b)
+        seq = concat([rtok, vtok], axis=1).transpose(1, 2, 3, 0).reshape(6 * 4 * 8, 24)
+        # vtok's gradient has two terms, and its sum reads its memory layout
+        ((seq * probe).sum() + vtok.sum()).backward()
+        results.append((vtok.data, rtok.data, video.grad, ref.grad, w.grad, b.grad))
+    _bitwise_equal(*results)
+    assert [a.strides for a in results[0][:2]] == [a.strides for a in results[1][:2]]
+
+
+def _closure_reach(fn):
+    """Everything a backward closure holds: its cells' contents, followed into the
+    cells of nested functions (a taken-over closure, gradient lambdas) and the
+    items of lists and tuples (add_bias's `adds`)."""
+    held, stack, seen = [], [fn], set()
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, types.FunctionType):
+            stack.extend(c.cell_contents for c in obj.__closure__ or ())
+        elif isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+        else:
+            held.append(obj)
+    return held
+
+
 def test_fused_rmsnorm_and_linear_keep_only_their_inputs_and_the_rms():
     rng = np.random.default_rng(24)
     x, gain = parameter(rng.standard_normal((10, 12))), parameter(np.ones(12))
     w, b = parameter(rng.standard_normal((12, 6))), parameter(np.zeros(6))
-    for out, inputs in ((rmsnorm(x, gain), (x, gain)), (linear(x, w, b), (x, w, b))):
+    lin = linear(x, w, b)
+    assert lin._backward.__qualname__ == "add_bias.<locals>.bw"  # no closure of its own
+    for out, inputs in ((rmsnorm(x, gain), (x, gain)), (lin, (x, w, b))):
         assert out._parents == inputs
-        cells = [c.cell_contents for c in out._backward.__closure__]
-        assert {id(c) for c in cells if isinstance(c, Tensor)} == {id(t) for t in inputs}
-        arrays = [c for c in cells if isinstance(c, np.ndarray)]
+        held = _closure_reach(out._backward)
+        assert {id(c) for c in held if isinstance(c, Tensor)} == {id(t) for t in inputs}
+        arrays = [c for c in held if isinstance(c, np.ndarray)]
         assert [a.shape for a in arrays] == ([(10, 1)] if out._parents == (x, gain) else [])
     with pytest.raises(ValueError, match="would cast"):
         linear(x, w, Tensor(np.zeros(6)))  # a float64 bias into a float32 product
