@@ -14,14 +14,16 @@ It also records the conv3d_causal call shapes of the sequence.  For each
 distinct call it draws SEEDS sets of seeded inputs, kernel and output
 gradient (`run_op`'s probe), and runs the op of both trees: one line per shape
 says whether the output, the input gradient (gx) and the kernel gradient (gk)
-are bit-equal.
+are bit-equal, and for each that is not, its largest absolute difference
+over the draws.
 
 The fused ops that are not convs (linear, patch_embed, rope_apply, rmsnorm on
 the last axis and on axis 0, attention, groupnorm_silu and add_bias over a
 conv) run the same way, at each default decoder stage's shapes for a
 default-config clip, SEEDS seeded float32 draws each: one line per op says
 whether the output (values and strides) and each input's gradient are
-bit-equal, so a difference in the reference stack names its op.
+bit-equal, with the largest absolute difference of each that is not, so a
+difference in the reference stack names its op and its size.
 
 Last, each tree's CLI runs a command sequence on a tiny config (TINY):
 gen-data --dump, pretrain, attention and controlnet train, a three-checkpoint
@@ -32,11 +34,11 @@ across the trees byte for byte, after writing each run root as `<root>` and
 dropping each manifest's `wall_time_s`, and prints the files that differ or
 exist in one tree only.
 
-For each tree it also prints the tracemalloc peak and the tape-node count of
-one default-config 17-frame pretrain step and one attention fine-tune step
-(forward, loss and backward; the fine-tune on a cached latent with the
-encoder frozen).  These lines are informational: the exit status does not
-depend on them.
+For each tree it also prints the tracemalloc peak, the bytes held when
+backward starts and the tape-node count of one default-config 17-frame
+pretrain step and one attention fine-tune step (forward, loss and backward;
+the fine-tune on a cached latent with the encoder frozen).  These lines are
+informational: the exit status does not depend on them.
 
 It exits 1 if any conv shape, any fused op, any part of the run or any CLI
 output differs.
@@ -122,11 +124,12 @@ def run_sequence(pkg: str) -> dict[str, object]:
     return out
 
 
-def step_memory(pkg: str) -> list[tuple[str, float, int]]:
-    """(step, tracemalloc peak in MiB, tape nodes) of one 17-frame pretrain and one fine-tune step.
+def step_memory(pkg: str) -> list[tuple[str, float, float, int]]:
+    """(step, tracemalloc peak and bytes held at backward start in MiB, tape nodes)
+    of one 17-frame pretrain and one fine-tune step.
 
-    Each step runs forward, loss and backward with package `pkg`; the peak
-    counts only what the step itself allocates.
+    Each step runs forward, loss and backward with package `pkg`; both
+    figures count only what the step itself allocates.
     """
     config, refcond_mod, synthdata, tensor_mod, train, vae_mod = (
         importlib.import_module(f"{pkg}.{m}") for m in ("config", "refcond", "synthdata", "tensor", "training", "vae"))
@@ -148,11 +151,12 @@ def step_memory(pkg: str) -> list[tuple[str, float, int]]:
         try:
             loss = train.loss_recon(Tensor(window), forward())[0]
             nodes = len(tensor_mod.build_tape(loss))
+            held = tracemalloc.get_traced_memory()[0]
             tensor_mod.backward(loss)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        out.append((name, peak / 2 ** 20, nodes))
+        out.append((name, peak / 2 ** 20, held / 2 ** 20, nodes))
     return out
 
 
@@ -282,6 +286,16 @@ def run_op(call, ops_mod, tensor_mod, arrays, seed: int) -> list[np.ndarray]:
     return [out.data] + [t.grad for t in inputs]
 
 
+def max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest |a - b| over two arrays of one shape, in float64; inf if the shapes differ."""
+    return float(np.max(np.abs(a.astype(np.float64) - b), initial=0.0)) if a.shape == b.shape else np.inf
+
+
+def flags(labels: list[str], same: np.ndarray, gap: np.ndarray) -> str:
+    """`label=equal`, or `label=DIFFERS (max abs ...)`, for each compared array."""
+    return " ".join(f"{k}=equal" if s else f"{k}=DIFFERS (max abs {g:.3g})" for k, s, g in zip(labels, same, gap))
+
+
 def check_fused(other_ops, other_tensor) -> int:
     """Print one line per fused op across the default stages and SEEDS draws; return how many differ."""
     cfg = ExperimentConfig()
@@ -290,7 +304,7 @@ def check_fused(other_ops, other_tensor) -> int:
     print(f"{len(cases[0])} fused ops at {len(cases)} decoder stages, {SEEDS} seeds each")
     for name in cases[0]:
         labels = ["out"] + [f"g{arg}" for arg, _ in cases[0][name][0]]
-        same = np.ones(len(labels), dtype=bool)
+        same, gap = np.ones(len(labels), dtype=bool), np.zeros(len(labels))
         for stage in cases:
             named_shapes, call = stage[name]
             for seed in range(SEEDS):
@@ -300,8 +314,9 @@ def check_fused(other_ops, other_tensor) -> int:
                 b = run_op(call, other_ops, other_tensor, arrays, seed)
                 same &= [np.array_equal(p, q) and p.dtype == q.dtype for p, q in zip(a, b)]
                 same[0] &= a[0].strides == b[0].strides
+                gap = np.maximum(gap, [max_abs_diff(p, q) for p, q in zip(a, b)])
         bad += not same.all()
-        print(f"{name}: " + " ".join(f"{k}={'equal' if v else 'DIFFERS'}" for k, v in zip(labels, same)))
+        print(f"{name}: {flags(labels, same, gap)}")
     print(f"{len(cases[0]) - bad}/{len(cases[0])} fused ops bit-equal")
     return bad
 
@@ -322,7 +337,7 @@ def main(argv=None) -> int:
     bad = 0
     print(f"{len(calls)} conv3d_causal call shapes, {SEEDS} seeds each")
     for xs, ks, stride, xd, kd in calls:
-        same = np.ones(3, dtype=bool)
+        same, gap = np.ones(3, dtype=bool), np.zeros(3)
 
         def conv(o, x, kernel, stride=stride):
             return o.conv3d_causal(x, kernel, stride)
@@ -333,14 +348,16 @@ def main(argv=None) -> int:
             a = run_op(conv, ops, tensor, arrays, seed)
             b = run_op(conv, other_ops, other_tensor, arrays, seed)
             same &= [np.array_equal(p, q) and p.dtype == q.dtype for p, q in zip(a, b)]
+            gap = np.maximum(gap, [max_abs_diff(p, q) for p, q in zip(a, b)])
         bad += not same.all()
-        flags = " ".join(f"{k}={'equal' if v else 'DIFFERS'}" for k, v in zip(("out", "gx", "gk"), same))
-        print(f"x{list(xs)} k{list(ks)} stride{list(stride)} {np.dtype(xd).name}: {flags}")
+        print(f"x{list(xs)} k{list(ks)} stride{list(stride)} {np.dtype(xd).name}: "
+              f"{flags(['out', 'gx', 'gk'], same, gap)}")
     print(f"{len(calls) - bad}/{len(calls)} shapes bit-equal")
     op_bad = check_fused(other_ops, other_tensor)
     for tree, pkg in (("this tree", "refvae"), ("other tree", "refvae_other")):
-        print(f"memory, {tree}: " + "; ".join(f"{name} step peak {peak:.1f} MiB, {nodes} tape nodes"
-                                             for name, peak, nodes in step_memory(pkg)))
+        print(f"memory, {tree}: " + "; ".join(f"{name} step peak {peak:.1f} MiB, {held:.1f} MiB held at "
+                                             f"backward start, {nodes} tape nodes"
+                                             for name, peak, held, nodes in step_memory(pkg)))
     with tempfile.TemporaryDirectory() as mine, tempfile.TemporaryDirectory() as theirs:
         files, other_files = cli_outputs("refvae", Path(mine)), cli_outputs("refvae_other", Path(theirs))
     names = files.keys() | other_files.keys()

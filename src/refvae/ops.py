@@ -306,13 +306,18 @@ def upsample_causal(x: Tensor, factors: tuple[int, int, int]) -> Tensor:
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     """Multi-head scaled dot-product attention over a flat [L, d] sequence.
 
-    Full bidirectional attention: no mask over the token sequence.
+    Full bidirectional attention: no mask over the token sequence.  Heads run
+    one at a time through one [L, L] buffer, and the node keeps only each
+    head's row max and row sum of its scaled scores: the backward rebuilds a
+    head's probabilities from them by the forward's expressions, same bits.
     """
     if q.shape != k.shape or q.shape != v.shape:
         raise ValueError("q, k, v must share shape [L, d]")
+    if not q.dtype == k.dtype == v.dtype:
+        raise ValueError(f"q, k, v of dtypes {q.dtype.name}, {k.dtype.name}, {v.dtype.name}: would cast")
     seq, d = q.shape
-    if d % heads:
-        raise ValueError(f"hidden dim {d} not divisible by {heads} heads")
+    if heads < 1 or d % heads:
+        raise ValueError(f"hidden dim {d} not divisible into {heads} heads")
     dh = d // heads
     scale = 1.0 / float(np.sqrt(dh))  # python float: no f32 -> f64 promotion
 
@@ -320,30 +325,42 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
         return t.reshape(seq, heads, dh).transpose(1, 0, 2)  # [H, L, dh]
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    p = np.matmul(qh, kh.transpose(0, 2, 1))  # the scores, turned into probabilities in place
-    p *= scale
-    p -= p.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
-    o = np.matmul(p, vh)
-    out = o.transpose(1, 0, 2).reshape(seq, d)
+    rmax, rsum = np.empty((2, heads, seq, 1), dtype=q.dtype)
+
+    def softmax(i, p, fresh=False):  # head i's probabilities in p; `fresh` takes its row max and sum
+        np.matmul(qh[i], kh[i].T, out=p)
+        p *= scale
+        if fresh:
+            p.max(axis=-1, keepdims=True, out=rmax[i])
+        p -= rmax[i]
+        np.exp(p, out=p)
+        if fresh:
+            p.sum(axis=-1, keepdims=True, out=rsum[i])
+        p /= rsum[i]
+        return p
+
+    out, p = np.empty((seq, heads, dh), dtype=q.dtype), np.empty((seq, seq), dtype=q.dtype)
+    for i in range(heads):
+        np.matmul(softmax(i, p, fresh=True), vh[i], out=out[:, i])
 
     def bw(g):
-        gh = g.reshape(seq, heads, dh).transpose(1, 0, 2)
-        if v.requires_grad:
-            gv = np.matmul(p.transpose(0, 2, 1), gh)
-            _acc(v, gv.transpose(1, 0, 2).reshape(seq, d))
-        if q.requires_grad or k.requires_grad:
-            gs = np.matmul(gh, vh.transpose(0, 2, 1))  # gp, turned into p * (gp - rowsum(gp * p)) in place
-            for gsh, ph in zip(gs, p):  # one head's [L, L] temporary at a time
-                gsh -= (gsh * ph).sum(axis=-1, keepdims=True)
+        gh = split(g)
+        grads = np.empty((3, seq, heads, dh), dtype=q.dtype)  # v's, q's and k's as [L, H, dh]
+        p, gs, prod = np.empty((3, seq, seq), dtype=q.dtype)  # one head's [L, L] arrays
+        for i in range(heads):
+            np.matmul(softmax(i, p).T, gh[i], out=grads[0, :, i])
+            np.matmul(gh[i], vh[i].T, out=gs)  # gp, turned into p * (gp - rowsum(gp * p)) in place
+            gs -= np.multiply(gs, p, out=prod).sum(axis=-1, keepdims=True)
             gs *= p
-            if q.requires_grad:
-                _acc(q, (np.matmul(gs, kh) * scale).transpose(1, 0, 2).reshape(seq, d))
-            if k.requires_grad:
-                _acc(k, (np.matmul(gs.transpose(0, 2, 1), qh) * scale).transpose(1, 0, 2).reshape(seq, d))
+            np.matmul(gs, kh[i], out=grads[1, :, i])
+            np.matmul(gs.T, qh[i], out=grads[2, :, i])
+        grads[1:] *= scale
+        del p, gs, prod  # freed before the gradients' first-touch copies
+        for t, gt in zip((v, q, k), grads):
+            if t.requires_grad:
+                _acc(t, gt.reshape(seq, d))
 
-    return _from_op(out, (q, k, v), bw)
+    return _from_op(out.reshape(seq, d), (q, k, v), bw)
 
 
 def rope_tables(positions, width: int, dtype) -> tuple[np.ndarray, np.ndarray]:
@@ -503,14 +520,16 @@ _GELU_C = float(np.sqrt(2.0 / np.pi))
 _GELU_A = 0.044715
 
 
+def _gelu_tanh(xd: np.ndarray) -> np.ndarray:
+    return np.tanh(_GELU_C * (xd + _GELU_A * xd * xd * xd))
+
+
 def gelu(x: Tensor) -> Tensor:
-    """GELU, tanh approximation."""
-    xd = x.data
-    inner = _GELU_C * (xd + _GELU_A * xd * xd * xd)
-    th = np.tanh(inner)
-    out = 0.5 * xd * (1.0 + th)
+    """GELU, tanh approximation.  The node keeps only x: its backward recomputes the tanh."""
+    out = 0.5 * x.data * (1.0 + _gelu_tanh(x.data))
 
     def bw(g):
+        xd, th = x.data, _gelu_tanh(x.data)
         dinner = _GELU_C * (1.0 + 3.0 * _GELU_A * xd * xd)
         _acc(x, g * (0.5 * (1.0 + th) + 0.5 * xd * (1.0 - th * th) * dinner))
 

@@ -8,7 +8,7 @@ import pytest
 from refvae.ops import EPS
 from refvae.refcond import RefCondConfig, init_ref_params
 from refvae.synthdata import RDVC_MAGIC, RDVC_VERSION
-from refvae.tensor import Tensor, backward
+from refvae.tensor import Tensor, _acc, _from_op, backward
 from refvae.vae import VaeConfig, init_vae_params
 
 
@@ -21,6 +21,41 @@ def rmsnorm_composed(x, gain, axis=-1):
 def linear_composed(x, w, b):
     """The engine-primitive composition that the fused `ops.linear` replaces: its oracle."""
     return x @ w + b
+
+
+def attention_batched(q, k, v, heads):
+    """`ops.attention` with every head's [L, L] probabilities formed at once and kept for
+    backward, as the op was before it ran one head at a time: its oracle."""
+    seq, d = q.shape
+    dh = d // heads
+    scale = 1.0 / float(np.sqrt(dh))
+
+    def split(t):
+        return t.reshape(seq, heads, dh).transpose(1, 0, 2)  # [H, L, dh]
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    p = np.matmul(qh, kh.transpose(0, 2, 1))
+    p *= scale
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    out = np.matmul(p, vh).transpose(1, 0, 2).reshape(seq, d)
+
+    def bw(g):
+        gh = g.reshape(seq, heads, dh).transpose(1, 0, 2)
+        if v.requires_grad:
+            _acc(v, np.matmul(p.transpose(0, 2, 1), gh).transpose(1, 0, 2).reshape(seq, d))
+        if q.requires_grad or k.requires_grad:
+            gs = np.matmul(gh, vh.transpose(0, 2, 1))
+            for gsh, ph in zip(gs, p):
+                gsh -= (gsh * ph).sum(axis=-1, keepdims=True)
+            gs *= p
+            if q.requires_grad:
+                _acc(q, (np.matmul(gs, kh) * scale).transpose(1, 0, 2).reshape(seq, d))
+            if k.requires_grad:
+                _acc(k, (np.matmul(gs.transpose(0, 2, 1), qh) * scale).transpose(1, 0, 2).reshape(seq, d))
+
+    return _from_op(out, (q, k, v), bw)
 
 
 def patch_embed_composed(x, w, b):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import grad_check, linear_composed, patch_embed_composed, rmsnorm_composed
+from conftest import attention_batched, grad_check, linear_composed, patch_embed_composed, rmsnorm_composed
 from refvae import ops, vae
 from refvae.ops import (
     add_bias,
@@ -612,6 +612,33 @@ def test_attention_rejects_indivisible_heads():
     t = Tensor(np.zeros((2, 7)))
     with pytest.raises(ValueError):
         attention(t, t, t, 2)
+    for heads in (0, -1):
+        with pytest.raises(ValueError, match="heads"):
+            attention(Tensor(np.zeros((2, 8))), Tensor(np.zeros((2, 8))), Tensor(np.zeros((2, 8))), heads)
+
+
+def test_attention_rejects_mixed_dtypes():
+    q, k64 = Tensor(np.zeros((3, 8), dtype=np.float32)), Tensor(np.zeros((3, 8)))
+    for args in ((q, k64, q), (k64, q, q), (q, q, k64)):
+        with pytest.raises(ValueError, match="would cast"):
+            attention(*args, 2)
+
+
+@pytest.mark.parametrize("seq", [192, 320, 576])  # the default decoder stages' token counts
+@pytest.mark.parametrize("needs", ["qkv", "v", "qk"])
+def test_attention_matches_batched_bitwise(seq, needs):
+    rng = np.random.default_rng(seq)
+    arrays = [rng.standard_normal((seq, 120)).astype(np.float32) for _ in range(3)]
+    probe = Tensor(rng.standard_normal((seq, 120)).astype(np.float32))
+    results = []
+    for attn in (attention, attention_batched):
+        q, k, v = (Tensor(a.copy(), requires_grad=name in needs) for name, a in zip("qkv", arrays))
+        out = attn(q, k, v, 4)
+        (out * probe).sum().backward()
+        results.append((out.data, *(t.grad for t in (q, k, v) if t.requires_grad)))
+    assert len(results[0]) == 1 + len(needs)
+    _bitwise_equal(*results)
+    assert results[0][0].strides == results[1][0].strides
 
 
 # -- rotary embedding --------------------------------------------------------
@@ -809,6 +836,40 @@ def test_fused_rmsnorm_and_linear_keep_only_their_inputs_and_the_rms():
         assert [a.shape for a in arrays] == ([(10, 1)] if out._parents == (x, gain) else [])
     with pytest.raises(ValueError, match="would cast"):
         linear(x, w, Tensor(np.zeros(6)))  # a float64 bias into a float32 product
+
+
+def test_attention_and_gelu_keep_no_score_sized_arrays():
+    seq, d, heads = 576, 120, 4
+    rng = np.random.default_rng(27)
+    q, k, v = (parameter(rng.standard_normal((seq, d))) for _ in range(3))
+    held = _closure_reach(attention(q, k, v, heads)._backward)
+    assert {id(c) for c in held if isinstance(c, Tensor)} == {id(t) for t in (q, k, v)}
+    arrays = [c for c in held if isinstance(c, np.ndarray)]
+    assert arrays and all(a.size < seq * seq for a in arrays)
+    for a in arrays:  # views of q, k and v, and the row max and row sum
+        assert any(np.shares_memory(a, t.data) for t in (q, k, v)) or a.shape == (heads, seq, 1), a.shape
+    x = parameter(rng.standard_normal((seq, 4 * d)))
+    assert _closure_reach(gelu(x)._backward) == [x]  # tanh is recomputed, not kept
+
+
+def test_attention_backward_holds_one_head_of_scores():
+    # the last decoder stage's L = 576 tokens, d = 120 over 4 heads: one head's
+    # probabilities, softmax gradient and product, the three [L, d] gradient
+    # buffers and the row sums; the four heads' softmax gradients at once add 4 MB
+    seq, d, heads = 576, 120, 4
+    rng = np.random.default_rng(28)
+    q, k, v = (parameter(rng.standard_normal((seq, d))) for _ in range(3))
+    out = attention(q, k, v, heads)
+    g = rng.standard_normal((seq, d)).astype(np.float32)
+    square, rows = seq * seq * 4, seq * d * 4
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out._backward(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 3 * square + 3 * rows + 250_000, (peak - start, square, rows)
 
 
 def test_conv_kernel_grad_holds_one_operand_copy():
