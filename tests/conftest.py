@@ -24,8 +24,8 @@ def linear_composed(x, w, b):
 
 
 def attention_batched(q, k, v, heads):
-    """`ops.attention` with every head's [L, L] probabilities formed at once and kept for
-    backward, as the op was before it ran one head at a time: its oracle."""
+    """`ops.attention` with every head's [L, L] probabilities formed at once and kept
+    for backward: its oracle."""
     seq, d = q.shape
     dh = d // heads
     scale = 1.0 / float(np.sqrt(dh))
