@@ -37,7 +37,8 @@ exist in one tree only.
 For each tree it also prints the tracemalloc peak, the bytes held when
 backward starts and the tape-node count of one default-config 17-frame
 pretrain step and one attention fine-tune step (forward, loss and backward;
-the fine-tune on a cached latent with the encoder frozen).  These lines are
+the fine-tune on a cached latent with the encoder frozen), and the line count
+of its `refvae/*.py`, the `src/` size that ROADMAP tracks.  These lines are
 informational: the exit status does not depend on them.
 
 It exits 1 if any conv shape, any fused op, any part of the run or any CLI
@@ -64,7 +65,8 @@ from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+SRC = Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC))
 
 from refvae import ops, refcond, tensor, training, vae  # noqa: E402
 from refvae.cli import ABLATIONS  # noqa: E402
@@ -214,6 +216,11 @@ def cli_outputs(pkg: str, root: Path) -> dict[str, bytes]:
     return files
 
 
+def src_lines(src: Path) -> int:
+    """Newline count of src/refvae/*.py, as `wc -l` gives it."""
+    return sum(p.read_bytes().count(b"\n") for p in (src / "refvae").glob("*.py"))
+
+
 def record_calls() -> tuple[list[tuple], dict[str, object]]:
     """(x shape, kernel shape, stride, x dtype, kernel dtype) of each distinct call, and the run's outputs."""
     seen: dict[tuple, None] = {}
@@ -358,6 +365,7 @@ def main(argv=None) -> int:
         print(f"memory, {tree}: " + "; ".join(f"{name} step peak {peak:.1f} MiB, {held:.1f} MiB held at "
                                              f"backward start, {nodes} tape nodes"
                                              for name, peak, held, nodes in step_memory(pkg)))
+    print(f"src/refvae/*.py lines: this tree {src_lines(SRC)}, other tree {src_lines(args.other_src)}")
     with tempfile.TemporaryDirectory() as mine, tempfile.TemporaryDirectory() as theirs:
         files, other_files = cli_outputs("refvae", Path(mine)), cli_outputs("refvae_other", Path(theirs))
     names = files.keys() | other_files.keys()

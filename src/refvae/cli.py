@@ -326,11 +326,11 @@ def cmd_ablate(cfg: ExperimentConfig, args, run: Runner) -> None:
 
 
 def _load_npy(path: str, what: str) -> np.ndarray:
-    """A float32 array from a .npy file; every load failure is a ConfigError."""
+    """A float32 array from a .npy file of bools, ints or floats; every load failure is a ConfigError."""
     try:
         arr = np.load(path)
-        if not isinstance(arr, np.ndarray):
-            raise ValueError("not a single .npy array")
+        if not isinstance(arr, np.ndarray) or arr.dtype.kind not in "biuf":  # no complex, date or record
+            raise ValueError("not a single .npy array of real numbers")
         with np.errstate(over="ignore"):  # values past float32's range become Inf, rejected here
             if not np.isfinite(arr := arr.astype(np.float32)).all():
                 raise ValueError("holds NaN or Inf as float32")

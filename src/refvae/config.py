@@ -131,7 +131,7 @@ class ExperimentConfig:
     def load(cls, path: Path) -> "ExperimentConfig":
         try:
             payload = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: not UTF-8 (UnicodeDecodeError) or not JSON
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         cfg = cls.from_dict(payload)
         cfg.validate()

@@ -379,20 +379,21 @@ def rope_tables(positions, width: int, dtype) -> tuple[np.ndarray, np.ndarray]:
 def rope_apply(x: Tensor, tables: tuple[np.ndarray, np.ndarray]) -> Tensor:
     """Rotary position embedding over 3D integer coordinates (t, h, w).
 
-    The channel budget splits equally across the three axes; within an axis
+    Each head's channels split equally across the three axes; within an axis
     block, consecutive channel pairs rotate with geometric frequency
     spacing.  Norm-preserving; identity at position (0, 0, 0).  The backward
     is the rotation by -theta: IEEE negation is exact, so g1*cos - g2*(-sin)
     has the bits of g1*cos + g2*sin.  `tables` are the `rope_tables` of x's
-    rows' positions, width and dtype; calls at the same positions share them.
+    rows' positions and dtype at a head width 6*pairs dividing d; every head
+    slice of row l turns by row l's angles.
     """
-    seq, d = x.shape
-    cos, sin = tables
-    if d % 6 or cos.shape != (seq, 3, d // 6) or cos.dtype != x.dtype:
+    (seq, d), (cos, sin) = x.shape, tables
+    pairs = cos.shape[-1]
+    if cos.shape[:2] != (seq, 3) or not pairs or d % (6 * pairs) or cos.dtype != x.dtype:
         raise ValueError(f"rope tables {cos.shape} {cos.dtype.name} do not fit x {x.shape} {x.dtype.name}")
-    pairs = (seq, 3, d // 6, 2)
-    return _from_op(_rotate(x.data.reshape(pairs), cos, sin).reshape(seq, d), (x,),
-                    lambda g: _acc(x, _rotate(g.reshape(pairs), cos, -sin).reshape(seq, d)))
+    heads, cos, sin = (seq, d // (6 * pairs), 3, pairs, 2), cos[:, None], sin[:, None]
+    return _from_op(_rotate(x.data.reshape(heads), cos, sin).reshape(seq, d), (x,),
+                    lambda g: _acc(x, _rotate(g.reshape(heads), cos, -sin).reshape(seq, d)))
 
 
 def _rotate(v: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:

@@ -156,22 +156,12 @@ def _resolve_reference(ref_image, params, vae_cfg, hz, wz) -> Tensor:
 # -- shared transformer stack ----------------------------------------------------
 
 
-def _rope_heads(x: Tensor, tables: tuple[np.ndarray, np.ndarray], heads: int) -> Tensor:
-    """Rotate each head's channel slice with the same 3-axis frequency set.
-
-    `tables` are the `rope_tables` of the token positions repeated per head.
-    """
-    seq, d = x.shape
-    rows = x.reshape(seq * heads, d // heads)  # row l*heads + i is head i of token l
-    return rope_apply(rows, tables).reshape(seq, d)
-
-
 def _block(seq: Tensor, tables: tuple[np.ndarray, np.ndarray], params: dict[str, Tensor],
            idx: int, cfg: RefCondConfig) -> Tensor:
     blk = f"ref.blk{idx}"
     h = rmsnorm(seq, params[f"{blk}.n1.g"])
-    q = _rope_heads(h @ params[f"{blk}.wq"], tables, cfg.heads)
-    k = _rope_heads(h @ params[f"{blk}.wk"], tables, cfg.heads)
+    q = rope_apply(h @ params[f"{blk}.wq"], tables)
+    k = rope_apply(h @ params[f"{blk}.wk"], tables)
     v = h @ params[f"{blk}.wv"]
     seq = seq + attention(q, k, v, cfg.heads) @ params[f"{blk}.wo"]
     h = rmsnorm(seq, params[f"{blk}.n2.g"])
@@ -211,9 +201,8 @@ def stage_forward(video: Tensor, ref: Tensor, s: int, cfg: RefCondConfig,
     seq = concat([rtok, vtok], axis=1)  # [d, 1+T, ht, wt]
     seq = seq.transpose(1, 2, 3, 0).reshape((1 + t_len) * ht * wt, d)
 
-    # one rotary table pair per stage, shared by every block's q and k
-    positions = np.repeat(_token_positions(t_len, ht, wt), cfg.heads, axis=0)
-    tables = rope_tables(positions, d // cfg.heads, seq.dtype)
+    # one rotary table pair per stage, per token, shared by every head of every block's q and k
+    tables = rope_tables(_token_positions(t_len, ht, wt), d // cfg.heads, seq.dtype)
     for i in range(cfg.n_blocks):
         seq = _block(seq, tables, params, i, cfg)
 

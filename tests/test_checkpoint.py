@@ -140,6 +140,9 @@ def _entry(**overrides) -> dict:
     pytest.param(_manifest_file(_entry(offset="0"), bytes(8)), id="offset-not-int"),
     pytest.param(_manifest_file(_entry(offset=4), bytes(8)), id="offset-out-of-bounds"),
     pytest.param(_manifest_file(_entry(dtype="f8"), bytes(8)), id="unknown-dtype"),
+    pytest.param(_manifest_file({"tensors": {"a": {"shape": [2], "dtype": "f4", "offset": 0},
+                                             "b": {"shape": [2], "dtype": "f4", "offset": 4}}, "meta": {}},
+                                bytes(12)), id="overlapping-payloads"),
 ])
 def test_malformed_file_raises_checkpoint_error(raw, tmp_path):
     path = tmp_path / "bad.ckpt"

@@ -215,6 +215,12 @@ def test_exit_codes(pipeline, tmp_path):
     assert main(["train", "--config", str(cfg_path)]) == 3  # no baseline anywhere
 
 
+def test_eval_with_no_checkpoint_exits_3(tmp_path, capsys):
+    assert main(["eval", "--config", str(write_config(tmp_path))]) == 3
+    assert "eval needs at least one --ckpt" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_eval_on_truncated_checkpoint_exits_3(pipeline, tmp_path):
     baseline = pipeline[3]
     truncated = tmp_path / "truncated.ckpt"
@@ -237,12 +243,14 @@ BROKEN_CKPT = {  # case -> (pipeline index of the checkpoint it breaks, edit of 
     "bad-dec-in-shape": (4, lambda arrays, meta: arrays.update({"dec.in.w": arrays["dec.in.w"][:, :-1]})),
     "nan-tensor": (3, lambda arrays, meta: arrays.update({"dec.head.b": np.full((3, 1, 1, 1), np.nan)})),
     "empty-null-map": (4, lambda arrays, meta: arrays.update({"ref.null": arrays["ref.null"][:, :, :0, :0]})),
+    "unknown-kind": (3, lambda arrays, meta: meta.update(kind="bogus")),
 }
 
 
 BROKEN_STDERR = {  # case -> what stderr says; the null map's grid is not recorded, so not named
     "empty-null-map": "tensor ref.null is missing or not of shape (64, 1, H, W)",
     "bad-dec-in-shape": "tensor dec.in.w is missing or not of shape (64, 8, 3, 3, 3)",
+    "unknown-kind": "unknown kind 'bogus'",
 }
 
 
@@ -533,6 +541,9 @@ BAD_DECODE = {  # case -> decode arguments; files name arrays written by the tes
     "latent-and-clip-seed": ["--latent", "z.npy", "--clip-seed", "3"],
     "latent-with-category": ["--latent", "z.npy", "--category", "large_motion"],
     "neither-latent-nor-clip-seed": [],
+    "latent-with-frame-ref": ["--latent", "z.npy", "--ref", "frame:0"],
+    "latent-complex": ["--latent", "zcomplex.npy"],
+    "ref-image-structured": ["--clip-seed", "3", "--ref", "refrecord.npy"],
 }
 
 
@@ -542,6 +553,9 @@ DECODE_STDERR = {  # case -> what stderr says for a baseline and a refdec checkp
     "latent-nan": "holds NaN or Inf",
     "latent-inf": "holds NaN or Inf",
     "ref-image-nan": "holds NaN or Inf",
+    "latent-with-frame-ref": "frame references need --clip-seed",
+    "latent-complex": "not a single .npy array of real numbers",
+    "ref-image-structured": "not a single .npy array of real numbers",
 }
 
 
@@ -558,6 +572,8 @@ def test_decode_rejects_malformed_input_with_exit_2(pipeline, tmp_path, case, ca
     np.save(tmp_path / "znan.npy", np.where(np.arange(64).reshape(8, 1, 2, 4) == 5, np.nan, 0.0))
     np.save(tmp_path / "zinf.npy", np.full((8, 1, 2, 4), 1e39))  # finite in float64, not in float32
     np.save(tmp_path / "refnan.npy", np.full((3, 16, 32), np.nan, np.float32))
+    np.save(tmp_path / "zcomplex.npy", np.full((8, 1, 2, 4), 1j, np.complex64))  # cast would drop 1j
+    np.save(tmp_path / "refrecord.npy", np.zeros((3, 16, 32), [("v", "<f4")]))  # one float field
     (tmp_path / "junk.npy").write_text("not an array\n")
     args = [str(tmp_path / a) if a.endswith(".npy") else a for a in BAD_DECODE[case]]
     for ckpt in (refdec, baseline) if case in DECODE_STDERR else (refdec,):
@@ -581,6 +597,13 @@ def test_decode_of_a_clip_the_backbone_cannot_encode_exits_2(pipeline, tmp_path)
     ckpt = compression_16(pipeline[3], tmp_path / "p16.ckpt")
     assert main(["decode", "--config", str(config_24_high(tmp_path)), "--ckpt", str(ckpt),
                  "--clip-seed", "3"]) == 2
+    assert not (tmp_path / "runs").exists()
+
+
+def test_decode_of_a_baseline_checkpoint_with_a_reference_exits_2(pipeline, tmp_path, capsys):
+    assert main(["decode", "--config", str(write_config(tmp_path)), "--ckpt", str(pipeline[3]),
+                 "--clip-seed", "3", "--ref", "frame:0"]) == 2
+    assert "baseline checkpoints cannot take a reference image" in capsys.readouterr().err
     assert not (tmp_path / "runs").exists()
 
 
@@ -706,6 +729,7 @@ MALFORMED_CONFIGS = {  # case -> config JSON with a value of the wrong type, or 
     "grad-clip-nan": {"optimizer": {"grad_clip": float("nan")}},
     "lambda-perc-nan": {"lambda_perc": float("nan")},
     "lambda-perc-inf": {"lambda_perc": float("inf")},
+    "injection-unknown": {"injection": "bogus"},
 }
 
 
@@ -736,6 +760,14 @@ def test_zero_width_or_count_exits_2_before_any_output(tmp_path, case, capsys):
     cfg_path.write_text(json.dumps(payload))
     assert main(["pretrain", "--config", str(cfg_path)]) == 2
     assert name in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_config_that_is_not_utf8_exits_2_before_any_output(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_bytes(b"\xff\xfe{}")
+    assert main(["gen-data", "--config", str(cfg_path), "--out", str(tmp_path / "runs")]) == 2
+    assert "cannot read config" in capsys.readouterr().err
     assert not (tmp_path / "runs").exists()
 
 

@@ -716,7 +716,8 @@ def test_rope_rejects_tables_that_do_not_fit():
     x = Tensor(np.zeros((2, 18)))
     for tables in (rope_tables(np.zeros((3, 3)), 18, np.float64),  # other rows
                    rope_tables(np.zeros((2, 3)), 12, np.float64),  # another width
-                   rope_tables(np.zeros((2, 3)), 18, np.float32)):  # another dtype
+                   rope_tables(np.zeros((2, 3)), 18, np.float32),  # another dtype
+                   rope_tables(np.zeros((2, 3)), 0, np.float64)):  # no head width
         with pytest.raises(ValueError, match="do not fit"):
             rope_apply(x, tables)
     with pytest.raises(ValueError):
@@ -769,6 +770,20 @@ def test_fused_rmsnorm_matches_composed_bitwise(dtype, shape, gain_shape, axis):
         ((x + out) * w).sum().backward()  # x also takes the residual stream's gradient, first
         results.append((out.data, x.grad, gain.grad))
     _bitwise_equal(*results)
+
+
+def test_fused_rmsnorm_of_a_constant_input_gives_only_the_gain_its_gradient():
+    rng = np.random.default_rng(24)
+    x = Tensor(rng.standard_normal((150, 120)).astype(np.float32))  # a constant: no gradient wanted
+    probe = Tensor(rng.standard_normal((150, 120)).astype(np.float32))
+    gain0 = (1.0 + 0.3 * rng.standard_normal(120)).astype(np.float32)
+    grads = []
+    for norm in (rmsnorm, rmsnorm_composed):
+        gain = parameter(gain0.copy())
+        (norm(x, gain) * probe).sum().backward()
+        grads.append([gain.grad])
+        assert x.grad is None
+    _bitwise_equal(*grads)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

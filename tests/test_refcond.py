@@ -6,14 +6,13 @@ from refvae import ops, refcond
 from refvae.ops import rope_apply, rope_tables
 from refvae.refcond import (
     RefCondConfig,
-    _rope_heads,
     _token_positions,
     decode_conditioned_t,
     encode_reference,
     init_ref_params,
     stage_forward,
 )
-from refvae.tensor import Tensor, concat, float64_mode, parameter
+from refvae.tensor import Tensor, build_tape, concat, float64_mode, parameter
 from refvae.training import loss_recon
 from refvae.vae import decode_baseline_t, encode_t, init_vae_params
 
@@ -42,13 +41,25 @@ def test_rope_heads_equals_per_head_concat(heads):
     data = rng.standard_normal((len(positions), heads * dh)).astype(np.float32)
     probe = Tensor(rng.standard_normal(data.shape).astype(np.float32))
     xa, xb = parameter(data), parameter(data)
-    fused = _rope_heads(xa, rope_tables(np.repeat(positions, heads, axis=0), dh, np.float32), heads)
-    per_head = concat([rope_apply(xb[:, i * dh:(i + 1) * dh], rope_tables(positions, dh, np.float32))
-                       for i in range(heads)], axis=1)
+    tables = rope_tables(positions, dh, np.float32)  # one row per token, [L, 3, dh/6]
+    fused = rope_apply(xa, tables)
+    per_head = concat([rope_apply(xb[:, i * dh:(i + 1) * dh], tables) for i in range(heads)], axis=1)
     assert np.array_equal(fused.data, per_head.data)
     (fused * probe).sum().backward()
     (per_head * probe).sum().backward()
     assert np.array_equal(xa.grad, xb.grad)
+
+
+def test_block_is_fourteen_nodes_over_eleven_leaves(desk_full, desk_ref_cfg):
+    _, params = desk_full
+    seq = parameter(np.random.default_rng(30).standard_normal((3 * 2 * 4, desk_ref_cfg.hidden)))
+    tables = rope_tables(_token_positions(2, 2, 4), desk_ref_cfg.hidden // desk_ref_cfg.heads, seq.dtype)
+    tape = build_tape(refcond._block(seq, tables, params, 0, desk_ref_cfg))
+    # seq and the 10 block parameters; rmsnorm, the q, k and v matmuls, one rope each for q and k,
+    # attention, the wo matmul and its residual add, rmsnorm, two linears (one add_bias node
+    # over each matmul), gelu and the residual add. Per-head reshapes around each rope made 18
+    assert len(tape) == 25
+    assert sum(t._backward is not None for t in tape) == 14
 
 
 def test_config_rejects_bad_widths():
@@ -130,7 +141,7 @@ def test_stage_forward_builds_rotary_tables_once_and_rotates_q_and_k_per_block(d
     stage_forward(video, Tensor(np.zeros((64, 1, 4, 8), np.float32)), 0, desk_ref_cfg, params)
     assert len(tables) == 1 and len(rotated) == 2 * desk_ref_cfg.n_blocks == 6
     assert all(t is tables[0] for t in rotated)
-    assert tables[0][0].shape == (3 * 4 * 8 * desk_ref_cfg.heads, 3, desk_ref_cfg.hidden // desk_ref_cfg.heads // 6)
+    assert tables[0][0].shape == (3 * 4 * 8, 3, desk_ref_cfg.hidden // desk_ref_cfg.heads // 6)  # one row per token
 
 
 def test_finetune_grads_match_composed_rmsnorm_and_linear(desk_cfg, desk_ref_cfg, monkeypatch):
