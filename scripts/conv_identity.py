@@ -17,9 +17,11 @@ says whether the output, the input gradient (gx) and the kernel gradient (gk)
 are bit-equal, and for each that is not, its largest absolute difference
 over the draws.
 
-The fused ops that are not convs (linear, patch_embed, rope_apply, rmsnorm on
-the last axis and on axis 0, attention, groupnorm_silu and add_bias over a
-conv) run the same way, at each default decoder stage's shapes for a
+The other fused ops (linear, patch_embed, rope_apply on `[tokens, d]` rows
+with per-token tables as the model calls it, rmsnorm on the last axis and on
+axis 0, attention, groupnorm_silu, a conv3d_causal that takes over the
+groupnorm_silu output it reads, as in a resblock, and add_bias over a conv)
+run the same way, at each default decoder stage's shapes for a
 default-config clip, SEEDS seeded float32 draws each: one line per op says
 whether the output (values and strides) and each input's gradient are
 bit-equal, with the largest absolute difference of each that is not, so a
@@ -249,13 +251,13 @@ def fused_cases(cfg, s: int, ch: int, t: int, h: int, w: int) -> dict[str, tuple
     d, heads, sig = cfg.refdec.hidden, cfg.refdec.heads, cfg.refdec.token_strides[s]
     ff, dh, k = d * cfg.refdec.ff_mult, d // heads, cfg.vae.stage_kernels[s]
     tokens = (1 + t) * (h // sig) * (w // sig)
-    positions = np.repeat(np.indices((1 + t, h // sig, w // sig)).reshape(3, -1).T, heads, axis=0)
+    positions = np.indices((1 + t, h // sig, w // sig)).reshape(3, -1).T  # one row per token
     return {
         "linear": ([("x", (tokens, d)), ("w", (d, ff)), ("b", (ff,))],
                    lambda o, x, wt, b: o.linear(x, wt, b)),
         "patch_embed": ([("x", (ch, t, h, w)), ("w", (d, ch, 1, sig, sig)), ("b", (d, 1, 1, 1))],
                         lambda o, x, wt, b: o.patch_embed(x, wt, b)),
-        "rope_apply": ([("x", (tokens * heads, dh))],
+        "rope_apply": ([("x", (tokens, d))],
                        lambda o, x: o.rope_apply(x, o.rope_tables(positions, dh, x.dtype))),
         "rmsnorm axis -1": ([("x", (tokens, d)), ("gain", (d,))], lambda o, x, g: o.rmsnorm(x, g)),
         "rmsnorm axis 0": ([("x", (ch, 1, h, w)), ("gain", (ch, 1, 1, 1))],
@@ -264,6 +266,9 @@ def fused_cases(cfg, s: int, ch: int, t: int, h: int, w: int) -> dict[str, tuple
                       lambda o, q, kt, v: o.attention(q, kt, v, heads)),
         "groupnorm_silu": ([("x", (ch, t, h, w)), ("gain", (ch, 1, 1, 1)), ("bias", (ch, 1, 1, 1))],
                            lambda o, x, g, b: o.groupnorm_silu(x, cfg.vae.norm_groups, g, b)),
+        "groupnorm_silu + conv3d_causal": (
+            [("x", (ch, t, h, w)), ("gain", (ch, 1, 1, 1)), ("bias", (ch, 1, 1, 1)), ("kernel", (ch, ch, k, k, k))],
+            lambda o, x, g, b, kn: o.conv3d_causal(o.groupnorm_silu(x, cfg.vae.norm_groups, g, b), kn)),
         "add_bias": ([("x", (ch, t, h, w)), ("kernel", (ch, ch, k, k, k)), ("bias", (ch, 1, 1, 1)),
                       ("residual", (ch, t, h, w))],
                      lambda o, x, kn, b, r: o.add_bias(o.conv3d_causal(x, kn), b, r)),

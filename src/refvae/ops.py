@@ -138,7 +138,8 @@ def conv3d_causal(x: Tensor, kernel: Tensor, stride: tuple[int, int, int] = (1, 
     Temporal padding of kt-1 zeros is applied entirely at the front, so
     output index t depends only on input indices <= t*st.  Spatial padding
     is symmetric (kh-1)/2, which requires odd spatial kernels.  The result
-    has the promoted dtype of x and kernel.
+    has the promoted dtype of x and kernel.  A fresh `groupnorm_silu` output
+    x is taken over: the node keeps the norm's input and statistics, not x.
     """
     if x.data.ndim != 4 or kernel.data.ndim != 5:
         raise ValueError("conv3d_causal expects x[C,T,H,W] and kernel[Cout,Cin,kt,kh,kw]")
@@ -168,9 +169,9 @@ def conv3d_causal(x: Tensor, kernel: Tensor, stride: tuple[int, int, int] = (1, 
     tq, hq, wq = -(-(kt - 1 + t_in) // st), -(-(h_in + 2 * ph) // sh), -(-(w_in + 2 * pw) // sw)
     block = (tq + 1) * hq * wq
 
-    def phases() -> np.ndarray:
-        buf = np.zeros(((tq + 1) * st, hq * sh, wq * sw, cin), dtype=x.dtype)
-        buf[kt - 1:kt - 1 + t_in, ph:ph + h_in, pw:pw + w_in] = x.data.transpose(1, 2, 3, 0)
+    def phases(src: np.ndarray) -> np.ndarray:
+        buf = np.zeros(((tq + 1) * st, hq * sh, wq * sw, cin), dtype=src.dtype)
+        buf[kt - 1:kt - 1 + t_in, ph:ph + h_in, pw:pw + w_in] = src.transpose(1, 2, 3, 0)
         phase_major = buf.reshape(tq + 1, st, hq, sh, wq, sw, cin).transpose(1, 3, 5, 0, 2, 4, 6)
         return np.ascontiguousarray(phase_major)  # a view at stride 1
 
@@ -185,25 +186,29 @@ def conv3d_causal(x: Tensor, kernel: Tensor, stride: tuple[int, int, int] = (1, 
     # dt >= kt-1 - t*st: the others read causal zero frames
     frames = (hq * wq, (0, h_out * wq), [range(kh * kw * max(0, kt - 1 - t * st), len(offsets))
                                          for t in range(t_out)])
-    acc = _shifted_gemm(phases().reshape(-1, cin), starts, wcl, rows, dtype, kh * kw, frames)
+    acc = _shifted_gemm(phases(x.data).reshape(-1, cin), starts, wcl, rows, dtype, kh * kw, frames)
     out = np.ascontiguousarray(acc.reshape(t_out, hq, wq, cout)[:, :h_out, :w_out].transpose(3, 0, 1, 2))
 
+    norm_bw = x._backward if hasattr(x._backward, "rebuild") else None
+    plain, x_dtype = None if norm_bw else x, x.dtype
+
     def bw(g):
+        parts = norm_bw.rebuild() if norm_bw else None  # [normalised map, affine output, its sigmoid]
         gcl = np.ascontiguousarray(g.transpose(1, 2, 3, 0)).reshape(n, cout)
         if kernel.requires_grad:
             # reduce over the n output positions only, never over junk rows;
             # one all-frames patch per temporal phase and spatial offset, whose
             # frame ranges are the [n, cin] operands a per-offset copy makes
             gk = _grad_buffer(kernel)
-            xq = phases()  # rebuilt, not kept alive from the forward
-            pt = np.empty((tq, h_out, w_out, cin), dtype=x.dtype)  # one operand buffer for every patch
+            xq = phases(parts[1] * parts[2] if norm_bw else plain.data)  # rebuilt, not kept alive from the forward
+            pt = np.empty((tq, h_out, w_out, cin), dtype=x_dtype)  # one operand buffer for every patch
             for dy, dx in np.ndindex(kh, kw):
                 for a in range(min(st, kt)):
                     np.copyto(pt, xq[a, dy % sh, dx % sw, :tq, dy // sh:dy // sh + h_out, dx // sw:dx // sw + w_out])
                     for dt in range(a, kt, st):
                         gk[:, :, dt, dy, dx] += gcl.T @ pt[dt // st:dt // st + t_out].reshape(n, cin)
             del xq, pt  # freed before the input gradient's buffers are built
-        if not x.requires_grad:
+        if not (norm_bw or plain.requires_grad):
             return
         # phase row j gathers g row j - s from each offset of the phase, at
         # its in-phase start s: a forward pass of g laid out on the output
@@ -236,9 +241,13 @@ def conv3d_causal(x: Tensor, kernel: Tensor, stride: tuple[int, int, int] = (1, 
                 gx = gph[:, ph:ph + h_in, pw:pw + w_in]
             else:
                 gx[f0 * st + a - kt + 1::st, y0 * sh + b - ph::sh, x0 * sw + c - pw::sw] = gph[:, y0:y1, x0:x1]
-        _acc(x, gx.transpose(3, 0, 1, 2).astype(x.dtype, copy=False))
+        gx = gx.transpose(3, 0, 1, 2).astype(x_dtype, copy=False)
+        norm_bw(gx, parts) if norm_bw else _acc(plain, gx)
 
-    return _from_op(out, (x, kernel), bw)
+    parents = (x, kernel)
+    if norm_bw:
+        parents, x._backward, x._parents = (*x._parents, kernel), _released, ()
+    return _from_op(out, parents, bw)
 
 
 def add_bias(h: Tensor, bias: Tensor, residual: Tensor | None = None) -> Tensor:
@@ -255,8 +264,11 @@ def add_bias(h: Tensor, bias: Tensor, residual: Tensor | None = None) -> Tensor:
     adds = [bias] if residual is None else [bias, residual]
     if any(t.dtype != h.dtype for t in adds):
         raise ValueError(f"add_bias of {[t.dtype.name for t in adds]} into {h.dtype.name}: would cast")
-    if h._backward is _released or (h.requires_grad and h._backward is None):
-        raise ValueError("add_bias takes over a fresh op output, not a leaf or an absorbed tensor")
+    owner = h  # view ops lead down to the tensor whose buffer h's data is
+    while owner._parents and np.may_share_memory(owner.data, owner._parents[0].data):
+        owner = owner._parents[0]
+    if any(t._backward is _released or (t.requires_grad and t._backward is None) for t in (h, owner)):
+        raise ValueError("add_bias takes over a fresh op output, not a leaf or an absorbed tensor or their view")
     out = h.data
     for t in adds:
         out += t.data
@@ -442,7 +454,10 @@ def groupnorm_silu(x: Tensor, groups: int, gain: Tensor, bias: Tensor) -> Tensor
     recomputes the normalised map and its sigmoid, applies `silu`'s rule, and
     replays the engine's rules for the composed norm (mean, sub, x*x, mean,
     +eps, sqrt, div, *gain, +bias) step by step, so outputs and gradients
-    have the composed ops' bits.
+    have the composed ops' bits.  A conv3d_causal reading the fresh output
+    takes the node over and rebuilds the output in backward, so the output
+    must feed that conv alone: read by another op too, backward raises a
+    "released" ValueError rather than give a wrong gradient.
     """
     c, t, h, w = x.shape
     if groups < 1:
@@ -458,12 +473,16 @@ def groupnorm_silu(x: Tensor, groups: int, gain: Tensor, bias: Tensor) -> Tensor
     act = (xc / std).reshape(x.shape) * gain.data + bias.data
     out = act * _sigmoid(act)
 
-    def bw(g):
-        xc = xg - mu
-        y = (xc / std).reshape(x.shape)
+    def rebuild():  # [normalised map, affine output, its sigmoid], by the forward's expressions
+        y = ((xg - mu) / std).reshape(x.shape)
         act = y * gain.data + bias.data
-        g = _silu_grad(g, act, _sigmoid(act))
-        del act
+        return [y, act, _sigmoid(act)]
+
+    def bw(g, parts=None):  # a taking-over conv passes its rebuild(), emptied so each part frees once used
+        y, act, sig = parts = parts or rebuild()
+        parts.clear()
+        g = _silu_grad(g, act, sig)
+        del act, sig
         if bias.requires_grad:
             _acc(bias, _unbroadcast(g, bias.shape))
         if gain.requires_grad:
@@ -473,6 +492,7 @@ def groupnorm_silu(x: Tensor, groups: int, gain: Tensor, bias: Tensor) -> Tensor
             return
         gy = _unbroadcast(g * gain.data, x.shape).reshape(xg.shape)
         del g
+        xc = xg - mu
         g_xc = gy / std
         g_std = -_unbroadcast(gy * xc / (std * std), std.shape)
         g_sq = g_std / (2.0 * std) / n
@@ -481,6 +501,7 @@ def groupnorm_silu(x: Tensor, groups: int, gain: Tensor, bias: Tensor) -> Tensor
         g_xc += -_unbroadcast(g_xc, mu.shape) / n
         _acc(x, g_xc.reshape(x.shape))
 
+    bw.rebuild = rebuild
     return _from_op(out, (x, gain, bias), bw)
 
 

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from refvae.ops import EPS
+from refvae.ops import EPS, conv3d_causal, groupnorm_silu
 from refvae.refcond import RefCondConfig, init_ref_params
 from refvae.synthdata import RDVC_MAGIC, RDVC_VERSION
 from refvae.tensor import Tensor, _acc, _from_op, backward
@@ -66,6 +66,15 @@ def patch_embed_composed(x, w, b):
     cols = x.reshape(cin, t, ht, sh, wt, sw).transpose(1, 2, 4, 0, 3, 5).reshape(t * ht * wt, cin * sh * sw)
     out = cols @ w.reshape(d_out, cin * sh * sw).transpose(1, 0)
     return out.reshape(t, ht, wt, d_out).transpose(3, 0, 1, 2) + b
+
+
+def conv_of_groupnorm_silu_unfused(x, groups, gain, bias, kernel, stride=(1, 1, 1)):
+    """conv3d_causal over a groupnorm_silu node it cannot take over, so the conv keeps
+    the norm's output: the two nodes that the fused one replaces, its oracle."""
+    h = groupnorm_silu(x, groups, gain, bias)
+    norm_bw = h._backward
+    h._backward = lambda g: norm_bw(g)  # the same rule, with no `rebuild` to offer
+    return conv3d_causal(h, kernel, stride)
 
 
 def read_rdvc(path: Path) -> np.ndarray:

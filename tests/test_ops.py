@@ -1,12 +1,20 @@
 import tracemalloc
 import types
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import attention_batched, grad_check, linear_composed, patch_embed_composed, rmsnorm_composed
+from conftest import (
+    attention_batched,
+    conv_of_groupnorm_silu_unfused,
+    grad_check,
+    linear_composed,
+    patch_embed_composed,
+    rmsnorm_composed,
+)
 from refvae import ops, vae
 from refvae.ops import (
     add_bias,
@@ -23,7 +31,7 @@ from refvae.ops import (
     upsample_causal,
     upsample_nearest,
 )
-from refvae.tensor import Tensor, build_tape, concat, float64_mode, parameter
+from refvae.tensor import Tensor, _released, build_tape, concat, float64_mode, parameter
 
 
 def conv3d_naive(x, w, stride):
@@ -516,15 +524,36 @@ def test_add_bias_rejects_other_dtypes(which):
     assert np.array_equal(h.data, before)  # checked before any in-place add
 
 
-def test_resblock_is_four_nodes_over_nine_leaves():
+@pytest.mark.parametrize("view", ["transpose", "reshape", "slice"])
+def test_add_bias_rejects_a_view_of_a_leaf_and_leaves_it_untouched(view):
+    rng = np.random.default_rng(30)
+    p, q = parameter(rng.standard_normal((3, 3))), parameter(rng.standard_normal((3, 3)))
+    b = parameter(np.ones(3))
+    views = {"transpose": lambda t: t.transpose(1, 0), "reshape": lambda t: t.reshape(9)[:3],
+             "slice": lambda t: t[1]}
+    before = p.data.copy()
+    with pytest.raises(ValueError, match="fresh op output"):
+        add_bias(views[view](p), b)
+    assert p.data.tobytes() == before.tobytes()  # checked before any in-place add
+    h = p @ q
+    absorbed = add_bias(h, b)
+    with pytest.raises(ValueError, match="fresh op output"):
+        add_bias(views[view](h), b)  # h's buffer is absorbed's: the bias would go in twice
+    # a view of a fresh product, as patch_embed and linear pass, is taken over
+    out = add_bias(views[view](absorbed @ q), b)
+    assert out.requires_grad and out._backward is not _released
+
+
+def test_resblock_is_two_nodes_over_nine_leaves():
     params = {}
     vae._add_resblock(params, np.random.default_rng(28), "r", 8, 3)
     x = parameter(np.random.default_rng(29).standard_normal((8, 3, 4, 4)))
     tape = build_tape(vae._resblock(x, params, "r", 4))
-    # x and the 8 parameters, then two GroupNorm+SiLU and two conv+bias nodes
-    # (the second one also adds x), where composed `conv + b` and `x + h` nodes make 7
-    assert len(tape) == 13
-    assert sum(t._backward is not None for t in tape) == 4
+    # x and the 8 parameters, then two GroupNorm+SiLU+conv+bias nodes (the second
+    # one also adds x), where separate norm nodes make 4 and composed `conv + b`
+    # and `x + h` nodes 9
+    assert len(tape) == 11
+    assert sum(t._backward is not None for t in tape) == 2
 
 
 # -- upsampling --------------------------------------------------------------
@@ -989,6 +1018,84 @@ def test_model_grads_match_composed_groupnorm(desk_cfg, desk_params, monkeypatch
     for p in desk_params.values():
         p.grad = None
     assert grads[0] == grads[1]
+
+
+# -- a conv takes over the GroupNorm+SiLU output it reads ----------------------------
+
+
+def _norm_conv_inputs(rng, shape, cout, ksize):
+    c = shape[0]
+    return (rng.standard_normal(shape) * 2.0 + 0.5, 1.0 + 0.3 * rng.standard_normal((c, 1, 1, 1)),
+            0.2 * rng.standard_normal((c, 1, 1, 1)), rng.standard_normal((cout, c) + ksize) * 0.2)
+
+
+@pytest.mark.parametrize("stride", [(1, 1, 1), (2, 2, 2)])
+def test_conv_over_groupnorm_grads_match_finite_differences(stride):
+    with float64_mode():
+        rng = np.random.default_rng(31)
+        args = [parameter(a) for a in _norm_conv_inputs(rng, (4, 3, 4, 4), 3, (2, 3, 3))]
+        x, gain, bias, w = args
+        probe = Tensor(rng.standard_normal(conv3d_causal(Tensor(x.data), Tensor(w.data), stride).shape))
+
+        def loss(x, gain, bias, w):
+            out = conv3d_causal(groupnorm_silu(x, 2, gain, bias), w, stride)
+            assert out._parents == (x, gain, bias, w)  # the fused node
+            return (out * probe).sum()
+
+        for i, t in enumerate(args):
+            assert grad_check(lambda v: loss(*args[:i], v, *args[i + 1:]), t) < 1e-4, i
+
+
+@pytest.mark.parametrize("shape,groups,stride", [((8, 5, 6, 8), 4, (1, 1, 1)), ((8, 5, 6, 8), 4, (2, 2, 2)),
+                                                 ((32, 17, 16, 32), 8, (1, 1, 1)),
+                                                 ((64, 9, 8, 16), 8, (2, 2, 2))])
+def test_conv_over_groupnorm_matches_unfused_bitwise(shape, groups, stride):
+    rng = np.random.default_rng(32)
+    arrays = [a.astype(np.float32) for a in _norm_conv_inputs(rng, shape, shape[0], (3, 3, 3))]
+    probe = None
+    results = []
+    for op in (lambda *a: conv3d_causal(groupnorm_silu(*a[:4]), a[4], stride),
+               lambda *a: conv_of_groupnorm_silu_unfused(*a, stride)):
+        x, gain, bias, w = (parameter(a) for a in arrays)
+        out = op(x, groups, gain, bias, w)
+        if probe is None:
+            probe = Tensor(rng.standard_normal(out.shape).astype(np.float32))
+        (out * probe).sum().backward()
+        results.append((out.data, x.grad, gain.grad, bias.grad, w.grad))
+    for fused, unfused in zip(*results):
+        assert fused.dtype == unfused.dtype == np.float32
+        assert fused.shape == unfused.shape and fused.strides == unfused.strides
+        assert fused.tobytes() == unfused.tobytes()
+
+
+def test_conv_takes_over_a_fresh_groupnorm_output_and_frees_it():
+    rng = np.random.default_rng(33)
+    x, gain, bias, w = (parameter(a) for a in _norm_conv_inputs(rng, (8, 3, 4, 4), 8, (3, 3, 3)))
+    h = groupnorm_silu(x, 4, gain, bias)
+    out = conv3d_causal(h, w)
+    assert out._parents == (x, gain, bias, w)
+    assert h._backward is _released and h._parents == ()
+    held = _closure_reach(out._backward)
+    assert {id(c) for c in held if isinstance(c, Tensor)} == {id(t) for t in (x, gain, bias, w)}
+    freed = weakref.ref(h.data)
+    del h
+    assert freed() is None  # the node rebuilds the norm's output in backward
+    # without a graph there is nothing to take over: the conv reads the output as it is
+    plain = groupnorm_silu(Tensor(x.data), 4, Tensor(gain.data), Tensor(bias.data))
+    assert conv3d_causal(plain, Tensor(w.data))._parents == () and plain._backward is None
+
+
+@pytest.mark.parametrize("second", ["read before", "read after", "second conv"])
+def test_groupnorm_output_read_by_a_conv_and_another_op_fails_in_backward(second):
+    rng = np.random.default_rng(34)
+    x, gain, bias, w = (parameter(a) for a in _norm_conv_inputs(rng, (4, 3, 4, 4), 4, (3, 3, 3)))
+    h = groupnorm_silu(x, 2, gain, bias)
+    other = h * 2.0 if second == "read before" else None
+    out = conv3d_causal(h, w)
+    if other is None:
+        other = h * 2.0 if second == "read after" else conv3d_causal(h, w)
+    with pytest.raises(ValueError, match="released"):
+        (out.sum() + other.sum()).backward()
 
 
 def test_groupnorm_gain_and_bias_grads():

@@ -431,19 +431,23 @@ def _pretrain_step_loss() -> tuple[dict[str, Tensor], Tensor]:
 
 
 def test_backward_frees_activations_and_keeps_leaf_grads(monkeypatch):
-    norm_outputs = []
+    norm_inputs, norm_outputs = [], []
 
-    def recording_groupnorm(*args):
-        out = vae_groupnorm(*args)
+    def recording_groupnorm(x, *args):
+        out = vae_groupnorm(x, *args)
+        norm_inputs.append(weakref.ref(x.data))
         norm_outputs.append(weakref.ref(out.data))
         return out
 
     vae_groupnorm = vae.groupnorm
     monkeypatch.setattr(vae, "groupnorm", recording_groupnorm)
     params, loss = _pretrain_step_loss()
-    assert norm_outputs and all(ref() is not None for ref in norm_outputs)
+    # each norm output is rebuilt by the conv that took it over, never kept;
+    # the norm inputs, such as each resblock's first conv output, are kept
+    assert norm_outputs and all(ref() is None for ref in norm_outputs)
+    assert all(ref() is not None for ref in norm_inputs)
     backward(loss)
-    assert all(ref() is None for ref in norm_outputs)  # resblock activations are gone
+    assert all(ref() is None for ref in norm_inputs)  # resblock activations are gone
     assert all(p.grad is not None for p in params.values())
     grads = {n: p.grad for n, p in params.items()}
     with pytest.raises(ValueError, match="released"):
