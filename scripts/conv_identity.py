@@ -39,8 +39,10 @@ exist in one tree only.
 For each tree it also prints the tracemalloc peak, the bytes held when
 backward starts and the tape-node count of one default-config 17-frame
 pretrain step and one attention fine-tune step (forward, loss and backward;
-the fine-tune on a cached latent with the encoder frozen), and the line count
-of its `refvae/*.py`, the `src/` size that ROADMAP tracks.  These lines are
+the fine-tune on a cached latent with the encoder frozen), the tracemalloc
+peak of one eval-mode conditioned decode of that latent (frozen parameters,
+as a checkpoint loads them: no graph), and the line count of its
+`refvae/*.py`, the `src/` size that ROADMAP tracks.  These lines are
 informational: the exit status does not depend on them.
 
 It exits 1 if any conv shape, any fused op, any part of the run or any CLI
@@ -128,12 +130,13 @@ def run_sequence(pkg: str) -> dict[str, object]:
     return out
 
 
-def step_memory(pkg: str) -> list[tuple[str, float, float, int]]:
+def step_memory(pkg: str) -> tuple[list[tuple[str, float, float, int]], float]:
     """(step, tracemalloc peak and bytes held at backward start in MiB, tape nodes)
-    of one 17-frame pretrain and one fine-tune step.
+    of one 17-frame pretrain and one fine-tune step, and the tracemalloc peak
+    in MiB of one eval-mode conditioned decode of the fine-tune's latent.
 
-    Each step runs forward, loss and backward with package `pkg`; both
-    figures count only what the step itself allocates.
+    Each step runs forward, loss and backward with package `pkg`; every
+    figure counts only what the step or decode itself allocates.
     """
     config, refcond_mod, synthdata, tensor_mod, train, vae_mod = (
         importlib.import_module(f"{pkg}.{m}") for m in ("config", "refcond", "synthdata", "tensor", "training", "vae"))
@@ -161,7 +164,14 @@ def step_memory(pkg: str) -> list[tuple[str, float, float, int]]:
         finally:
             tracemalloc.stop()
         out.append((name, peak / 2 ** 20, held / 2 ** 20, nodes))
-    return out
+    frozen = {n: Tensor(p.data) for n, p in finetune.items()}
+    tracemalloc.start()
+    try:
+        refcond_mod.decode_conditioned_t(Tensor(z), window[0], cfg.vae, cfg.refdec, frozen)
+        decode_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, decode_peak / 2 ** 20
 
 
 def cli_outputs(pkg: str, root: Path) -> dict[str, bytes]:
@@ -367,9 +377,11 @@ def main(argv=None) -> int:
     print(f"{len(calls) - bad}/{len(calls)} shapes bit-equal")
     op_bad = check_fused(other_ops, other_tensor)
     for tree, pkg in (("this tree", "refvae"), ("other tree", "refvae_other")):
+        steps, decode_peak = step_memory(pkg)
         print(f"memory, {tree}: " + "; ".join(f"{name} step peak {peak:.1f} MiB, {held:.1f} MiB held at "
                                              f"backward start, {nodes} tape nodes"
-                                             for name, peak, held, nodes in step_memory(pkg)))
+                                             for name, peak, held, nodes in steps)
+              + f"; eval-mode conditioned decode peak {decode_peak:.1f} MiB")
     print(f"src/refvae/*.py lines: this tree {src_lines(SRC)}, other tree {src_lines(args.other_src)}")
     with tempfile.TemporaryDirectory() as mine, tempfile.TemporaryDirectory() as theirs:
         files, other_files = cli_outputs("refvae", Path(mine)), cli_outputs("refvae_other", Path(theirs))

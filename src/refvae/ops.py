@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, _acc, _from_op, _grad_buffer, _released, _unbroadcast, concat
+from .tensor import Tensor, _acc, _from_op, _grad_buffer, _needs, _released, _take_over, _unbroadcast, concat
 
 EPS = 1e-6
 # GEMM outputs at most this wide get no frame tiles and no kernel copies: OpenBLAS
@@ -189,18 +189,20 @@ def conv3d_causal(x: Tensor, kernel: Tensor, stride: tuple[int, int, int] = (1, 
     acc = _shifted_gemm(phases(x.data).reshape(-1, cin), starts, wcl, rows, dtype, kh * kw, frames)
     out = np.ascontiguousarray(acc.reshape(t_out, hq, wq, cout)[:, :h_out, :w_out].transpose(3, 0, 1, 2))
 
-    norm_bw = x._backward if hasattr(x._backward, "rebuild") else None
-    plain, x_dtype = None if norm_bw else x, x.dtype
+    # a taken-over norm node's closure and parents; else the conv keeps x's data
+    norm_bw, in_parents = _take_over(x) if hasattr(x._backward, "rebuild") else (None, (x,))
+    xd, xn = (None, None) if norm_bw else (x.data, _needs(x))
+    kd, kn, x_dtype = kernel.data, _needs(kernel), x.dtype
 
     def bw(g):
         parts = norm_bw.rebuild() if norm_bw else None  # [normalised map, affine output, its sigmoid]
         gcl = np.ascontiguousarray(g.transpose(1, 2, 3, 0)).reshape(n, cout)
-        if kernel.requires_grad:
+        if kn:
             # reduce over the n output positions only, never over junk rows;
             # one all-frames patch per temporal phase and spatial offset, whose
             # frame ranges are the [n, cin] operands a per-offset copy makes
-            gk = _grad_buffer(kernel)
-            xq = phases(parts[1] * parts[2] if norm_bw else plain.data)  # rebuilt, not kept alive from the forward
+            gk = _grad_buffer(kn, kd)
+            xq = phases(parts[1] * parts[2] if norm_bw else xd)  # rebuilt, not kept alive from the forward
             pt = np.empty((tq, h_out, w_out, cin), dtype=x_dtype)  # one operand buffer for every patch
             for dy, dx in np.ndindex(kh, kw):
                 for a in range(min(st, kt)):
@@ -208,7 +210,7 @@ def conv3d_causal(x: Tensor, kernel: Tensor, stride: tuple[int, int, int] = (1, 
                     for dt in range(a, kt, st):
                         gk[:, :, dt, dy, dx] += gcl.T @ pt[dt // st:dt // st + t_out].reshape(n, cin)
             del xq, pt  # freed before the input gradient's buffers are built
-        if not (norm_bw or plain.requires_grad):
+        if not (norm_bw or xn):
             return
         # phase row j gathers g row j - s from each offset of the phase, at
         # its in-phase start s: a forward pass of g laid out on the output
@@ -242,12 +244,9 @@ def conv3d_causal(x: Tensor, kernel: Tensor, stride: tuple[int, int, int] = (1, 
             else:
                 gx[f0 * st + a - kt + 1::st, y0 * sh + b - ph::sh, x0 * sw + c - pw::sw] = gph[:, y0:y1, x0:x1]
         gx = gx.transpose(3, 0, 1, 2).astype(x_dtype, copy=False)
-        norm_bw(gx, parts) if norm_bw else _acc(plain, gx)
+        norm_bw(gx, parts) if norm_bw else _acc(xn, gx)
 
-    parents = (x, kernel)
-    if norm_bw:
-        parents, x._backward, x._parents = (*x._parents, kernel), _released, ()
-    return _from_op(out, parents, bw)
+    return _from_op(out, (*in_parents, kernel), bw)
 
 
 def add_bias(h: Tensor, bias: Tensor, residual: Tensor | None = None) -> Tensor:
@@ -255,30 +254,29 @@ def add_bias(h: Tensor, bias: Tensor, residual: Tensor | None = None) -> Tensor:
 
     `h` must be the fresh output of an op whose backward never reads it, such
     as conv3d_causal or a matmul, or a reshape or transpose view of such a
-    product, whose buffer then holds the sum.  The node takes over h's closure
-    and parents, leaves h released and hands its gradient to that closure
-    uncopied.  IEEE addition commutes, so the bits are those of
+    product, whose buffer then holds the sum: h's node records the owner of
+    its buffer.  The node takes over h's closure and parents, leaves h released
+    and hands its gradient to that closure uncopied; it keeps no array of its
+    own.  IEEE addition commutes, so the bits are those of
     `residual + (h + bias)`; adding in place never promotes, so an operand of
     another dtype than h is an error.
     """
     adds = [bias] if residual is None else [bias, residual]
     if any(t.dtype != h.dtype for t in adds):
         raise ValueError(f"add_bias of {[t.dtype.name for t in adds]} into {h.dtype.name}: would cast")
-    owner = h  # view ops lead down to the tensor whose buffer h's data is
-    while owner._parents and np.may_share_memory(owner.data, owner._parents[0].data):
-        owner = owner._parents[0]
-    if any(t._backward is _released or (t.requires_grad and t._backward is None) for t in (h, owner)):
+    hn = h.node
+    if hn is not None and any(n._backward is _released or (n.requires_grad and n._backward is None)
+                              for n in (hn, hn._owner or hn)):
         raise ValueError("add_bias takes over a fresh op output, not a leaf or an absorbed tensor or their view")
     out = h.data
     for t in adds:
         out += t.data
-    h_bw, h_parents = h._backward, h._parents
-    h._backward, h._parents = _released, ()
+    h_bw, h_parents = _take_over(h)
+    add_nodes = [n for n in map(_needs, adds) if n]
 
     def bw(g):
-        for t in adds:
-            if t.requires_grad:
-                _acc(t, _unbroadcast(g, t.data.shape))
+        for n in add_nodes:
+            _acc(n, _unbroadcast(g, n.shape))
         if h_bw is not None:
             h_bw(g)
 
@@ -297,8 +295,9 @@ def upsample_nearest(x: Tensor, factors: tuple[int, int, int]) -> Tensor:
         if f > 1:
             y = np.repeat(y, f, axis=ax)
 
+    xn = x.node
     return _from_op(y, (x,), lambda g: _acc(
-        x, g.reshape(c, t_in, ft, h_in, fh, w_in, fw).sum(axis=(2, 4, 6))))
+        xn, g.reshape(c, t_in, ft, h_in, fh, w_in, fw).sum(axis=(2, 4, 6))))
 
 
 def upsample_causal(x: Tensor, factors: tuple[int, int, int]) -> Tensor:
@@ -338,6 +337,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     rmax, rsum = np.empty((2, heads, seq, 1), dtype=q.dtype)
+    dtype, nodes = q.dtype, [_needs(t) for t in (v, q, k)]
 
     def softmax(i, p, fresh=False):  # head i's probabilities in p; `fresh` takes its row max and sum
         np.matmul(qh[i], kh[i].T, out=p)
@@ -357,8 +357,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
 
     def bw(g):
         gh = split(g)
-        grads = np.empty((3, seq, heads, dh), dtype=q.dtype)  # v's, q's and k's as [L, H, dh]
-        p, gs, prod = np.empty((3, seq, seq), dtype=q.dtype)  # one head's [L, L] arrays
+        grads = np.empty((3, seq, heads, dh), dtype=dtype)  # v's, q's and k's as [L, H, dh]
+        p, gs, prod = np.empty((3, seq, seq), dtype=dtype)  # one head's [L, L] arrays
         for i in range(heads):
             np.matmul(softmax(i, p).T, gh[i], out=grads[0, :, i])
             np.matmul(gh[i], vh[i].T, out=gs)  # gp, turned into p * (gp - rowsum(gp * p)) in place
@@ -368,9 +368,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
             np.matmul(gs.T, qh[i], out=grads[2, :, i])
         grads[1:] *= scale
         del p, gs, prod  # freed before the gradients' first-touch copies
-        for t, gt in zip((v, q, k), grads):
-            if t.requires_grad:
-                _acc(t, gt.reshape(seq, d))
+        for n, gt in zip(nodes, grads):
+            if n:
+                _acc(n, gt.reshape(seq, d))
 
     return _from_op(out.reshape(seq, d), (q, k, v), bw)
 
@@ -403,9 +403,9 @@ def rope_apply(x: Tensor, tables: tuple[np.ndarray, np.ndarray]) -> Tensor:
     pairs = cos.shape[-1]
     if cos.shape[:2] != (seq, 3) or not pairs or d % (6 * pairs) or cos.dtype != x.dtype:
         raise ValueError(f"rope tables {cos.shape} {cos.dtype.name} do not fit x {x.shape} {x.dtype.name}")
-    heads, cos, sin = (seq, d // (6 * pairs), 3, pairs, 2), cos[:, None], sin[:, None]
+    heads, cos, sin, xn = (seq, d // (6 * pairs), 3, pairs, 2), cos[:, None], sin[:, None], x.node
     return _from_op(_rotate(x.data.reshape(heads), cos, sin).reshape(seq, d), (x,),
-                    lambda g: _acc(x, _rotate(g.reshape(heads), cos, -sin).reshape(seq, d)))
+                    lambda g: _acc(xn, _rotate(g.reshape(heads), cos, -sin).reshape(seq, d)))
 
 
 def _rotate(v: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
@@ -424,23 +424,23 @@ def rmsnorm(x: Tensor, gain: Tensor, axis: int = -1) -> Tensor:
     replays the engine's rules for the composed ops (*gain, /, sqrt, +eps,
     mean, x*x) in their order, so outputs and gradients have their bits.
     """
-    xd = x.data
+    xd, gd, xn, gn = x.data, gain.data, _needs(x), _needs(gain)
     ms = (xd * xd).mean(axis=axis, keepdims=True)
     n = xd.size // max(ms.size, 1)  # elements per mean
     r = np.sqrt(ms + np.asarray(EPS, dtype=ms.dtype))
-    out = xd / r * gain.data
+    out = xd / r * gd
 
     def bw(g):
-        if gain.requires_grad:
-            _acc(gain, _unbroadcast(g * (x.data / r), gain.shape))
-        if not x.requires_grad:
+        if gn:
+            _acc(gn, _unbroadcast(g * (xd / r), gn.shape))
+        if not xn:
             return
-        g_q = g * gain.data
-        _acc(x, g_q / r)
-        g_sq = _unbroadcast(g_q * x.data / -(r * r), r.shape) / (2.0 * r) / n
+        g_q = g * gd
+        _acc(xn, g_q / r)
+        g_sq = _unbroadcast(g_q * xd / -(r * r), r.shape) / (2.0 * r) / n
         del g_q
-        _acc(x, g_sq * x.data)  # x*x passes one gradient per operand: two adds, as there
-        _acc(x, g_sq * x.data)
+        _acc(xn, g_sq * xd)  # x*x passes one gradient per operand: two adds, as there
+        _acc(xn, g_sq * xd)
 
     return _from_op(out, (x, gain), bw)
 
@@ -464,18 +464,19 @@ def groupnorm_silu(x: Tensor, groups: int, gain: Tensor, bias: Tensor) -> Tensor
         raise ValueError("groups must be >= 1")
     if c % groups:
         raise ValueError(f"{c} channels not divisible into {groups} groups")
-    axes, n = (1, 3, 4), (c // groups) * h * w
-    xg = x.data.reshape(groups, c // groups, t, h, w)
+    axes, n, shape = (1, 3, 4), (c // groups) * h * w, x.shape
+    xg, gd, bd = x.data.reshape(groups, c // groups, t, h, w), gain.data, bias.data
+    xn, gn, bn = _needs(x), _needs(gain), _needs(bias)
     mu = xg.mean(axis=axes, keepdims=True)
     xc = xg - mu
     var = (xc * xc).mean(axis=axes, keepdims=True)
     std = np.sqrt(var + np.asarray(EPS, dtype=var.dtype))
-    act = (xc / std).reshape(x.shape) * gain.data + bias.data
+    act = (xc / std).reshape(shape) * gd + bd
     out = act * _sigmoid(act)
 
     def rebuild():  # [normalised map, affine output, its sigmoid], by the forward's expressions
-        y = ((xg - mu) / std).reshape(x.shape)
-        act = y * gain.data + bias.data
+        y = ((xg - mu) / std).reshape(shape)
+        act = y * gd + bd
         return [y, act, _sigmoid(act)]
 
     def bw(g, parts=None):  # a taking-over conv passes its rebuild(), emptied so each part frees once used
@@ -483,14 +484,14 @@ def groupnorm_silu(x: Tensor, groups: int, gain: Tensor, bias: Tensor) -> Tensor
         parts.clear()
         g = _silu_grad(g, act, sig)
         del act, sig
-        if bias.requires_grad:
-            _acc(bias, _unbroadcast(g, bias.shape))
-        if gain.requires_grad:
-            _acc(gain, _unbroadcast(g * y, gain.shape))
+        if bn:
+            _acc(bn, _unbroadcast(g, bn.shape))
+        if gn:
+            _acc(gn, _unbroadcast(g * y, gn.shape))
         del y
-        if not x.requires_grad:
+        if not xn:
             return
-        gy = _unbroadcast(g * gain.data, x.shape).reshape(xg.shape)
+        gy = _unbroadcast(g * gd, shape).reshape(xg.shape)
         del g
         xc = xg - mu
         g_xc = gy / std
@@ -499,7 +500,7 @@ def groupnorm_silu(x: Tensor, groups: int, gain: Tensor, bias: Tensor) -> Tensor
         g_xc += g_sq * xc  # x*x passes one gradient per operand: two adds, as there
         g_xc += g_sq * xc
         g_xc += -_unbroadcast(g_xc, mu.shape) / n
-        _acc(x, g_xc.reshape(x.shape))
+        _acc(xn, g_xc.reshape(shape))
 
     bw.rebuild = rebuild
     return _from_op(out, (x, gain, bias), bw)
@@ -534,8 +535,9 @@ def _silu_grad(g: np.ndarray, v: np.ndarray, sig: np.ndarray) -> np.ndarray:
 
 
 def silu(x: Tensor) -> Tensor:
-    sig = _sigmoid(x.data)
-    return _from_op(x.data * sig, (x,), lambda g: _acc(x, _silu_grad(g, x.data, sig)))
+    xd, xn = x.data, x.node
+    sig = _sigmoid(xd)
+    return _from_op(xd * sig, (x,), lambda g: _acc(xn, _silu_grad(g, xd, sig)))
 
 
 _GELU_C = float(np.sqrt(2.0 / np.pi))
@@ -548,12 +550,13 @@ def _gelu_tanh(xd: np.ndarray) -> np.ndarray:
 
 def gelu(x: Tensor) -> Tensor:
     """GELU, tanh approximation.  The node keeps only x: its backward recomputes the tanh."""
-    out = 0.5 * x.data * (1.0 + _gelu_tanh(x.data))
+    xd, xn = x.data, x.node
+    out = 0.5 * xd * (1.0 + _gelu_tanh(xd))
 
     def bw(g):
-        xd, th = x.data, _gelu_tanh(x.data)
+        th = _gelu_tanh(xd)
         dinner = _GELU_C * (1.0 + 3.0 * _GELU_A * xd * xd)
-        _acc(x, g * (0.5 * (1.0 + th) + 0.5 * xd * (1.0 - th * th) * dinner))
+        _acc(xn, g * (0.5 * (1.0 + th) + 0.5 * xd * (1.0 - th * th) * dinner))
 
     return _from_op(out, (x,), bw)
 

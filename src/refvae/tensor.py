@@ -1,13 +1,19 @@
 """Reverse-mode autodiff over dense numpy arrays.
 
-The graph is built eagerly: every operation returns a new Tensor that keeps
-references to its parent tensors and a closure routing the output gradient
-back to them.  `backward` linearises the graph reachable from the loss into
-a tape (topological order, parents first) and walks it exactly once in
-reverse, accumulating into `.grad`.  It releases the graph as it goes: once
-an interior node's closure has run, the node drops its gradient, closure
-and parents, so activations and interior gradients are freed as soon as
-nothing upstream needs them.  Only leaves keep `.grad`.
+The graph is built eagerly, apart from the arrays: a `Tensor` is its `data`
+plus, once it joins a graph, a `Node` that holds no array, only the
+gradient, the parent nodes and the closure routing the output gradient back
+to them.  Each closure captures only the arrays its rule reads (`*`, `/` and
+`@` their operands; `+`, `-`, `sum`, `reshape` and `concat` none), so an op
+output that no backward reads dies with the forward's last reference to it.
+Indexing keeps its parent's array, whose memory order its gradient buffer
+copies.  Eval mode builds no nodes.  `backward` linearises the nodes
+reachable from the loss into a tape (topological order, parents first) and
+walks it exactly once in reverse, accumulating into `.grad`.  It releases
+the graph as it goes: once an interior node's closure has run, the node
+drops its gradient, closure and parents, so activations and interior
+gradients are freed as soon as nothing upstream needs them.  Only leaves
+keep `.grad`.
 
 One backward rule per node shape: a one-input op's closure accumulates
 unconditionally (`_from_op` attaches it only when the input requires grad);
@@ -44,21 +50,28 @@ def float64_mode():
         _default_dtype = prev
 
 
-class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+class Node:
+    """A tensor's place in the graph, holding no array.  `_owner` is the node whose
+    buffer the tensor's data views (`_from_op` records it); None: its own buffer."""
+    __slots__ = ("grad", "requires_grad", "_parents", "_backward", "shape", "dtype", "_owner")
 
-    def __init__(self, data, requires_grad: bool = False,
-                 _parents: tuple["Tensor", ...] = (),
-                 _backward: Callable[[np.ndarray], None] | None = None):
+    def __init__(self, shape: tuple[int, ...], dtype, requires_grad: bool = False, parents: tuple[Node, ...] = (),
+                 backward: Callable[[np.ndarray], None] | None = None, owner: Node | None = None):
+        self.grad: np.ndarray | None = None
+        self.requires_grad, self.shape, self.dtype = requires_grad, shape, dtype
+        self._parents, self._backward, self._owner = parents, backward, owner
+
+
+class Tensor:
+    __slots__ = ("data", "node")
+
+    def __init__(self, data, requires_grad: bool = False):
         if isinstance(data, np.ndarray) and data.dtype in (np.float32, np.float64):
             arr = data
         else:
             arr = np.asarray(data, dtype=_default_dtype)
         self.data = arr
-        self.grad: np.ndarray | None = None
-        self.requires_grad = requires_grad
-        self._parents = _parents
-        self._backward = _backward
+        self.node = Node(arr.shape, arr.dtype, True) if requires_grad else None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -67,6 +80,27 @@ class Tensor:
     @property
     def dtype(self):
         return self.data.dtype
+
+    # the node's fields, read through the tensor; a tensor with no node has none
+    @property
+    def grad(self) -> np.ndarray | None:
+        return self.node and self.node.grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray | None) -> None:
+        _node(self).grad = value
+
+    @property
+    def requires_grad(self) -> bool:
+        return self.node is not None and self.node.requires_grad
+
+    @property
+    def _backward(self) -> Callable[[np.ndarray], None] | None:
+        return self.node and self.node._backward
+
+    @_backward.setter
+    def _backward(self, fn: Callable[[np.ndarray], None]) -> None:
+        self.node._backward = fn
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
@@ -86,61 +120,69 @@ class Tensor:
 
     def __mul__(self, other):
         b = as_tensor(other, self)
-        return _binary(self.data * b.data, self, b, lambda g: g * b.data, lambda g: g * self.data)
+        ad, bd = self.data, b.data
+        return _binary(ad * bd, self, b, lambda g: g * bd, lambda g: g * ad)
 
     def __truediv__(self, other):
         b = as_tensor(other, self)
+        ad, bd = self.data, b.data
         # IEEE negation is exact: negating the b-shaped divisor gives the bits of
         # negating the quotient
-        return _binary(self.data / b.data, self, b, lambda g: g / b.data,
-                       lambda g: g * self.data / -(b.data * b.data))
+        return _binary(ad / bd, self, b, lambda g: g / bd, lambda g: g * ad / -(bd * bd))
 
     def __matmul__(self, b: Tensor):
-        if self.data.ndim < 2 or b.data.ndim < 2:
+        ad, bd = self.data, b.data
+        if ad.ndim < 2 or bd.ndim < 2:
             raise ValueError("matmul requires at least 2-D operands")
-        if self.data.shape[-1] != b.data.shape[-2]:
-            raise ValueError(f"matmul shape mismatch: {self.data.shape} @ {b.data.shape}")
-        if self.data.ndim != b.data.ndim or self.data.shape[:-2] != b.data.shape[:-2]:
+        if ad.shape[-1] != bd.shape[-2]:
+            raise ValueError(f"matmul shape mismatch: {ad.shape} @ {bd.shape}")
+        if ad.ndim != bd.ndim or ad.shape[:-2] != bd.shape[:-2]:
             raise ValueError("matmul batch dimensions must match exactly")
 
         # the gradients have the operands' shapes: _unbroadcast passes them through
-        return _binary(np.matmul(self.data, b.data), self, b, lambda g: np.matmul(g, b.data.swapaxes(-1, -2)),
-                       lambda g: np.matmul(self.data.swapaxes(-1, -2), g))
+        return _binary(np.matmul(ad, bd), self, b, lambda g: np.matmul(g, bd.swapaxes(-1, -2)),
+                       lambda g: np.matmul(ad.swapaxes(-1, -2), g))
 
     def __getitem__(self, key):
+        xd, xn = self.data, self.node  # the buffer copies xd's memory order
+
         def bw(g):
-            _grad_buffer(self)[key] += g
+            _grad_buffer(xn, xd)[key] += g
 
         return _from_op(self.data[key], (self,), bw)
 
     def sum(self, axis=None, keepdims: bool = False):
+        xn, shape = self.node, self.shape
         return _from_op(self.data.sum(axis=axis, keepdims=keepdims), (self,),
-                        lambda g: _acc(self, _unreduce(g, self.data.shape, axis, keepdims)))
+                        lambda g: _acc(xn, _unreduce(g, shape, axis, keepdims)))
 
     def mean(self, axis=None, keepdims: bool = False):
         out = self.data.mean(axis=axis, keepdims=keepdims)
+        xn, shape = self.node, self.shape
         n = self.data.size // max(out.size, 1)  # elements per mean
-        return _from_op(out, (self,), lambda g: _acc(self, _unreduce(g / n, self.data.shape, axis, keepdims)))
+        return _from_op(out, (self,), lambda g: _acc(xn, _unreduce(g / n, shape, axis, keepdims)))
 
     def reshape(self, *shape):
         shape = tuple(shape[0] if len(shape) == 1 and isinstance(shape[0], (tuple, list)) else shape)
-        return _from_op(self.data.reshape(shape), (self,), lambda g: _acc(self, g.reshape(self.data.shape)))
+        xn, old = self.node, self.shape
+        return _from_op(self.data.reshape(shape), (self,), lambda g: _acc(xn, g.reshape(old)))
 
     def transpose(self, *axes):
         axes = tuple(axes[0] if len(axes) == 1 and isinstance(axes[0], (tuple, list)) else axes)
-        inv = tuple(np.argsort(axes))
-        return _from_op(self.data.transpose(axes), (self,), lambda g: _acc(self, g.transpose(inv)))
+        xn, inv = self.node, tuple(np.argsort(axes))
+        return _from_op(self.data.transpose(axes), (self,), lambda g: _acc(xn, g.transpose(inv)))
 
     def abs(self):
-        return _from_op(np.abs(self.data), (self,), lambda g: _acc(self, g * np.sign(self.data)))
+        xd, xn = self.data, self.node
+        return _from_op(np.abs(xd), (self,), lambda g: _acc(xn, g * np.sign(xd)))
 
     def sqrt(self):
-        out_data = np.sqrt(self.data)
-        return _from_op(out_data, (self,), lambda g: _acc(self, g / (2.0 * out_data)))
+        out_data, xn = np.sqrt(self.data), self.node
+        return _from_op(out_data, (self,), lambda g: _acc(xn, g / (2.0 * out_data)))
 
     def clamp(self, lo: float, hi: float):
-        return _from_op(np.clip(self.data, lo, hi), (self,),
-                        lambda g: _acc(self, g * ((self.data >= lo) & (self.data <= hi))))
+        xd, xn = self.data, self.node
+        return _from_op(np.clip(xd, lo, hi), (self,), lambda g: _acc(xn, g * ((xd >= lo) & (xd <= hi))))
 
     def backward(self) -> None:
         backward(self)
@@ -158,12 +200,31 @@ def as_tensor(x, like: Tensor) -> Tensor:
     return Tensor(np.asarray(x, dtype=like.dtype))
 
 
-def _from_op(data: np.ndarray, parents: Sequence[Tensor],
+def _node(t: Tensor | Node) -> Node:
+    """t's node; a tensor without one gets a constant leaf node."""
+    if isinstance(t, Node):
+        return t
+    if t.node is None:
+        t.node = Node(t.data.shape, t.data.dtype)
+    return t.node
+
+
+def _needs(t: Tensor) -> Node | None:
+    """t's node if t requires grad, else None: what a closure accumulates into."""
+    return t.node if t.requires_grad else None
+
+
+def _from_op(data: np.ndarray, parents: Sequence[Tensor | Node],
              backward_fn: Callable[[np.ndarray], None]) -> Tensor:
-    if any(p.requires_grad for p in parents):
-        return Tensor(data, requires_grad=True, _parents=tuple(parents), _backward=backward_fn)
-    # keep eval-mode graphs free of references so activations can be collected
-    return Tensor(data)
+    """`data` as a tensor, with a node over the parents if one requires grad; when
+    `data` views the first parent's array, the node records that array's owner."""
+    out = Tensor(data)
+    if any(p.requires_grad for p in parents):  # else no node, so activations can be collected
+        first = parents[0]
+        owner = (_node(first)._owner or first.node
+                 if isinstance(first, Tensor) and np.may_share_memory(data, first.data) else None)
+        out.node = Node(data.shape, data.dtype, True, tuple(map(_node, parents)), backward_fn, owner)
+    return out
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -179,19 +240,19 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
-def _acc(t: Tensor, g: np.ndarray) -> None:
+def _acc(n: Node, g: np.ndarray) -> None:
     """Accumulate a full-shape gradient; first touch copies, later adds."""
-    if t.grad is None:
-        t.grad = np.array(g)
+    if n.grad is None:
+        n.grad = np.array(g)
     else:
-        t.grad += g
+        n.grad += g
 
 
-def _grad_buffer(t: Tensor) -> np.ndarray:
-    """Zero gradient buffer for closures that scatter into sub-regions."""
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    return t.grad
+def _grad_buffer(n: Node, like: np.ndarray) -> np.ndarray:
+    """Zero gradient buffer, in the memory order of `like`, for closures that scatter into sub-regions."""
+    if n.grad is None:
+        n.grad = np.zeros_like(like)
+    return n.grad
 
 
 # -- primitive operations ---------------------------------------------------
@@ -201,10 +262,11 @@ def _binary(out: np.ndarray, a: Tensor, b: Tensor, grad_a: Callable, grad_b: Cal
     """Node of a broadcasting binary op.  `grad_a(g)` and `grad_b(g)` give an
     operand's gradient at the output's shape; each runs only for an operand
     that requires grad, and is summed down to that operand's shape."""
+    rules = [(n, grad) for n, grad in ((_needs(a), grad_a), (_needs(b), grad_b)) if n]
+
     def bw(g):
-        for t, grad in ((a, grad_a), (b, grad_b)):
-            if t.requires_grad:
-                _acc(t, _unbroadcast(grad(g), t.data.shape))
+        for n, grad in rules:
+            _acc(n, _unbroadcast(grad(g), n.shape))
 
     return _from_op(out, (a, b), bw)
 
@@ -219,13 +281,13 @@ def _unreduce(g: np.ndarray, shape: tuple[int, ...], axis, keepdims: bool) -> np
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     sizes = [t.data.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
+    parts = [(n, int(lo), int(hi)) for n, lo, hi in zip(map(_needs, tensors), offsets[:-1], offsets[1:]) if n]
 
     def bw(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(int(lo), int(hi))
-                _acc(t, g[tuple(idx)])
+        for n, lo, hi in parts:
+            idx = [slice(None)] * g.ndim
+            idx[axis] = slice(lo, hi)
+            _acc(n, g[tuple(idx)])
 
     return _from_op(np.concatenate([t.data for t in tensors], axis=axis), tensors, bw)
 
@@ -233,11 +295,11 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 # -- backward pass -----------------------------------------------------------
 
 
-def build_tape(root: Tensor) -> list[Tensor]:
-    """Topological order of the graph reachable from `root`, parents first."""
-    tape: list[Tensor] = []
+def build_tape(root: Tensor) -> list[Node]:
+    """Topological order of the nodes reachable from `root`, parents first."""
+    tape: list[Node] = []
     visited: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    stack: list[tuple[Node, bool]] = [(_node(root), False)]
     while stack:
         node, emitted = stack.pop()
         if emitted:
@@ -258,25 +320,39 @@ def _released(g: np.ndarray) -> None:
     raise ValueError("backward through a graph that an earlier backward released")
 
 
+# the node of a tensor with none that an op took over in eval mode
+_CONSUMED = Node((), None, backward=_released)
+
+
+def _take_over(t: Tensor) -> tuple[Callable[[np.ndarray], None] | None, tuple[Node, ...]]:
+    """t's closure and parents, for an op whose node takes t's place; t's node is left released."""
+    n = t.node
+    if n is None:
+        t.node = _CONSUMED
+        return None, ()
+    taken = n._backward, n._parents
+    n._backward, n._parents = _released, ()
+    return taken
+
+
 def backward(loss: Tensor) -> None:
     if loss.data.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.data.shape}")
     if not loss.requires_grad:
         raise ValueError("loss does not require grad: graph is detached")
     tape = build_tape(loss)
-    for t in tape:
-        t.grad = None
+    for n in tape:
+        n.grad = None
     loss.grad = np.ones_like(loss.data)
     while tape:
-        t = tape.pop()
-        if t._backward is None:  # a leaf keeps its gradient
+        n = tape.pop()
+        if n._backward is None:  # a leaf keeps its gradient
             continue
-        if t.grad is not None:
-            t._backward(t.grad)
-        t.grad, t._backward, t._parents = None, _released, ()
+        if n.grad is not None:
+            n._backward(n.grad)
+        n.grad, n._backward, n._parents = None, _released, ()
 
 
 def assert_finite(arr: np.ndarray, what: str) -> None:
     if not np.all(np.isfinite(arr)):
         raise NumericsError(f"non-finite values in {what}")
-

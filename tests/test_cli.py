@@ -11,7 +11,7 @@ import pytest
 
 from conftest import read_rdvc
 from refvae.checkpoint import load_checkpoint, params_from_arrays, save_checkpoint
-from refvae.cli import main
+from refvae.cli import ABLATIONS, main
 from refvae.config import ConfigError, ExperimentConfig, Seeds
 from refvae.metrics import clip_metrics, derive_clip_seeds, frame_distances
 from refvae.refcond import decode_conditioned_t
@@ -154,6 +154,39 @@ def test_ablate_workers_match_serial_bytes(pipeline, serial_ablate, tmp_path):
         outputs.append({str(f.relative_to(outdir)): f.read_bytes() for f in files})
     assert len(outputs[0]) == 6  # the tables, and 2 grid points x 2 eval policies
     assert outputs[0] == outputs[1]
+
+
+def _flat(value, prefix: str = "") -> dict:
+    """A config's asdict() as {dotted field: leaf value}."""
+    if isinstance(value, dict):
+        return {k: v for key, sub in value.items() for k, v in _flat(sub, f"{prefix}{key}.").items()}
+    return {prefix[:-1]: value}
+
+
+# axis -> (the one field its points vary, their labels in run order)
+AXES = {
+    "dropout": ("dropout.r_max", ["rmax-0.0", "rmax-0.3", "rmax-0.7"]),
+    "blocks": ("refdec.n_blocks", ["blocks-3", "blocks-5", "blocks-7", "blocks-10"]),
+    "ref_policy": ("ref_policy", ["train-first_frame", "train-random_frame"]),
+    "curriculum": ("curriculum.stages", ["one-stage", "two-stage"]),
+    "injection": ("injection", ["attention", "controlnet"]),
+}
+
+
+@pytest.mark.parametrize("axis", sorted(AXES))
+def test_ablation_axis_points_vary_only_their_field(tmp_path, axis):
+    assert ABLATIONS.keys() == AXES.keys()
+    base = tiny_config(tmp_path)
+    field, labels = AXES[axis]
+    points = ABLATIONS[axis](base)
+    assert [label for label, _ in points] == labels
+    flat_base, values = _flat(asdict(base)), []
+    for _, point in points:
+        point.validate()
+        flat = _flat(asdict(point))
+        assert {k for k in flat if flat[k] != flat_base[k]} <= {field}
+        values.append(flat[field])
+    assert len({repr(v) for v in values}) == len(values)  # each point is another setting
 
 
 def test_workers_is_an_ablate_flag_only(pipeline):

@@ -31,7 +31,7 @@ from refvae.ops import (
     upsample_causal,
     upsample_nearest,
 )
-from refvae.tensor import Tensor, _released, build_tape, concat, float64_mode, parameter
+from refvae.tensor import Node, Tensor, _released, build_tape, concat, float64_mode, parameter
 
 
 def conv3d_naive(x, w, stride):
@@ -437,6 +437,8 @@ def test_conv_rejects_bad_shapes():
         conv3d_causal(x, Tensor(np.zeros((1, 3, 1, 1, 1))))  # channel mismatch
     with pytest.raises(ValueError):
         conv3d_causal(x, Tensor(np.zeros((1, 2, 1, 2, 2))))  # even spatial kernel
+    with pytest.raises(ValueError, match=r"x\[C,T,H,W\]"):
+        conv3d_causal(Tensor(np.zeros((2, 4, 4))), Tensor(np.zeros((1, 2, 1, 1, 1))))  # no time axis
 
 
 # -- conv + bias (+ residual) as one node ----------------------------------------
@@ -491,7 +493,7 @@ def test_add_bias_absorbs_the_conv_output():
     h = conv3d_causal(x, w)
     out = add_bias(h, b, r)
     assert out.data is h.data
-    assert len(out._parents) == 4 and {id(p) for p in out._parents} == {id(x), id(w), id(b), id(r)}
+    assert len(out.node._parents) == 4 and {id(p) for p in out.node._parents} == {id(t.node) for t in (x, w, b, r)}
     with pytest.raises(ValueError, match="released"):
         h.sum().backward()
     with pytest.raises(ValueError, match="fresh op output"):
@@ -504,7 +506,7 @@ def test_add_bias_without_grad_is_a_leaf():
     rng = np.random.default_rng(26)
     x, w = Tensor(rng.standard_normal((2, 3, 4, 4))), Tensor(rng.standard_normal((2, 2, 1, 3, 3)))
     out = add_bias(conv3d_causal(x, w), Tensor(np.ones((2, 1, 1, 1))), Tensor(np.ones((2, 3, 4, 4))))
-    assert not out.requires_grad and out._parents == () and out._backward is None
+    assert not out.requires_grad and out.node is None and out._backward is None
 
 
 @pytest.mark.parametrize("which", ["bias", "residual"])
@@ -641,6 +643,10 @@ def test_attention_rejects_indivisible_heads():
     t = Tensor(np.zeros((2, 7)))
     with pytest.raises(ValueError):
         attention(t, t, t, 2)
+    for other in (Tensor(np.zeros((3, 7))), Tensor(np.zeros((2, 8)))):  # so are unequal q, k, v
+        for args in ((other, t, t), (t, other, t), (t, t, other)):
+            with pytest.raises(ValueError, match="share shape"):
+                attention(*args, 1)
     t = Tensor(np.zeros((2, 8)))
     for heads in (0, -1):
         with pytest.raises(ValueError, match="heads"):
@@ -829,6 +835,17 @@ def test_fused_linear_matches_composed_bitwise(dtype):
     _bitwise_equal(*results)
 
 
+def test_patch_embed_rejects_bad_shapes():
+    x, b = Tensor(np.zeros((3, 1, 8, 8))), Tensor(np.zeros((4, 1, 1, 1)))
+    for w in (np.zeros((4, 3, 2, 2, 2)), np.zeros((4, 3, 1, 2, 4))):  # temporal extent, unequal sides
+        with pytest.raises(ValueError, match=r"\[D, C, 1, s, s\]"):
+            patch_embed(x, Tensor(w), b)
+    with pytest.raises(ValueError, match="expects 2 channels, got 3"):
+        patch_embed(x, Tensor(np.zeros((4, 2, 1, 2, 2))), b)
+    with pytest.raises(ValueError, match="not divisible into 3x3 patches"):
+        patch_embed(x, Tensor(np.zeros((4, 3, 1, 3, 3))), b)
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_patch_embed_matches_composed_bitwise(dtype):
     # stage_forward's in-projection: video and reference share one weight and bias
@@ -851,7 +868,7 @@ def test_patch_embed_matches_composed_bitwise(dtype):
 def _closure_reach(fn):
     """Everything a backward closure holds: its cells' contents, followed into the
     cells of nested functions (a taken-over closure, gradient lambdas) and the
-    items of lists and tuples (add_bias's `adds`)."""
+    items of lists and tuples (add_bias's `add_nodes`)."""
     held, stack, seen = [], [fn], set()
     while stack:
         obj = stack.pop()
@@ -867,18 +884,26 @@ def _closure_reach(fn):
     return held
 
 
+def _nodes(*tensors):
+    return tuple(t.node for t in tensors)
+
+
 def test_fused_rmsnorm_and_linear_keep_only_their_inputs_and_the_rms():
     rng = np.random.default_rng(24)
     x, gain = parameter(rng.standard_normal((10, 12))), parameter(np.ones(12))
     w, b = parameter(rng.standard_normal((12, 6))), parameter(np.zeros(6))
     lin = linear(x, w, b)
     assert lin._backward.__qualname__ == "add_bias.<locals>.bw"  # no closure of its own
-    for out, inputs in ((rmsnorm(x, gain), (x, gain)), (lin, (x, w, b))):
-        assert out._parents == inputs
+    # rmsnorm keeps x, the gain and the rms; linear the matmul's operands, not the bias
+    for out, inputs, read, own in ((rmsnorm(x, gain), (x, gain), (x, gain), [(10, 1)]),
+                                   (lin, (x, w, b), (x, w), [])):
+        assert out.node._parents == _nodes(*inputs)
         held = _closure_reach(out._backward)
-        assert {id(c) for c in held if isinstance(c, Tensor)} == {id(t) for t in inputs}
-        arrays = [c for c in held if isinstance(c, np.ndarray)]
-        assert [a.shape for a in arrays] == ([(10, 1)] if out._parents == (x, gain) else [])
+        assert not any(isinstance(c, Tensor) for c in held)
+        assert {id(c) for c in held if isinstance(c, Node)} == {id(t.node) for t in inputs}
+        arrays = {id(c): c for c in held if isinstance(c, np.ndarray)}
+        assert [id(t.data) in arrays for t in inputs] == [t in read for t in inputs]
+        assert [a.shape for a in arrays.values() if all(a is not t.data for t in inputs)] == own
     with pytest.raises(ValueError, match="would cast"):
         linear(x, w, Tensor(np.zeros(6)))  # a float64 bias into a float32 product
 
@@ -888,13 +913,15 @@ def test_attention_and_gelu_keep_no_score_sized_arrays():
     rng = np.random.default_rng(27)
     q, k, v = (parameter(rng.standard_normal((seq, d))) for _ in range(3))
     held = _closure_reach(attention(q, k, v, heads)._backward)
-    assert {id(c) for c in held if isinstance(c, Tensor)} == {id(t) for t in (q, k, v)}
+    assert not any(isinstance(c, Tensor) for c in held)
+    assert {id(c) for c in held if isinstance(c, Node)} == {id(t.node) for t in (q, k, v)}
     arrays = [c for c in held if isinstance(c, np.ndarray)]
     assert arrays and all(a.size < seq * seq for a in arrays)
     for a in arrays:  # views of q, k and v, and the row max and row sum
         assert any(np.shares_memory(a, t.data) for t in (q, k, v)) or a.shape == (heads, seq, 1), a.shape
     x = parameter(rng.standard_normal((seq, 4 * d)))
-    assert _closure_reach(gelu(x)._backward) == [x]  # tanh is recomputed, not kept
+    held = _closure_reach(gelu(x)._backward)  # tanh is recomputed, not kept
+    assert len(held) == 2 and held[0] is x.node and held[1] is x.data
 
 
 def test_attention_backward_holds_one_head_of_scores():
@@ -987,9 +1014,9 @@ def test_fused_groupnorm_is_one_node_over_its_inputs():
     x = parameter(rng.standard_normal((4, 2, 3, 3)))
     gain, bias = parameter(np.ones((4, 1, 1, 1))), parameter(np.zeros((4, 1, 1, 1)))
     out = groupnorm_silu(x, 2, gain, bias)
-    assert len(out._parents) == 3
-    assert all(p is q for p, q in zip(out._parents, (x, gain, bias)))
-    assert groupnorm_silu(Tensor(x.data), 2, Tensor(gain.data), Tensor(bias.data))._parents == ()
+    assert len(out.node._parents) == 3
+    assert all(p is q for p, q in zip(out.node._parents, _nodes(x, gain, bias)))
+    assert groupnorm_silu(Tensor(x.data), 2, Tensor(gain.data), Tensor(bias.data)).node is None
 
 
 def test_fused_groupnorm_keeps_only_input_and_frame_stats():
@@ -1000,9 +1027,9 @@ def test_fused_groupnorm_keeps_only_input_and_frame_stats():
     out = groupnorm_silu(x, groups, gain, bias)
     kept = [c.cell_contents for c in out._backward.__closure__
             if isinstance(c.cell_contents, np.ndarray)]
-    assert len(kept) == 3  # x's grouped view, the mean and the std
+    assert len(kept) == 4  # x's grouped view, the gain, the mean and the std
     for arr in kept:
-        assert np.shares_memory(arr, x.data) or arr.size <= groups * shape[1]
+        assert np.shares_memory(arr, x.data) or arr is gain.data or arr.size <= groups * shape[1]
 
 
 def test_model_grads_match_composed_groupnorm(desk_cfg, desk_params, monkeypatch):
@@ -1039,7 +1066,7 @@ def test_conv_over_groupnorm_grads_match_finite_differences(stride):
 
         def loss(x, gain, bias, w):
             out = conv3d_causal(groupnorm_silu(x, 2, gain, bias), w, stride)
-            assert out._parents == (x, gain, bias, w)  # the fused node
+            assert out.node._parents == _nodes(x, gain, bias, w)  # the fused node
             return (out * probe).sum()
 
         for i, t in enumerate(args):
@@ -1073,16 +1100,17 @@ def test_conv_takes_over_a_fresh_groupnorm_output_and_frees_it():
     x, gain, bias, w = (parameter(a) for a in _norm_conv_inputs(rng, (8, 3, 4, 4), 8, (3, 3, 3)))
     h = groupnorm_silu(x, 4, gain, bias)
     out = conv3d_causal(h, w)
-    assert out._parents == (x, gain, bias, w)
-    assert h._backward is _released and h._parents == ()
+    assert out.node._parents == _nodes(x, gain, bias, w)
+    assert h._backward is _released and h.node._parents == ()
     held = _closure_reach(out._backward)
-    assert {id(c) for c in held if isinstance(c, Tensor)} == {id(t) for t in (x, gain, bias, w)}
+    assert not any(isinstance(c, Tensor) for c in held)
+    assert {id(c) for c in held if isinstance(c, Node)} == {id(t.node) for t in (x, gain, bias, w)}
     freed = weakref.ref(h.data)
     del h
     assert freed() is None  # the node rebuilds the norm's output in backward
     # without a graph there is nothing to take over: the conv reads the output as it is
     plain = groupnorm_silu(Tensor(x.data), 4, Tensor(gain.data), Tensor(bias.data))
-    assert conv3d_causal(plain, Tensor(w.data))._parents == () and plain._backward is None
+    assert conv3d_causal(plain, Tensor(w.data)).node is None and plain._backward is None
 
 
 @pytest.mark.parametrize("second", ["read before", "read after", "second conv"])

@@ -1,8 +1,10 @@
+import weakref
+
 import numpy as np
 import pytest
 
 from conftest import grad_check, linear_composed, rmsnorm_composed
-from refvae import ops, refcond
+from refvae import ops, refcond, vae
 from refvae.ops import rope_apply, rope_tables
 from refvae.refcond import (
     RefCondConfig,
@@ -60,6 +62,35 @@ def test_block_is_fourteen_nodes_over_eleven_leaves(desk_full, desk_ref_cfg):
     # over each matmul), gelu and the residual add. Per-head reshapes around each rope made 18
     assert len(tape) == 25
     assert sum(t._backward is not None for t in tape) == 14
+
+
+def test_graph_frees_the_buffers_no_backward_reads(desk_full, desk_ref_cfg, monkeypatch):
+    # rope_apply and the residual adds read no input in backward, nor does an
+    # upsample: the q, k and wo products and the head upsample's input must die
+    # with the forward, while attention keeps the v product it reads
+    cfg, params = desk_full
+    products, upsampled = {}, []
+    matmul, upsample = Tensor.__matmul__, vae.upsample_nearest
+
+    def recording_matmul(a, b):
+        out = matmul(a, b)
+        products[id(b)] = weakref.ref(out.data)
+        return out
+
+    def recording_upsample(x, factors):
+        upsampled.append(weakref.ref(x.data))
+        return upsample(x, factors)
+
+    monkeypatch.setattr(Tensor, "__matmul__", recording_matmul)
+    monkeypatch.setattr(vae, "upsample_nearest", recording_upsample)
+    seq = parameter(np.random.default_rng(31).standard_normal((3 * 2 * 4, desk_ref_cfg.hidden)))
+    tables = rope_tables(_token_positions(2, 2, 4), desk_ref_cfg.hidden // desk_ref_cfg.heads, seq.dtype)
+    out = refcond._block(seq, tables, params, 0, desk_ref_cfg)
+    alive = {w: products[id(params[f"ref.blk0.{w}"])]() is not None for w in ("wq", "wk", "wv", "wo")}
+    assert out.requires_grad and alive == {"wq": False, "wk": False, "wv": True, "wo": False}
+    z = Tensor(np.random.default_rng(32).standard_normal((cfg.latent_channels, 2, 2, 4)).astype(np.float32))
+    x_hat = decode_baseline_t(z, cfg, params)
+    assert x_hat.requires_grad and len(upsampled) == 1 and upsampled[0]() is None
 
 
 def test_config_rejects_bad_widths():

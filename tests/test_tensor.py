@@ -40,6 +40,10 @@ def test_matmul_shape_mismatch_raises():
     b = Tensor(np.zeros((4, 2)))
     with pytest.raises(ValueError):
         a @ b
+    with pytest.raises(ValueError, match="at least 2-D"):
+        a @ Tensor(np.zeros(3))
+    with pytest.raises(ValueError, match="batch dimensions"):
+        Tensor(np.zeros((2, 2, 3))) @ Tensor(np.zeros((3, 3, 4)))  # broadcasting is not offered
 
 
 def test_matmul_gradient_finite_differences():
@@ -107,7 +111,7 @@ def test_backward_releases_the_graph():
     del y
     backward(loss)
     assert activation() is None
-    assert loss.grad is None and not loss._parents
+    assert loss.grad is None and not loss.node._parents
     np.testing.assert_allclose(x.grad, np.full(3, 1.0 / np.sqrt(2.0)))
     with pytest.raises(ValueError, match="released"):
         backward(loss)
