@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, _acc, _from_op, _grad_buffer, _needs, _released, _take_over, _unbroadcast, concat
+from .tensor import Tensor, _acc, _from_op, _grad_buffer, _released, _take_over, _unbroadcast, concat
 
 EPS = 1e-6
 # GEMM outputs at most this wide get no frame tiles and no kernel copies: OpenBLAS
@@ -191,8 +191,8 @@ def conv3d_causal(x: Tensor, kernel: Tensor, stride: tuple[int, int, int] = (1, 
 
     # a taken-over norm node's closure and parents; else the conv keeps x's data
     norm_bw, in_parents = _take_over(x) if hasattr(x._backward, "rebuild") else (None, (x,))
-    xd, xn = (None, None) if norm_bw else (x.data, _needs(x))
-    kd, kn, x_dtype = kernel.data, _needs(kernel), x.dtype
+    xd, xn = (None, None) if norm_bw else (x.data, x.node)
+    kd, kn, x_dtype = kernel.data, kernel.node, x.dtype
 
     def bw(g):
         parts = norm_bw.rebuild() if norm_bw else None  # [normalised map, affine output, its sigmoid]
@@ -265,18 +265,17 @@ def add_bias(h: Tensor, bias: Tensor, residual: Tensor | None = None) -> Tensor:
     if any(t.dtype != h.dtype for t in adds):
         raise ValueError(f"add_bias of {[t.dtype.name for t in adds]} into {h.dtype.name}: would cast")
     hn = h.node
-    if hn is not None and any(n._backward is _released or (n.requires_grad and n._backward is None)
-                              for n in (hn, hn._owner or hn)):
+    if hn is not None and any(n._backward in (None, _released) for n in (hn, hn._owner or hn)):
         raise ValueError("add_bias takes over a fresh op output, not a leaf or an absorbed tensor or their view")
     out = h.data
     for t in adds:
         out += t.data
     h_bw, h_parents = _take_over(h)
-    add_nodes = [n for n in map(_needs, adds) if n]
+    add_nodes = [(t.node, t.shape) for t in adds if t.node]
 
     def bw(g):
-        for n in add_nodes:
-            _acc(n, _unbroadcast(g, n.shape))
+        for n, shape in add_nodes:
+            _acc(n, _unbroadcast(g, shape))
         if h_bw is not None:
             h_bw(g)
 
@@ -337,7 +336,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     rmax, rsum = np.empty((2, heads, seq, 1), dtype=q.dtype)
-    dtype, nodes = q.dtype, [_needs(t) for t in (v, q, k)]
+    dtype, nodes = q.dtype, [t.node for t in (v, q, k)]
 
     def softmax(i, p, fresh=False):  # head i's probabilities in p; `fresh` takes its row max and sum
         np.matmul(qh[i], kh[i].T, out=p)
@@ -424,7 +423,7 @@ def rmsnorm(x: Tensor, gain: Tensor, axis: int = -1) -> Tensor:
     replays the engine's rules for the composed ops (*gain, /, sqrt, +eps,
     mean, x*x) in their order, so outputs and gradients have their bits.
     """
-    xd, gd, xn, gn = x.data, gain.data, _needs(x), _needs(gain)
+    xd, gd, xn, gn = x.data, gain.data, x.node, gain.node
     ms = (xd * xd).mean(axis=axis, keepdims=True)
     n = xd.size // max(ms.size, 1)  # elements per mean
     r = np.sqrt(ms + np.asarray(EPS, dtype=ms.dtype))
@@ -432,7 +431,7 @@ def rmsnorm(x: Tensor, gain: Tensor, axis: int = -1) -> Tensor:
 
     def bw(g):
         if gn:
-            _acc(gn, _unbroadcast(g * (xd / r), gn.shape))
+            _acc(gn, _unbroadcast(g * (xd / r), gd.shape))
         if not xn:
             return
         g_q = g * gd
@@ -466,7 +465,7 @@ def groupnorm_silu(x: Tensor, groups: int, gain: Tensor, bias: Tensor) -> Tensor
         raise ValueError(f"{c} channels not divisible into {groups} groups")
     axes, n, shape = (1, 3, 4), (c // groups) * h * w, x.shape
     xg, gd, bd = x.data.reshape(groups, c // groups, t, h, w), gain.data, bias.data
-    xn, gn, bn = _needs(x), _needs(gain), _needs(bias)
+    xn, gn, bn, b_shape = x.node, gain.node, bias.node, bias.shape
     mu = xg.mean(axis=axes, keepdims=True)
     xc = xg - mu
     var = (xc * xc).mean(axis=axes, keepdims=True)
@@ -485,9 +484,9 @@ def groupnorm_silu(x: Tensor, groups: int, gain: Tensor, bias: Tensor) -> Tensor
         g = _silu_grad(g, act, sig)
         del act, sig
         if bn:
-            _acc(bn, _unbroadcast(g, bn.shape))
+            _acc(bn, _unbroadcast(g, b_shape))
         if gn:
-            _acc(gn, _unbroadcast(g * y, gn.shape))
+            _acc(gn, _unbroadcast(g * y, gd.shape))
         del y
         if not xn:
             return

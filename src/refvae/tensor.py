@@ -1,23 +1,23 @@
 """Reverse-mode autodiff over dense numpy arrays.
 
 The graph is built eagerly, apart from the arrays: a `Tensor` is its `data`
-plus, once it joins a graph, a `Node` that holds no array, only the
-gradient, the parent nodes and the closure routing the output gradient back
-to them.  Each closure captures only the arrays its rule reads (`*`, `/` and
-`@` their operands; `+`, `-`, `sum`, `reshape` and `concat` none), so an op
-output that no backward reads dies with the forward's last reference to it.
-Indexing keeps its parent's array, whose memory order its gradient buffer
-copies.  Eval mode builds no nodes.  `backward` linearises the nodes
-reachable from the loss into a tape (topological order, parents first) and
-walks it exactly once in reverse, accumulating into `.grad`.  It releases
-the graph as it goes: once an interior node's closure has run, the node
-drops its gradient, closure and parents, so activations and interior
-gradients are freed as soon as nothing upstream needs them.  Only leaves
-keep `.grad`.
+plus, if and only if it requires grad, a `Node` that holds no array, only
+the gradient, the parents' nodes and the closure routing the output gradient
+back to them; a constant never joins the graph.  Each closure captures only
+the arrays its rule reads (`*`, `/` and `@` their operands; `+`, `-`, `sum`,
+`reshape` and `concat` none), so an op output that no backward reads dies
+with the forward's last reference to it.  Indexing keeps its parent's array,
+whose memory order its gradient buffer copies.  Eval mode builds no nodes.
+`backward` linearises the nodes reachable from the loss into a tape
+(topological order, parents first) and walks it exactly once in reverse,
+accumulating into `.grad`.  It releases the graph as it goes: once an
+interior node's closure has run, the node drops its gradient, closure and
+parents, so activations and interior gradients are freed as soon as nothing
+upstream needs them.  Only leaves keep `.grad`.
 
-One backward rule per node shape: a one-input op's closure accumulates
-unconditionally (`_from_op` attaches it only when the input requires grad);
-the broadcasting binary ops share `_binary`'s closure; `sum` and `mean`
+One backward rule per node shape: a one-input op's closure accumulates into
+its input's node unconditionally (`_from_op` attaches it only when there is
+one); the broadcasting binary ops share `_binary`'s closure; `sum` and `mean`
 share `_unreduce`.
 
 Training runs in float32; `float64_mode` switches tensor creation to
@@ -51,14 +51,13 @@ def float64_mode():
 
 
 class Node:
-    """A tensor's place in the graph, holding no array.  `_owner` is the node whose
-    buffer the tensor's data views (`_from_op` records it); None: its own buffer."""
-    __slots__ = ("grad", "requires_grad", "_parents", "_backward", "shape", "dtype", "_owner")
+    """The graph place of a tensor that requires grad, holding no array.  `_owner` is the
+    node whose buffer the tensor's data views (`_from_op` records it); None: its own buffer."""
+    __slots__ = ("grad", "_parents", "_backward", "_owner")
 
-    def __init__(self, shape: tuple[int, ...], dtype, requires_grad: bool = False, parents: tuple[Node, ...] = (),
-                 backward: Callable[[np.ndarray], None] | None = None, owner: Node | None = None):
+    def __init__(self, parents: tuple[Node, ...] = (), backward: Callable[[np.ndarray], None] | None = None,
+                 owner: Node | None = None):
         self.grad: np.ndarray | None = None
-        self.requires_grad, self.shape, self.dtype = requires_grad, shape, dtype
         self._parents, self._backward, self._owner = parents, backward, owner
 
 
@@ -71,7 +70,7 @@ class Tensor:
         else:
             arr = np.asarray(data, dtype=_default_dtype)
         self.data = arr
-        self.node = Node(arr.shape, arr.dtype, True) if requires_grad else None
+        self.node = Node() if requires_grad else None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -81,18 +80,21 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    # the node's fields, read through the tensor; a tensor with no node has none
+    # the node's fields, read through the tensor; a constant has no node and no gradient
     @property
     def grad(self) -> np.ndarray | None:
         return self.node and self.node.grad
 
     @grad.setter
     def grad(self, value: np.ndarray | None) -> None:
-        _node(self).grad = value
+        if self.node is not None:
+            self.node.grad = value
+        elif value is not None:
+            raise ValueError("a tensor that does not require grad holds no gradient")
 
     @property
     def requires_grad(self) -> bool:
-        return self.node is not None and self.node.requires_grad
+        return self.node is not None
 
     @property
     def _backward(self) -> Callable[[np.ndarray], None] | None:
@@ -144,12 +146,16 @@ class Tensor:
                        lambda g: np.matmul(ad.swapaxes(-1, -2), g))
 
     def __getitem__(self, key):
-        xd, xn = self.data, self.node  # the buffer copies xd's memory order
+        out, xd, xn = self.data[key], self.data, self.node  # the buffer copies xd's memory order
+        view = np.may_share_memory(out, xd)  # a basic key (ints, slices) selects each element once
 
         def bw(g):
-            _grad_buffer(xn, xd)[key] += g
+            if view:
+                _grad_buffer(xn, xd)[key] += g
+            else:  # an array key may repeat an element: every repeat adds
+                np.add.at(_grad_buffer(xn, xd), key, g)
 
-        return _from_op(self.data[key], (self,), bw)
+        return _from_op(out, (self,), bw)
 
     def sum(self, axis=None, keepdims: bool = False):
         xn, shape = self.node, self.shape
@@ -200,30 +206,16 @@ def as_tensor(x, like: Tensor) -> Tensor:
     return Tensor(np.asarray(x, dtype=like.dtype))
 
 
-def _node(t: Tensor | Node) -> Node:
-    """t's node; a tensor without one gets a constant leaf node."""
-    if isinstance(t, Node):
-        return t
-    if t.node is None:
-        t.node = Node(t.data.shape, t.data.dtype)
-    return t.node
-
-
-def _needs(t: Tensor) -> Node | None:
-    """t's node if t requires grad, else None: what a closure accumulates into."""
-    return t.node if t.requires_grad else None
-
-
 def _from_op(data: np.ndarray, parents: Sequence[Tensor | Node],
              backward_fn: Callable[[np.ndarray], None]) -> Tensor:
-    """`data` as a tensor, with a node over the parents if one requires grad; when
-    `data` views the first parent's array, the node records that array's owner."""
+    """`data` as a tensor, with a node over the parents' nodes if any has one (else none,
+    so activations can be collected); a view of the first parent's array records its owner."""
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):  # else no node, so activations can be collected
+    if nodes := tuple(n for n in (p if isinstance(p, Node) else p.node for p in parents) if n):
         first = parents[0]
-        owner = (_node(first)._owner or first.node
-                 if isinstance(first, Tensor) and np.may_share_memory(data, first.data) else None)
-        out.node = Node(data.shape, data.dtype, True, tuple(map(_node, parents)), backward_fn, owner)
+        owner = (first.node._owner or first.node if isinstance(first, Tensor) and first.node
+                 and np.may_share_memory(data, first.data) else None)
+        out.node = Node(nodes, backward_fn, owner)
     return out
 
 
@@ -262,11 +254,11 @@ def _binary(out: np.ndarray, a: Tensor, b: Tensor, grad_a: Callable, grad_b: Cal
     """Node of a broadcasting binary op.  `grad_a(g)` and `grad_b(g)` give an
     operand's gradient at the output's shape; each runs only for an operand
     that requires grad, and is summed down to that operand's shape."""
-    rules = [(n, grad) for n, grad in ((_needs(a), grad_a), (_needs(b), grad_b)) if n]
+    rules = [(t.node, grad, t.shape) for t, grad in ((a, grad_a), (b, grad_b)) if t.node]
 
     def bw(g):
-        for n, grad in rules:
-            _acc(n, _unbroadcast(grad(g), n.shape))
+        for n, grad, shape in rules:
+            _acc(n, _unbroadcast(grad(g), shape))
 
     return _from_op(out, (a, b), bw)
 
@@ -281,7 +273,7 @@ def _unreduce(g: np.ndarray, shape: tuple[int, ...], axis, keepdims: bool) -> np
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     sizes = [t.data.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
-    parts = [(n, int(lo), int(hi)) for n, lo, hi in zip(map(_needs, tensors), offsets[:-1], offsets[1:]) if n]
+    parts = [(t.node, int(lo), int(hi)) for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]) if t.node]
 
     def bw(g):
         for n, lo, hi in parts:
@@ -299,7 +291,7 @@ def build_tape(root: Tensor) -> list[Node]:
     """Topological order of the nodes reachable from `root`, parents first."""
     tape: list[Node] = []
     visited: set[int] = set()
-    stack: list[tuple[Node, bool]] = [(_node(root), False)]
+    stack: list[tuple[Node, bool]] = [(root.node, False)]
     while stack:
         node, emitted = stack.pop()
         if emitted:
@@ -320,8 +312,8 @@ def _released(g: np.ndarray) -> None:
     raise ValueError("backward through a graph that an earlier backward released")
 
 
-# the node of a tensor with none that an op took over in eval mode
-_CONSUMED = Node((), None, backward=_released)
+# the node of a constant that an op took over in eval mode: reading it again builds a released graph
+_CONSUMED = Node(backward=_released)
 
 
 def _take_over(t: Tensor) -> tuple[Callable[[np.ndarray], None] | None, tuple[Node, ...]]:
@@ -351,8 +343,3 @@ def backward(loss: Tensor) -> None:
         if n.grad is not None:
             n._backward(n.grad)
         n.grad, n._backward, n._parents = None, _released, ()
-
-
-def assert_finite(arr: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(arr)):
-        raise NumericsError(f"non-finite values in {what}")

@@ -18,7 +18,7 @@ import numpy as np
 from .ops import conv3d_causal
 from .refcond import decode_conditioned_t, init_ref_params, RefCondConfig
 from .synthdata import ClipRef, DatasetSpec, realize
-from .tensor import NumericsError, Tensor, assert_finite, backward, parameter
+from .tensor import NumericsError, Tensor, backward, parameter
 from .vae import VaeConfig, decode_baseline_t, encode_t, init_vae_params
 
 
@@ -326,7 +326,8 @@ def _run_curriculum(forward, params: dict[str, Tensor], groups: list, train_refs
                          "grad_norm": float(opt.grad_norm), "clip_scale": float(opt.clip_scale)})
             step += 1
     for name in sorted(params):
-        assert_finite(params[name].data, f"parameter {name}")
+        if not np.all(np.isfinite(params[name].data)):
+            raise NumericsError(f"non-finite values in parameter {name}")
     return rows, opt
 
 

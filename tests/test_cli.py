@@ -489,6 +489,17 @@ def test_diverging_pretrain_exits_4(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_final_parameter_exits_4(tmp_path, capsys):
+    # one step at lr 1e39 leaves the loss finite, but overflows a parameter past float32
+    one_step = CurriculumSpec((StageSpec(5, 16, 32, 1),))
+    opt = OptimizerSpec(total_steps=1, warmup_steps=0, base_lr=1e39)
+    cfg_path = write_config(tmp_path, curriculum=one_step, optimizer=opt)
+    assert main(["pretrain", "--config", str(cfg_path)]) == 4
+    assert "non-finite values in parameter" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_diverging_train_exits_4_and_leaves_no_run_directory(pipeline, tmp_path, capsys):
     cfg_path = write_config(tmp_path, optimizer=DIVERGING)
     assert main(["train", "--config", str(cfg_path), "--baseline", str(pipeline[3])]) == 4
@@ -763,6 +774,16 @@ MALFORMED_CONFIGS = {  # case -> config JSON with a value of the wrong type, or 
     "lambda-perc-nan": {"lambda_perc": float("nan")},
     "lambda-perc-inf": {"lambda_perc": float("inf")},
     "injection-unknown": {"injection": "bogus"},
+    "n-train-0": {"dataset": {"n_train": 0}},
+    "mix-unknown-category": {"dataset": {"mix": {"cartoon": 1.0}}},
+    "mix-sum-0.95": {"dataset": {"mix": {"content_rich": 0.5, "content_sparse": 0.25, "large_motion": 0.2}}},
+    "height-4": {"dataset": {"height": 4}},
+    "stages-empty": {"curriculum": {"stages": []}},
+    "stage-steps-0": {"curriculum": {"stages": [{**STAGE, "steps": 0}]}},
+    "n-blocks-0": {"refdec": {"n_blocks": 0}},
+    "token-stride-0": {"refdec": {"token_strides": [1, 0, 4]}},
+    "spatial-compression-32": {"vae": {"spatial_compression": 32}},
+    "res-blocks-0": {"vae": {"res_blocks": 0}},
 }
 
 

@@ -65,6 +65,8 @@ def test_psnr_mse_001_is_20db():
 def test_psnr_shape_mismatch():
     with pytest.raises(ValueError):
         psnr(np.zeros((2, 3, 8, 8)), np.zeros((3, 3, 8, 8)))
+    with pytest.raises(ValueError, match=r"\[T, 3, H, W\]"):
+        psnr(np.zeros((2, 4, 8, 8)), np.zeros((2, 4, 8, 8)))
 
 
 # -- ssim ---------------------------------------------------------------------
@@ -118,6 +120,8 @@ def test_flicker_alternating_offset_closed_form():
 def test_flicker_needs_two_frames():
     with pytest.raises(ValueError):
         flicker_error(np.zeros((1, 3, 8, 8)), np.zeros((1, 3, 8, 8)))
+    with pytest.raises(ValueError, match="at least two frames"):
+        temporal_consistency_proxy(np.zeros((1, 3, 8, 8)), np.zeros((1, 3, 8, 8)))
 
 
 # -- temporal consistency ---------------------------------------------------------

@@ -347,6 +347,8 @@ def test_init_ref_params_names_cover_both_kinds(desk_cfg, desk_ref_cfg):
     assert any(n.startswith("ref.blk") for n in attn_new)
     assert any(n.startswith("ctrl.") for n in ctrl_new)
     assert not any(n.startswith(("enc.", "dec.")) for n in attn_new + ctrl_new)
+    with pytest.raises(ValueError, match="unknown injection"):
+        init_ref_params(desk_cfg, desk_ref_cfg, rng, "bogus")
 
 
 # -- gradients through a full stage ---------------------------------------------

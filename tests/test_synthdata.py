@@ -70,11 +70,14 @@ def test_large_motion_pans_at_least_4px():
     assert np.hypot(*best) >= 4.0
 
 
-def test_gen_clip_rejects_degenerate():
+def test_gen_clip_rejects_degenerate(tmp_path):
     with pytest.raises(ValueError):
         gen_clip(0, "content_rich", 0, 32, 64)
     with pytest.raises(ValueError):
         gen_clip(0, "bogus", 5, 32, 64)
+    with pytest.raises(ValueError, match=r"\[T, 3, H, W\]"):
+        write_rdvc(tmp_path / "clip.rdvc", np.zeros((2, 4, 8, 8), np.float32))
+    assert not (tmp_path / "clip.rdvc").exists()
 
 
 def test_dataset_seeds_disjoint_and_exact_mix():

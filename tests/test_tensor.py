@@ -165,6 +165,31 @@ def test_slice_and_concat_roundtrip_grad():
         assert grad_check(f, x, eps=1e-4) < 1e-7
 
 
+def test_repeated_array_index_accumulates_every_repeat():
+    x = parameter(np.array([1.0, 2.0, 3.0]))
+    x[np.array([0, 0, 2])].sum().backward()
+    np.testing.assert_array_equal(x.grad, [2.0, 0.0, 1.0])
+    y = parameter(np.ones((2, 3)))
+    (y[:, [1, 1]] * 3.0).sum().backward()  # a slice with an array key
+    np.testing.assert_array_equal(y.grad, [[0.0, 6.0, 0.0]] * 2)
+
+
+def test_only_a_tensor_that_requires_grad_has_a_node():
+    x, c = parameter(np.arange(3.0)), Tensor(np.full(3, 2.0))
+    y = x * c
+    assert c.node is None and not c.requires_grad
+    assert y.node._parents == (x.node,)
+    # leaves without a closure are exactly the parameters: no constant joins the tape
+    tape = build_tape((y + Tensor(np.ones(3))).sum())
+    assert [n for n in tape if n._backward is None] == [x.node]
+    y.sum().backward()
+    np.testing.assert_array_equal(x.grad, c.data)
+    c.grad = None  # as training resets every tensor, frozen ones too
+    assert c.node is None and c.grad is None
+    with pytest.raises(ValueError, match="does not require grad"):
+        c.grad = np.zeros(3)
+
+
 def test_broadcast_add_unbroadcasts_grad():
     x = parameter(np.ones((3, 1, 2)))
     y = parameter(np.ones((2,)))

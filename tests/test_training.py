@@ -58,6 +58,8 @@ def test_latent_dropout_extremes():
     assert np.array_equal(out0.data, z.data)
     out1 = apply_latent_dropout(z, 1.0, np.random.default_rng(0))
     assert np.all(out1.data == 0.0)
+    with pytest.raises(ValueError, match="dropout rate"):
+        apply_latent_dropout(z, 1.5, np.random.default_rng(0))
 
 
 def test_latent_dropout_zeroes_whole_columns():
@@ -151,6 +153,8 @@ def test_loss_l1_term_of_constant_offset():
 def test_loss_rejects_shape_mismatch():
     with pytest.raises(ValueError):
         loss_recon(Tensor(np.zeros((2, 3, 16, 32))), Tensor(np.zeros((3, 3, 16, 32))))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        perceptual_proxy(Tensor(np.zeros((2, 3, 16, 32))), Tensor(np.zeros((2, 3, 16, 16))))
 
 
 def test_loss_gradient_matches_finite_differences():

@@ -24,6 +24,8 @@ def test_config_validates():
         VaeConfig(stage_channels=(64, 32, 30)).validate()
     with pytest.raises(ValueError):
         VaeConfig(stage_kernels=(3, 2, 3)).validate()
+    with pytest.raises(ValueError, match="exactly three stages"):
+        VaeConfig(stage_channels=(64, 32)).validate()
 
 
 def test_stage_factors_invert_compression(desk_cfg):
